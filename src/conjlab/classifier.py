@@ -126,15 +126,14 @@ def _linear_reference(kind: str, q: int, max_order: int):
     with _ref_lock:
         if key in _ref_cache:
             return _ref_cache[key]
-    base = families.sl2(q, max_order=max_order) if kind == "psl" \
-        else families.gl2(q, max_order=max_order)
+    sl2 = families.sl2(q, max_order=max_order)
+    base = sl2 if kind == "psl" else families.gl2(q, max_order=max_order)
     quot = base.quotient(base.center())
-    sl2_n = n_set(families.sl2(q, max_order=max_order))
     ref = {
         "quotient_order": quot.order(),
         "quotient_sizes": tuple(quot.class_sizes()),
         "sl2_order": q * (q * q - 1),
-        "sl2_N": frozenset(sl2_n),
+        "sl2_N": frozenset(n_set(sl2)),
     }
     with _ref_lock:
         _ref_cache[key] = ref

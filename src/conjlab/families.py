@@ -29,7 +29,7 @@ def _checked(group: FiniteGroup, expected: int) -> FiniteGroup:
     return group
 
 
-def _as_field(q, cap: int = DEFAULT_MAX_ORDER) -> Field:
+def _as_field(q) -> Field:
     if isinstance(q, Field):
         return q
     pn = prime_power(q)

@@ -22,8 +22,6 @@ from .intmath import is_prime
 
 DEFAULT_FIELD_CAP = 256
 
-ARITH_KINDS = ("add", "sub", "mul", "div")
-
 
 def _poly_trim(c: list[int]) -> list[int]:
     while c and c[-1] == 0:
@@ -200,12 +198,6 @@ class Field:
         if a == 0:
             raise ZeroDivisionError("zero has no multiplicative inverse")
         return self._inv[a]
-
-    def arith(self, a: int, b: int, kind: str) -> int:
-        """Dispatch form of add/sub/mul/div used by the CLI surface."""
-        if kind not in ARITH_KINDS:
-            raise ValueError(f"unknown arithmetic kind {kind!r}")
-        return getattr(self, kind)(a, b)
 
     def pow(self, a: int, k: int) -> int:
         if k < 0:

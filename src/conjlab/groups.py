@@ -7,16 +7,19 @@ integer field codes (see conjlab.gf), and a coset in a quotient group is
 the encoding of its minimal member in the parent.  Products compose left
 to right: mul(a, b) applies a first, then b, and x ** g means g^-1 * x * g.
 
-Everything is desk scale by design: enumeration is a breadth-first
-closure under left multiplication by the generators, conjugacy classes
-are conjugation orbits, and centralizers of class representatives come
-from the orbit transversal via Schreier generators.
+Everything is desk scale by design.  One routine, FiniteGroup._closure,
+grows every element set: it extends a closed subgroup in place by new
+generators (Dimino's idea), so the group itself is a breadth-first closure
+of the generators from the identity, and the subgroups built one generator
+at a time (greedy generating sets, Schreier centralizers, the derived
+subgroup) never re-close what they already hold.  Conjugacy classes are
+conjugation orbits, and centralizers of class representatives come from the
+orbit transversal via Schreier generators.
 """
 
 from __future__ import annotations
 
 import threading
-from collections import deque
 from dataclasses import dataclass, field
 
 
@@ -177,10 +180,6 @@ class QuotientRep:
     def inv(self, a):
         return self.coset_rep[self.parent.rep.inv(a)]
 
-    def project(self, enc):
-        """Coset representative of a parent element."""
-        return self.coset_rep[enc]
-
     def validate(self, enc) -> None:
         if self.coset_rep.get(enc) != enc:
             raise ValueError(f"{enc} is not a canonical coset representative")
@@ -190,6 +189,10 @@ class QuotientRep:
 
     def __repr__(self):
         return f"QuotientRep(of {self.parent!r})"
+
+
+def _generators_commute(mul, gens) -> bool:
+    return all(mul(a, b) == mul(b, a) for i, a in enumerate(gens) for b in gens[i + 1:])
 
 
 @dataclass(frozen=True)
@@ -224,8 +227,7 @@ class Subgroup:
         return sorted(self.members)
 
     def is_abelian(self) -> bool:
-        g, gens = self.group, self.gens
-        return all(g.mul(a, b) == g.mul(b, a) for i, a in enumerate(gens) for b in gens[i + 1:])
+        return _generators_commute(self.group.rep.mul, self.gens)
 
     def as_group(self) -> "FiniteGroup":
         gens = self.gens if self.gens else (self.group.rep.identity,)
@@ -303,28 +305,13 @@ class FiniteGroup:
         if self._elements is None:
             with self._lock:
                 if self._elements is None:
-                    self._elements, self._index = self._enumerate()
+                    try:
+                        index = self._closure(self.generators)
+                    except CapExceeded:
+                        raise CapExceeded("group order", self.max_order) from None
+                    self._index = index
+                    self._elements = list(index)
         return self._elements
-
-    def _enumerate(self):
-        rep, cap = self.rep, self.max_order
-        ident = rep.identity
-        elements = [ident]
-        index = {ident: 0}
-        queue = deque([ident])
-        mul = rep.mul
-        gens = self.generators
-        while queue:
-            x = queue.popleft()
-            for g in gens:
-                y = mul(g, x)
-                if y not in index:
-                    if len(elements) >= cap:
-                        raise CapExceeded("group order", cap)
-                    index[y] = len(elements)
-                    elements.append(y)
-                    queue.append(y)
-        return elements, index
 
     def order(self) -> int:
         return len(self.elements())
@@ -336,10 +323,6 @@ class FiniteGroup:
         self.elements()
         return enc in self._index
 
-    def index_of(self, enc) -> int:
-        self.elements()
-        return self._index[enc]
-
     def _order_like(self, members) -> list:
         """Members sorted by parent insertion order (deterministic)."""
         idx = self._index
@@ -348,32 +331,36 @@ class FiniteGroup:
             idx = self._index
         return sorted(members, key=idx.__getitem__)
 
-    def _closure(self, gens, seed=None, cap=None) -> list:
-        """Subgroup closure of gens (optionally seeded with known members)."""
-        rep = self.rep
-        cap = cap if cap is not None else self.max_order
-        ident = rep.identity
-        elements = [ident]
-        seen = {ident}
-        if seed:
-            for x in seed:
-                if x not in seen:
-                    seen.add(x)
-                    elements.append(x)
-        queue = deque(elements)
+    def _closure(self, gens, members=None) -> dict:
+        """Grow a closed subgroup in place to the subgroup it generates with
+        gens, and return it.
+
+        members maps each element to its insertion position (None: the
+        trivial subgroup).  They are closed under the generators they hold,
+        so they are multiplied only by the others; each new element is
+        multiplied by every generator, breadth first.
+        """
+        rep, cap = self.rep, self.max_order
         mul = rep.mul
-        gens = [g for g in gens if g != ident]
-        while queue:
-            x = queue.popleft()
-            for g in gens:
+        if members is None:
+            members = {rep.identity: 0}
+        fresh = [g for g in gens if g not in members]
+        if not fresh:
+            return members
+        gens = [g for g in gens if g != rep.identity]
+        queue = list(members)
+        known = len(queue)
+        n = known
+        for i, x in enumerate(queue):
+            for g in fresh if i < known else gens:
                 y = mul(g, x)
-                if y not in seen:
-                    if len(elements) >= cap:
+                if y not in members:
+                    if n >= cap:
                         raise CapExceeded("subgroup closure size", cap)
-                    seen.add(y)
-                    elements.append(y)
+                    members[y] = n
+                    n += 1
                     queue.append(y)
-        return elements
+        return members
 
     # -- element facts -----------------------------------------------------
 
@@ -514,7 +501,7 @@ class FiniteGroup:
             transversal = self._transversal
             gens = [g for g in self.generators if g != rep.identity]
             found = []
-            closure = {rep.identity}
+            closure = {rep.identity: 0}
             members = self._order_like(cls.members)
             for m in members:
                 if len(closure) >= target:
@@ -525,7 +512,7 @@ class FiniteGroup:
                     s = mul(mul(um, g), inv(transversal[m2]))
                     if s not in closure:
                         found.append(s)
-                        closure = set(self._closure(found))
+                        self._closure(found, closure)
                         if len(closure) >= target:
                             break
             if len(closure) != target:
@@ -556,29 +543,18 @@ class FiniteGroup:
 
     # -- subgroups -------------------------------------------------------
 
-    def subgroup(self, gens) -> Subgroup:
-        gens = tuple(gens)
-        members = frozenset(self._closure(gens))
-        return Subgroup(self, members, gens)
-
     def subgroup_from_elements(self, members) -> Subgroup:
         """Least subgroup containing the members, with a small greedy
         generating set (members must already form a subgroup for the
         generating set to reproduce them exactly; otherwise this is the
         generated closure)."""
-        ident = self.rep.identity
         gens = []
-        closure = {ident}
+        closure = {self.rep.identity: 0}
         for x in members:
             if x not in closure:
                 gens.append(x)
-                closure = set(self._closure(gens))
+                self._closure(gens, closure)
         return Subgroup(self, frozenset(closure), tuple(gens))
-
-    def subgroup_generated(self, elements) -> Subgroup:
-        """Least subgroup containing the given element set."""
-        ordered = list(elements)
-        return self.subgroup_from_elements(ordered)
 
     def derived_subgroup(self) -> Subgroup:
         """Normal closure of the generator commutators."""
@@ -601,21 +577,15 @@ class FiniteGroup:
                     seen.add(c)
                     comms.append(c)
         basis = [c for c in comms if c != rep.identity]
-        closure = set(self._closure(basis))
-        while True:
-            new = []
-            for t in basis:
-                for g in gens:
-                    c = self.conj(t, g)
-                    if c not in closure:
-                        new.append(c)
-            if not new:
-                break
+        closure = self._closure(basis)
+        new = basis
+        while new:
+            # conjugates of earlier rounds' elements are already in the closure
+            new = [c for t in new for g in gens
+                   if (c := self.conj(t, g)) not in closure]
             basis.extend(new)
-            closure = set(self._closure(basis))
-        members = frozenset(closure)
-        small = self.subgroup_from_elements(self._order_like(members))
-        return small
+            self._closure(basis, closure)
+        return self.subgroup_from_elements(self._order_like(closure))
 
     def normal_subgroups(self) -> list[Subgroup]:
         """All normal subgroups, as join-closed unions of conjugacy classes,
@@ -710,10 +680,7 @@ class FiniteGroup:
     # -- global predicates -------------------------------------------------
 
     def is_abelian(self) -> bool:
-        mul = self.rep.mul
-        gens = self.generators
-        return all(mul(a, b) == mul(b, a)
-                   for i, a in enumerate(gens) for b in gens[i + 1:])
+        return _generators_commute(self.rep.mul, self.generators)
 
     def is_solvable(self) -> bool:
         """Derived series reaches the trivial subgroup."""

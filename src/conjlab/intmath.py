@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import math
-
 
 def is_prime(n: int) -> bool:
     """Deterministic trial-division primality test, fine for desk-scale n."""
@@ -71,7 +69,3 @@ def is_power_of(n: int, p: int) -> bool:
     while n % p == 0:
         n //= p
     return n == 1
-
-
-def gcd(a: int, b: int) -> int:
-    return math.gcd(a, b)

@@ -380,7 +380,6 @@ def run_theorem2_suite(corpus: list[CorpusEntry]) -> SuiteReport:
     for entry in corpus:
         def check(entry=entry):
             g = entry.group()
-            details = []
             if entry.expected_order is not None and g.order() != entry.expected_order:
                 return False, f"order {g.order()} != expected {entry.expected_order}"
             enumerated = frozenset(n_set(g))
@@ -406,7 +405,7 @@ def run_theorem2_suite(corpus: list[CorpusEntry]) -> SuiteReport:
                     and cls.verdict.value != entry.expected_verdict:
                 return False, (f"verdict {cls.verdict.value} != expected "
                                f"{entry.expected_verdict}")
-            return True, "; ".join(details)
+            return True, ""
         suite.timed(f"classify/{entry.name}", check)
     # formula checks: stored expectation, formula value and enumeration
     # must all agree

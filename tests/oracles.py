@@ -1,11 +1,31 @@
 """Independent brute-force oracles used to freeze expected values.
 
-These deliberately avoid the library's own shortcuts: centralizers scan
-every element, conjugacy classes conjugate by every element, and the
-transitive reduction walks paths in the full divisibility digraph.
+These deliberately avoid the library's own shortcuts: closures search
+from the identity every time, centralizers scan every element, conjugacy
+classes conjugate by every element, and the transitive reduction walks
+paths in the full divisibility digraph.
 """
 
 from __future__ import annotations
+
+
+def naive_closure(group, gens):
+    """Subgroup generated by gens: breadth-first from the identity, each
+    element multiplied on the left by every generator, from scratch."""
+    mul = group.rep.mul
+    ident = group.rep.identity
+    members = [ident]
+    seen = {ident}
+    i = 0
+    while i < len(members):
+        x = members[i]
+        i += 1
+        for g in gens:
+            y = mul(g, x)
+            if y not in seen:
+                seen.add(y)
+                members.append(y)
+    return members
 
 
 def naive_centralizer(group, x):

@@ -43,7 +43,7 @@ def test_make_field_is_deterministic():
 
 def test_arith_examples():
     f5 = make_field(5, 1)
-    assert f5.arith(2, 4, "add") == 1
+    assert f5.add(2, 4) == 1
     f4 = make_field(2, 2)
     x, x1 = f4.encode((0, 1)), f4.encode((1, 1))
     assert f4.mul(x, x1) == 1  # x * (x + 1) = x^2 + x = 1 mod x^2+x+1
@@ -60,8 +60,6 @@ def test_division_errors():
         f.div(3, 0)
     with pytest.raises(ZeroDivisionError):
         f.inv(0)
-    with pytest.raises(ValueError):
-        f.arith(1, 2, "pow")
 
 
 def test_primitive_element_examples():

@@ -4,7 +4,8 @@ import conjlab as cj
 from conjlab.errors import CapExceeded
 from conjlab.groups import FiniteGroup, PermutationRep
 
-from oracles import (naive_centralizer, naive_class_sizes, naive_element_order)
+from oracles import (naive_centralizer, naive_class_sizes, naive_closure,
+                     naive_element_order)
 
 
 def s3():
@@ -43,6 +44,49 @@ def test_enumerate_cap_error_names_cap():
     assert exc.value.cap == 3
 
 
+def test_subgroup_closure_cap_error_names_cap():
+    g = FiniteGroup(PermutationRep(5), ((1, 2, 3, 4, 0), (1, 0, 2, 3, 4)), max_order=10)
+    assert len(g.subgroup_from_elements([(1, 2, 3, 4, 0)])) == 5
+    with pytest.raises(CapExceeded) as exc:
+        g.subgroup_from_elements(g.generators)
+    assert "subgroup closure size" in str(exc.value)
+    assert "10" in str(exc.value)
+    assert exc.value.cap == 10
+
+
+def test_elements_order_matches_naive_closure():
+    sl = cj.sl2(5)
+    for g in (cj.symmetric_group(5), sl, sl.quotient(sl.center())):
+        assert g.elements() == naive_closure(g, g.generators)
+
+
+def _assert_closure_matches_oracle(g, sub):
+    assert set(sub.members) == set(naive_closure(g, sub.gens))
+    for i, x in enumerate(sub.gens):
+        assert x not in naive_closure(g, sub.gens[:i])
+
+
+@pytest.mark.parametrize("name", ["sym_4", "agl1_9", "gl2_3", "type3_3_2", "sl2_5"])
+def test_subgroup_closures_match_oracle(corpus_by_name, name):
+    g = corpus_by_name[name].group()
+    elems = g.elements()
+    picks = [elems[7], elems[-3], elems[len(elems) // 2]]
+    sub = g.subgroup_from_elements(picks)
+    assert set(sub.members) == set(naive_closure(g, picks))
+    _assert_closure_matches_oracle(g, sub)
+
+    derived = g.derived_subgroup()
+    commutators = {g.mul(g.mul(g.inv(a), g.inv(b)), g.mul(a, b))
+                   for a in elems for b in elems}
+    assert set(derived.members) == set(naive_closure(g, sorted(commutators)))
+    _assert_closure_matches_oracle(g, derived)
+
+    for cls in g.conjugacy_classes():
+        cent = g.centralizer(cls.representative)
+        assert set(cent.members) == set(naive_centralizer(g, cls.representative))
+        _assert_closure_matches_oracle(g, cent)
+
+
 def test_element_order():
     g = cj.symmetric_group(4)
     assert g.element_order(g.identity) == 1
@@ -79,7 +123,9 @@ def test_primary_decomposition_p_element_and_identity():
 
 
 def test_primary_decomposition_properties():
-    from conjlab.intmath import factor, gcd
+    from math import gcd
+
+    from conjlab.intmath import factor
 
     g = cj.symmetric_group(6)
     for x in g.elements()[::71]:
@@ -129,7 +175,7 @@ def test_index_examples():
     assert g.index((1, 0, 2, 3)) == 6  # transposition class
     v = next(x for x in g.elements() if g.class_size(x) == 1)
     assert g.index(v) == 1
-    a4 = g.subgroup(tuple(cj.alternating_group(4).generators))
+    a4 = g.subgroup_from_elements(cj.alternating_group(4).generators)
     assert len(a4) == 12
     three_cycle = (1, 2, 0, 3)
     ind = g.index(three_cycle, within=a4)
@@ -199,9 +245,9 @@ def test_derived_subgroup_examples():
 
 def test_subgroup_generated():
     g = cj.symmetric_group(4)
-    assert len(g.subgroup_generated([g.identity])) == 1
-    assert len(g.subgroup_generated([(1, 0, 2, 3), (0, 1, 3, 2)])) == 4
-    assert len(g.subgroup_generated(list(g.generators))) == 24
+    assert len(g.subgroup_from_elements([g.identity])) == 1
+    assert len(g.subgroup_from_elements([(1, 0, 2, 3), (0, 1, 3, 2)])) == 4
+    assert len(g.subgroup_from_elements(g.generators)) == 24
 
 
 def test_normal_subgroups_examples():
@@ -227,7 +273,7 @@ def test_quotient_sl25_center():
 
 def test_quotient_trivial_and_s4():
     g = cj.symmetric_group(4)
-    whole = g.subgroup_generated(list(g.generators))
+    whole = g.subgroup_from_elements(g.generators)
     assert g.quotient(whole).order() == 1
     v4 = next(s for s in g.normal_subgroups() if len(s) == 4)
     q = g.quotient(v4)
@@ -237,7 +283,7 @@ def test_quotient_trivial_and_s4():
 
 def test_quotient_rejects_non_normal():
     g = cj.symmetric_group(4)
-    sub = g.subgroup(((1, 0, 2, 3),))
+    sub = g.subgroup_from_elements([(1, 0, 2, 3)])
     with pytest.raises(ValueError):
         g.quotient(sub)
 
