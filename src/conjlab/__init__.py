@@ -8,11 +8,11 @@ from .classifier import (FrobeniusStructure, SPClassification, Verdict,
                          check_corollary1, classify, find_frobenius_structure)
 from .errors import (CapExceeded, ConjlabError, ConstructionError,
                      InternalCheckError, SpecFileError)
-from .families import (FamilyRequest, agl1, alternating_group, build_family,
-                       cyclic_group, dihedral_group, direct_product,
+from .families import (agl1, alternating_group, build_family, cyclic_group,
+                       dihedral_group, direct_product,
                        elementary_abelian_group, gl2, heisenberg,
-                       quaternion_group, remark_group, sl2, standard_group,
-                       symmetric_group, to_permutation, type3_frobenius)
+                       quaternion_group, remark_group, sl2, symmetric_group,
+                       to_permutation, type3_frobenius)
 from .gf import Field, make_field
 from .groups import (DEFAULT_MAX_ORDER, ConjugacyClass, FiniteGroup, MatrixRep,
                      PermutationRep, QuotientRep, Subgroup)

@@ -12,7 +12,6 @@ evidence records it.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from enum import Enum
 from math import gcd
@@ -115,7 +114,6 @@ def find_frobenius_structure(q: FiniteGroup) -> FrobeniusStructure | None:
 
 # -- reference fingerprints for types IV / V --------------------------------
 
-_ref_lock = threading.Lock()
 _ref_cache: dict = {}
 
 
@@ -123,9 +121,8 @@ def _linear_reference(kind: str, q: int, max_order: int):
     """(quotient order, quotient class-size multiset) for PSL2(q)/PGL2(q),
     plus the enumerated N(SL2(q)); built once per (kind, q)."""
     key = (kind, q)
-    with _ref_lock:
-        if key in _ref_cache:
-            return _ref_cache[key]
+    if key in _ref_cache:
+        return _ref_cache[key]
     sl2 = families.sl2(q, max_order=max_order)
     base = sl2 if kind == "psl" else families.gl2(q, max_order=max_order)
     quot = base.quotient(base.center())
@@ -135,8 +132,7 @@ def _linear_reference(kind: str, q: int, max_order: int):
         "sl2_order": q * (q * q - 1),
         "sl2_N": frozenset(n_set(sl2)),
     }
-    with _ref_lock:
-        _ref_cache[key] = ref
+    _ref_cache[key] = ref
     return ref
 
 

@@ -4,7 +4,7 @@ Subcommands:
   analyze <spec> [--json PATH] [--dot PATH] [--max-order N]
   construct <family> <params...> -o PATH
   gamma <n1,n2,...> [--dot PATH]
-  verify [--corpus DIR] [--schur-cover PATH] [--seed S] [--threads T]
+  verify [--corpus DIR] [--schur-cover PATH] [--seed S] [--min-tuples N]
 
 Exit codes: 0 success, 1 invalid input, 2 verification failure,
 3 resource cap exceeded.  CONJLAB_MAX_ORDER mirrors --max-order (the
@@ -49,7 +49,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--max-order", type=int, default=None)
 
     p = sub.add_parser("construct", help="write a family member as a group-spec file")
-    p.add_argument("family", help=f"one of {sorted(families.FAMILY_ARITY)}")
+    p.add_argument("family", help=f"one of {sorted(families.FAMILIES)}")
     p.add_argument("params", nargs="*", type=int)
     p.add_argument("-o", "--output", required=True)
     p.add_argument("--max-order", type=int, default=None)
@@ -65,7 +65,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--schur-cover", dest="schur_cover", default=None,
                    help="generator file for the order-2160 cover of PSL(2, 9)")
     p.add_argument("--seed", type=int, default=verify.DEFAULT_SEED)
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
     p.add_argument("--min-tuples", type=int, default=verify.DEFAULT_MIN_TUPLES)
     return parser
 
@@ -161,7 +160,6 @@ def _cmd_verify(args, out) -> int:
         corpus = verify.load_corpus_dir(args.corpus_dir)
     schur = args.schur_cover or verify.default_schur_cover_path()
     reports = verify.run_all(corpus=corpus, schur_path=schur, seed=args.seed,
-                             threads=max(1, args.threads),
                              min_tuples=args.min_tuples)
     failed = 0
     for report in reports:

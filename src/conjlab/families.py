@@ -11,14 +11,10 @@ mismatch raises ConstructionError rather than returning a wrong group.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import CapExceeded, ConstructionError
 from .gf import Field, make_field
 from .groups import DEFAULT_MAX_ORDER, FiniteGroup, MatrixRep, PermutationRep
 from .intmath import is_prime, prime_power
-
-STANDARD_KINDS = ("sym", "alt", "dihedral", "cyclic", "elem_abelian")
 
 
 def _checked(group: FiniteGroup, expected: int) -> FiniteGroup:
@@ -36,22 +32,6 @@ def _as_field(q) -> Field:
     if pn is None:
         raise ValueError(f"{q} is not a prime power")
     return make_field(*pn)
-
-
-def standard_group(kind: str, *params: int,
-                   max_order: int = DEFAULT_MAX_ORDER) -> FiniteGroup:
-    """Dispatch for the classical permutation families."""
-    if kind == "sym":
-        return symmetric_group(*params, max_order=max_order)
-    if kind == "alt":
-        return alternating_group(*params, max_order=max_order)
-    if kind == "dihedral":
-        return dihedral_group(*params, max_order=max_order)
-    if kind == "cyclic":
-        return cyclic_group(*params, max_order=max_order)
-    if kind == "elem_abelian":
-        return elementary_abelian_group(*params, max_order=max_order)
-    raise ValueError(f"unknown standard family {kind!r}")
 
 
 def symmetric_group(n: int, max_order: int = DEFAULT_MAX_ORDER) -> FiniteGroup:
@@ -280,41 +260,30 @@ def to_permutation(g: FiniteGroup, cap: int = 5000) -> FiniteGroup:
     return _checked(out, n)
 
 
-@dataclass(frozen=True)
-class FamilyRequest:
-    """A family name plus integer parameters, as used by the CLI and corpus."""
-
-    family: str
-    params: tuple[int, ...] = ()
-
-    def build(self, max_order: int = DEFAULT_MAX_ORDER) -> FiniteGroup:
-        return build_family(self.family, *self.params, max_order=max_order)
-
-
-FAMILY_ARITY = {
-    "sym": 1, "alt": 1, "dihedral": 1, "cyclic": 1, "elem_abelian": 2,
-    "quaternion": 0, "heisenberg": 1, "sl2": 1, "gl2": 1, "agl1": 1,
-    "type3": 2, "remark": 1,
+# family name -> (constructor, number of integer parameters)
+FAMILIES = {
+    "sym": (symmetric_group, 1),
+    "alt": (alternating_group, 1),
+    "dihedral": (dihedral_group, 1),
+    "cyclic": (cyclic_group, 1),
+    "elem_abelian": (elementary_abelian_group, 2),
+    "quaternion": (quaternion_group, 0),
+    "heisenberg": (heisenberg, 1),
+    "sl2": (sl2, 1),
+    "gl2": (gl2, 1),
+    "agl1": (agl1, 1),
+    "type3": (type3_frobenius, 2),
+    "remark": (remark_group, 1),
 }
 
 
 def build_family(family: str, *params: int,
                  max_order: int = DEFAULT_MAX_ORDER) -> FiniteGroup:
-    """Construct a named family member; used by `conjlab construct`."""
-    arity = FAMILY_ARITY.get(family)
-    if arity is None:
-        raise ValueError(f"unknown family {family!r}; know {sorted(FAMILY_ARITY)}")
+    """Construct a named family member; used by `conjlab construct` and the
+    corpus."""
+    if family not in FAMILIES:
+        raise ValueError(f"unknown family {family!r}; know {sorted(FAMILIES)}")
+    builder, arity = FAMILIES[family]
     if len(params) != arity:
         raise ValueError(f"family {family!r} takes {arity} parameter(s), got {len(params)}")
-    if family in STANDARD_KINDS:
-        return standard_group(family, *params, max_order=max_order)
-    builder = {
-        "quaternion": quaternion_group,
-        "heisenberg": heisenberg,
-        "sl2": sl2,
-        "gl2": gl2,
-        "agl1": agl1,
-        "type3": type3_frobenius,
-        "remark": remark_group,
-    }[family]
     return builder(*params, max_order=max_order)

@@ -19,9 +19,7 @@ orbit transversal via Schreier generators.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
-
 
 from .errors import CapExceeded, InternalCheckError
 from .gf import Field
@@ -243,9 +241,9 @@ class Subgroup:
 class FiniteGroup:
     """A finite group generated by permutation or matrix encodings.
 
-    Caches (element list, conjugacy classes, center, ...) fill on demand
-    under a per-group lock and are immutable afterwards, so frozen groups
-    are safe for concurrent reads.
+    Caches (element list, conjugacy classes, center, ...) fill on first use
+    and are immutable afterwards.  A group is not thread-safe: two threads
+    filling the same cache may both do the work.
     """
 
     def __init__(self, rep, generators, name: str | None = None,
@@ -257,7 +255,6 @@ class FiniteGroup:
         self.generators = gens
         self.name = name
         self.max_order = max_order
-        self._lock = threading.RLock()
         self._elements: list | None = None
         self._index: dict | None = None
         self._classes: list[ConjugacyClass] | None = None
@@ -303,14 +300,12 @@ class FiniteGroup:
     def elements(self) -> list:
         """Breadth-first closure of the generators, insertion-ordered."""
         if self._elements is None:
-            with self._lock:
-                if self._elements is None:
-                    try:
-                        index = self._closure(self.generators)
-                    except CapExceeded:
-                        raise CapExceeded("group order", self.max_order) from None
-                    self._index = index
-                    self._elements = list(index)
+            try:
+                index = self._closure(self.generators)
+            except CapExceeded:
+                raise CapExceeded("group order", self.max_order) from None
+            self._index = index
+            self._elements = list(index)
         return self._elements
 
     def order(self) -> int:
@@ -377,14 +372,12 @@ class FiniteGroup:
         """Order of every element, via class representatives (orders are
         constant on conjugacy classes)."""
         if self._orders is None:
-            with self._lock:
-                if self._orders is None:
-                    orders = {}
-                    for cls in self.conjugacy_classes():
-                        o = self.element_order(cls.representative)
-                        for m in cls.members:
-                            orders[m] = o
-                    self._orders = orders
+            orders = {}
+            for cls in self.conjugacy_classes():
+                o = self.element_order(cls.representative)
+                for m in cls.members:
+                    orders[m] = o
+            self._orders = orders
         return self._orders
 
     def primary_decomposition(self, g) -> list:
@@ -409,9 +402,7 @@ class FiniteGroup:
     def conjugacy_classes(self) -> list[ConjugacyClass]:
         """Conjugation-orbit partition, sorted by (size, representative)."""
         if self._classes is None:
-            with self._lock:
-                if self._classes is None:
-                    self._compute_classes()
+            self._compute_classes()
         return self._classes
 
     def _compute_classes(self):
@@ -482,9 +473,10 @@ class FiniteGroup:
         if x == seed:
             return base
         u = self._transversal[x]
-        conj = self.conj
-        return Subgroup(self, frozenset(conj(z, u) for z in base.members),
-                        tuple(conj(z, u) for z in base.gens))
+        mul = self.rep.mul
+        uinv = self.rep.inv(u)
+        return Subgroup(self, frozenset(mul(mul(uinv, z), u) for z in base.members),
+                        tuple(mul(mul(uinv, z), u) for z in base.gens))
 
     def _centralizer_of_seed(self, cls_idx: int) -> Subgroup:
         """Centralizer of the orbit seed via Schreier generators."""
@@ -519,8 +511,7 @@ class FiniteGroup:
                 raise InternalCheckError(
                     f"Schreier centralizer has order {len(closure)}, expected {target}")
             sub = Subgroup(self, frozenset(closure), tuple(found))
-        with self._lock:
-            self._rep_centralizers[cls_idx] = sub
+        self._rep_centralizers[cls_idx] = sub
         return sub
 
     def index(self, x, within: Subgroup | None = None) -> int:
@@ -532,13 +523,11 @@ class FiniteGroup:
     def center(self) -> Subgroup:
         """Elements commuting with every generator (= size-1 classes)."""
         if self._center is None:
-            with self._lock:
-                if self._center is None:
-                    mul = self.rep.mul
-                    gens = self.generators
-                    members = [x for x in self.elements()
-                               if all(mul(x, g) == mul(g, x) for g in gens)]
-                    self._center = self.subgroup_from_elements(members)
+            mul = self.rep.mul
+            gens = self.generators
+            members = [x for x in self.elements()
+                       if all(mul(x, g) == mul(g, x) for g in gens)]
+            self._center = self.subgroup_from_elements(members)
         return self._center
 
     # -- subgroups -------------------------------------------------------
@@ -559,9 +548,7 @@ class FiniteGroup:
     def derived_subgroup(self) -> Subgroup:
         """Normal closure of the generator commutators."""
         if self._derived is None:
-            with self._lock:
-                if self._derived is None:
-                    self._derived = self._compute_derived()
+            self._derived = self._compute_derived()
         return self._derived
 
     def _compute_derived(self) -> Subgroup:
@@ -591,9 +578,7 @@ class FiniteGroup:
         """All normal subgroups, as join-closed unions of conjugacy classes,
         sorted by (order, member encodings)."""
         if self._normals is None:
-            with self._lock:
-                if self._normals is None:
-                    self._normals = self._compute_normals()
+            self._normals = self._compute_normals()
         return self._normals
 
     def _compute_normals(self) -> list[Subgroup]:

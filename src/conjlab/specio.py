@@ -39,32 +39,48 @@ def parse_group_spec(data, max_order: int = DEFAULT_MAX_ORDER) -> FiniteGroup:
     if kind not in ("permutation", "matrix"):
         raise SpecFileError(f"kind must be 'permutation' or 'matrix', got {kind!r}")
     degree = data.get("degree")
-    if not isinstance(degree, int) or degree < 1:
+    if not _is_int(degree) or degree < 1:
         raise SpecFileError(f"degree must be a positive integer, got {degree!r}")
     raw_gens = data.get("generators")
     if not isinstance(raw_gens, list) or not raw_gens:
         raise SpecFileError("spec needs a nonempty 'generators' array")
 
+    # The generators are checked against the degree before the
+    # representation is built: its identity costs memory linear in the
+    # degree (quadratic for matrices), which the spec does not bound.
     if kind == "permutation":
-        rep = PermutationRep(degree)
         gens = [_parse_permutation(images, degree, i) for i, images in enumerate(raw_gens)]
+        rep = PermutationRep(degree)
     else:
         field = _parse_field(data.get("field"))
+        gens = [_parse_matrix(rows, field, degree, i) for i, rows in enumerate(raw_gens)]
         rep = MatrixRep(field, degree)
-        gens = [_parse_matrix(rows, rep, i) for i, rows in enumerate(raw_gens)]
+        for i, enc in enumerate(gens):
+            try:
+                rep.validate(enc)
+            except ValueError as exc:
+                raise SpecFileError(f"generator {i}: {exc}") from exc
     group = FiniteGroup(rep, tuple(gens), name=name, max_order=max_order)
     return group
+
+
+def _is_int(x) -> bool:
+    """A JSON integer; JSON true and false load as bool, an int subclass."""
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _parse_field(spec) -> Field:
     if not isinstance(spec, dict):
         raise SpecFileError("matrix spec needs a 'field' object with p and n")
-    try:
-        p = int(spec["p"])
-        n = int(spec["n"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SpecFileError(f"bad field description: {exc}") from exc
+    p, n = spec.get("p"), spec.get("n")
+    if not (_is_int(p) and _is_int(n)):
+        raise SpecFileError(f"bad field description: p and n must be integers, "
+                            f"got {p!r} and {n!r}")
     modulus = spec.get("modulus")
+    if modulus is not None and (not isinstance(modulus, list)
+                                or not all(_is_int(c) for c in modulus)):
+        raise SpecFileError(f"bad field description: modulus must be an integer "
+                            f"array, got {modulus!r}")
     try:
         if modulus is None:
             return make_field(p, n)
@@ -75,7 +91,7 @@ def _parse_field(spec) -> Field:
 
 def _parse_permutation(images, degree: int, index: int) -> tuple:
     if (not isinstance(images, list) or len(images) != degree
-            or not all(isinstance(x, int) for x in images)
+            or not all(_is_int(x) for x in images)
             or sorted(images) != list(range(degree))):
         raise SpecFileError(
             f"generator {index}: {images!r} is not a bijective 0-based "
@@ -83,8 +99,7 @@ def _parse_permutation(images, degree: int, index: int) -> tuple:
     return tuple(images)
 
 
-def _parse_matrix(rows, rep: MatrixRep, index: int) -> tuple:
-    d, field = rep.dim, rep.field
+def _parse_matrix(rows, field: Field, d: int, index: int) -> tuple:
     if not isinstance(rows, list) or len(rows) != d \
             or any(not isinstance(r, list) or len(r) != d for r in rows):
         raise SpecFileError(f"generator {index}: expected a {d}x{d} array")
@@ -92,7 +107,7 @@ def _parse_matrix(rows, rep: MatrixRep, index: int) -> tuple:
     for r, row in enumerate(rows):
         for c, entry in enumerate(row):
             if field.n == 1:
-                if not isinstance(entry, int):
+                if not _is_int(entry):
                     raise SpecFileError(
                         f"generator {index}: entry ({r},{c}) must be an integer "
                         f"over the prime field")
@@ -103,7 +118,7 @@ def _parse_matrix(rows, rep: MatrixRep, index: int) -> tuple:
                 flat.append(entry)
             else:
                 if (not isinstance(entry, list) or len(entry) != field.n
-                        or not all(isinstance(x, int) for x in entry)):
+                        or not all(_is_int(x) for x in entry)):
                     raise SpecFileError(
                         f"generator {index}: entry ({r},{c}) must be an array "
                         f"of {field.n} integers (low degree first)")
@@ -112,12 +127,7 @@ def _parse_matrix(rows, rep: MatrixRep, index: int) -> tuple:
                         f"generator {index}: entry ({r},{c}) = {entry} is not "
                         f"reduced mod {field.p}")
                 flat.append(field.encode(tuple(entry)))
-    enc = tuple(flat)
-    try:
-        rep.validate(enc)
-    except ValueError as exc:
-        raise SpecFileError(f"generator {index}: {exc}") from exc
-    return enc
+    return tuple(flat)
 
 
 def load_group_spec(path, max_order: int = DEFAULT_MAX_ORDER) -> FiniteGroup:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from math import gcd
 from pathlib import Path
@@ -113,12 +112,6 @@ class CorpusEntry:
         if self._classification is None:
             self._classification = classify(self.group())
         return self._classification
-
-    def prepare(self) -> None:
-        """Force the expensive caches (used for corpus-level parallelism)."""
-        self.group().conjugacy_classes()
-        self.predicates()
-        self.classification()
 
 
 def _family_entry(name, family, params, order, nset, prov, verdict, tags=()):
@@ -800,13 +793,10 @@ def run_schur_cover_check(path=None) -> SuiteReport:
 
 
 def run_all(corpus: list[CorpusEntry] | None = None, schur_path=None,
-            seed: int = DEFAULT_SEED, threads: int = 1,
+            seed: int = DEFAULT_SEED,
             min_tuples: int = DEFAULT_MIN_TUPLES) -> list[SuiteReport]:
     if corpus is None:
         corpus = default_corpus()
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(lambda entry: entry.prepare(), corpus))
     return [
         run_theorem1_suite(corpus),
         run_theorem2_suite(corpus),

@@ -7,21 +7,21 @@ from conjlab.errors import CapExceeded, ConstructionError
 
 
 def test_standard_groups():
-    assert cj.standard_group("sym", 4).order() == 24
-    d4 = cj.standard_group("dihedral", 4)
+    assert cj.build_family("sym", 4).order() == 24
+    d4 = cj.build_family("dihedral", 4)
     assert d4.order() == 8
     assert cj.n_set(d4) == (2,)
-    c6 = cj.standard_group("cyclic", 6)
+    c6 = cj.build_family("cyclic", 6)
     assert c6.order() == 6 and c6.is_abelian()
-    assert cj.standard_group("alt", 5).order() == 60
-    ea = cj.standard_group("elem_abelian", 3, 2)
+    assert cj.build_family("alt", 5).order() == 60
+    ea = cj.build_family("elem_abelian", 3, 2)
     assert ea.order() == 9 and ea.is_abelian()
     with pytest.raises(ValueError):
-        cj.standard_group("sym", 10)
+        cj.build_family("sym", 10)
     with pytest.raises(ValueError):
-        cj.standard_group("dihedral", 2)
+        cj.build_family("dihedral", 2)
     with pytest.raises(ValueError):
-        cj.standard_group("frobnicate", 3)
+        cj.build_family("frobnicate", 3)
 
 
 @pytest.mark.parametrize("p,expected_n", [(3, (3,)), (5, (5,))])
@@ -183,7 +183,7 @@ def test_constructor_order_assertion_guard():
         cj.build_family("nonsense", 3)
     with pytest.raises(ValueError):
         cj.build_family("sl2", 6)  # not a prime power
-    g = cj.FamilyRequest("type3", (7, 3)).build()
+    g = cj.build_family("type3", 7, 3)
     assert g.order() == 1029
 
 

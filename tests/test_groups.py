@@ -164,10 +164,13 @@ def test_centralizer_examples():
 
 
 def test_centralizer_matches_oracle_everywhere():
-    for g in (cj.symmetric_group(4), cj.dihedral_group(6), cj.quaternion_group()):
+    for g in (cj.symmetric_group(4), cj.dihedral_group(6), cj.quaternion_group(),
+              cj.sl2(3)):
         for cls in g.conjugacy_classes():
             for x in sorted(cls.members):
-                assert set(g.centralizer(x).members) == set(naive_centralizer(g, x))
+                c = g.centralizer(x)
+                assert set(c.members) == set(naive_centralizer(g, x))
+                assert g.subgroup_from_elements(c.gens).members == c.members
 
 
 def test_index_examples():

@@ -1,10 +1,13 @@
 import io
 import json
+import shlex
+import tracemalloc
+from pathlib import Path
 
 import pytest
 
 import conjlab as cj
-from conjlab.cli import run_command
+from conjlab.cli import _build_parser, run_command
 from conjlab.errors import SpecFileError
 from conjlab.specio import (analysis_report, parse_group_spec, report_json,
                             stable_report_json, write_group_spec)
@@ -61,6 +64,29 @@ def test_parse_rejects_malformed():
         parse_group_spec(dict(S3_SPEC, kind="galaxy"))
     with pytest.raises(SpecFileError):
         parse_group_spec(dict(SL25_SPEC, field={"p": 6, "n": 1}))
+    # JSON booleans are not integers
+    with pytest.raises(SpecFileError):
+        parse_group_spec('{"name": "b", "kind": "permutation", "degree": true, '
+                         '"generators": [[false]]}')
+    with pytest.raises(SpecFileError):
+        parse_group_spec(dict(S3_SPEC, generators=[[True, False, 2]]))
+    with pytest.raises(SpecFileError):
+        parse_group_spec(dict(SL25_SPEC, generators=[[[True, True], [False, True]]]))
+    with pytest.raises(SpecFileError):
+        parse_group_spec(dict(SL25_SPEC, field={"p": 5, "n": True}))
+    with pytest.raises(SpecFileError):
+        parse_group_spec(dict(SL25_SPEC, field={"p": 5, "n": 1, "modulus": 5}))
+    # a huge degree is rejected by its generators before anything is allocated
+    tracemalloc.start()
+    try:
+        with pytest.raises(SpecFileError):
+            parse_group_spec(dict(S3_SPEC, degree=3_000_000, generators=[[0]]))
+        with pytest.raises(SpecFileError):
+            parse_group_spec(dict(SL25_SPEC, degree=3_000_000, generators=[[[1]]]))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2 ** 20
 
 
 def test_extension_field_entries_are_coefficient_arrays():
@@ -192,3 +218,16 @@ def test_cli_exit_codes(tmp_path, monkeypatch):
     assert code == 1
     code, _, _ = run_cli("construct", "sl2", "6", "-o", str(tmp_path / "x.json"))
     assert code == 1
+    code, _, err = run_cli("verify", "--threads", "2")
+    assert code == 1 and "error:" in err
+
+
+def test_readme_cli_examples_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line, comments=True)
+                for line in block.splitlines() if line.startswith("conjlab ")]
+    assert len(commands) >= 6
+    parser = _build_parser()
+    for argv in commands:
+        parser.parse_args(argv[1:])

@@ -174,9 +174,8 @@ def test_cli_verify_exit_codes(tmp_path):
     assert "FAIL" in out.getvalue()
 
 
-def test_run_all_with_threads(corpus):
-    reports = verify.run_all(corpus=corpus, schur_path=None, threads=4,
-                             min_tuples=500)
+def test_run_all_default_corpus(corpus):
+    reports = verify.run_all(corpus=corpus, schur_path=None, min_tuples=500)
     assert all(r.ok for r in reports), [
         (r.name, [c.detail for c in r.failures]) for r in reports]
     lines = [line for r in reports for line in r.lines()]
