@@ -84,6 +84,10 @@ class Field:
 
     def __init__(self, p: int, n: int, modulus: tuple[int, ...] | None = None,
                  cap: int = DEFAULT_FIELD_CAP):
+        # bound p and n (2^n > cap iff n >= cap.bit_length()) before the
+        # primality test and before p^n is formed
+        if p > cap or n >= cap.bit_length():
+            raise CapExceeded(f"field size {p}^{n}", cap)
         if not is_prime(p):
             raise ValueError(f"p = {p} is not prime")
         if n < 1:

@@ -14,12 +14,16 @@ of the generators from the identity, and the subgroups built one generator
 at a time (greedy generating sets, Schreier centralizers, the derived
 subgroup) never re-close what they already hold.  Conjugacy classes are
 conjugation orbits, and centralizers of class representatives come from the
-orbit transversal via Schreier generators.
+orbit transversal via Schreier generators.  Normal subgroups are the normal
+closures of one class per rational class (x and x^k, k prime to |x|, share
+one), joined pairwise.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import gcd
+from operator import itemgetter
 
 from .errors import CapExceeded, InternalCheckError
 from .gf import Field
@@ -40,7 +44,9 @@ class PermutationRep:
         self.identity = tuple(range(degree))
 
     def mul(self, a, b):
-        return tuple(b[x] for x in a)
+        if len(a) == 1:
+            return b
+        return itemgetter(*a)(b)
 
     def inv(self, a):
         out = [0] * len(a)
@@ -265,6 +271,7 @@ class FiniteGroup:
         self._normals: list[Subgroup] | None = None
         self._orders: dict | None = None
         self._rep_centralizers: dict = {}
+        self._gen_moves: list | None = None
 
     # -- raw operations ------------------------------------------------
 
@@ -294,6 +301,13 @@ class FiniteGroup:
     @property
     def identity(self):
         return self.rep.identity
+
+    def _moves(self) -> list:
+        """(g, g^-1) for each non-identity generator, inverted once."""
+        if self._gen_moves is None:
+            rep = self.rep
+            self._gen_moves = [(g, rep.inv(g)) for g in self.generators if g != rep.identity]
+        return self._gen_moves
 
     # -- enumeration -----------------------------------------------------
 
@@ -407,10 +421,9 @@ class FiniteGroup:
 
     def _compute_classes(self):
         rep = self.rep
-        mul, inv = rep.mul, rep.inv
+        mul = rep.mul
         elements = self.elements()
-        gens = [g for g in self.generators if g != rep.identity]
-        ginv = [inv(g) for g in gens]
+        moves = self._moves()
         transversal = {}
         assigned = set()
         classes = []
@@ -425,7 +438,7 @@ class FiniteGroup:
                 y = orbit[i]
                 uy = transversal[y]
                 i += 1
-                for g, gi in zip(gens, ginv):
+                for g, gi in moves:
                     z = mul(mul(gi, y), g)
                     if z not in assigned:
                         assigned.add(z)
@@ -491,7 +504,8 @@ class FiniteGroup:
             sub = Subgroup(self, frozenset(self.elements()), self.generators)
         else:
             transversal = self._transversal
-            gens = [g for g in self.generators if g != rep.identity]
+            tinv = {}
+            moves = self._moves()
             found = []
             closure = {rep.identity: 0}
             members = self._order_like(cls.members)
@@ -499,9 +513,11 @@ class FiniteGroup:
                 if len(closure) >= target:
                     break
                 um = transversal[m]
-                for g in gens:
-                    m2 = mul(mul(inv(g), m), g)
-                    s = mul(mul(um, g), inv(transversal[m2]))
+                for g, gi in moves:
+                    m2 = mul(mul(gi, m), g)
+                    if m2 not in tinv:
+                        tinv[m2] = inv(transversal[m2])
+                    s = mul(mul(um, g), tinv[m2])
                     if s not in closure:
                         found.append(s)
                         self._closure(found, closure)
@@ -552,24 +568,18 @@ class FiniteGroup:
         return self._derived
 
     def _compute_derived(self) -> Subgroup:
-        rep = self.rep
-        mul, inv = rep.mul, rep.inv
-        gens = self.generators
-        comms = []
-        seen = set()
-        for a in gens:
-            for b in gens:
-                c = mul(mul(mul(inv(a), inv(b)), a), b)
-                if c not in seen:
-                    seen.add(c)
-                    comms.append(c)
-        basis = [c for c in comms if c != rep.identity]
+        mul = self.rep.mul
+        moves = self._moves()
+        comms = dict.fromkeys(mul(mul(mul(ai, bi), a), b)
+                              for a, ai in moves for b, bi in moves)
+        comms.pop(self.rep.identity, None)
+        basis = list(comms)
         closure = self._closure(basis)
         new = basis
         while new:
             # conjugates of earlier rounds' elements are already in the closure
-            new = [c for t in new for g in gens
-                   if (c := self.conj(t, g)) not in closure]
+            new = [c for t in new for g, gi in moves
+                   if (c := mul(mul(gi, t), g)) not in closure]
             basis.extend(new)
             self._closure(basis, closure)
         return self.subgroup_from_elements(self._order_like(closure))
@@ -590,7 +600,21 @@ class FiniteGroup:
             pool[sub.members] = sub
             return True
 
-        for cls in self.conjugacy_classes():
+        # x and x^k (k prime to |x|) have one normal closure: close the first
+        # class of each rational class and mark the classes of those powers
+        mul, ident = self.rep.mul, self.rep.identity
+        classes = self.conjugacy_classes()
+        class_of = self._class_of
+        covered = set()
+        for i, cls in enumerate(classes):
+            if i in covered:
+                continue
+            x = cls.representative
+            powers = [x]
+            while powers[-1] != ident:
+                powers.append(mul(powers[-1], x))
+            m = len(powers)
+            covered.update(class_of[y] for k, y in enumerate(powers, 1) if gcd(k, m) == 1)
             add(self.subgroup_from_elements(self._order_like(cls.members)))
         changed = True
         while changed:
@@ -608,8 +632,9 @@ class FiniteGroup:
         return out
 
     def is_normal(self, sub: Subgroup) -> bool:
-        return all(self.conj(t, g) in sub.members
-                   for g in self.generators for t in sub.gens)
+        mul = self.rep.mul
+        return all(mul(mul(gi, t), g) in sub.members
+                   for g, gi in self._moves() for t in sub.gens)
 
     def normal_sylow(self, p: int):
         """The unique Sylow p-subgroup when the p-elements are product

@@ -3,7 +3,8 @@
 These deliberately avoid the library's own shortcuts: closures search
 from the identity every time, centralizers scan every element, conjugacy
 classes conjugate by every element, and the transitive reduction walks
-paths in the full divisibility digraph.
+paths in the full divisibility digraph, and the normal-subgroup lattice
+closes every conjugacy class and every pairwise join.
 """
 
 from __future__ import annotations
@@ -58,6 +59,35 @@ def naive_element_order(group, x):
         y = mul(y, x)
         k += 1
     return k
+
+
+def naive_normal_subgroups(group):
+    """Normal subgroups as join-closed unions of classes: one closure per
+    conjugacy class, then pairwise joins until nothing new appears, sorted
+    by (order, member encodings)."""
+    pool = {}
+
+    def add(sub):
+        if sub.members in pool:
+            return False
+        pool[sub.members] = sub
+        return True
+
+    for cls in group.conjugacy_classes():
+        add(group.subgroup_from_elements(group._order_like(cls.members)))
+    changed = True
+    while changed:
+        changed = False
+        subs = list(pool.values())
+        for i, a in enumerate(subs):
+            for b in subs[i + 1:]:
+                if a.members <= b.members or b.members <= a.members:
+                    continue
+                join = group.subgroup_from_elements(
+                    group._order_like(a.members | b.members))
+                if add(join):
+                    changed = True
+    return sorted(pool.values(), key=lambda s: (len(s), tuple(s.sorted_members())))
 
 
 def full_divisibility_digraph(members):

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 import conjlab as cj
@@ -5,7 +7,7 @@ from conjlab.errors import CapExceeded
 from conjlab.groups import FiniteGroup, PermutationRep
 
 from oracles import (naive_centralizer, naive_class_sizes, naive_closure,
-                     naive_element_order)
+                     naive_element_order, naive_normal_subgroups)
 
 
 def s3():
@@ -257,6 +259,42 @@ def test_normal_subgroups_examples():
     assert [len(s) for s in cj.symmetric_group(4).normal_subgroups()] == [1, 4, 12, 24]
     assert [len(s) for s in cj.alternating_group(5).normal_subgroups()] == [1, 60]
     assert [len(s) for s in cj.cyclic_group(6).normal_subgroups()] == [1, 2, 3, 6]
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3, 8, 432])
+def test_permutation_kernel_matches_naive_composition(degree):
+    rep = PermutationRep(degree)
+    rng = random.Random(degree)
+    ident = rep.identity
+    for _ in range(20):
+        a, b = list(range(degree)), list(range(degree))
+        rng.shuffle(a)
+        rng.shuffle(b)
+        a, b = tuple(a), tuple(b)
+        ab = rep.mul(a, b)
+        assert type(ab) is tuple and ab == tuple(b[a[i]] for i in range(degree))
+        ainv = rep.inv(a)
+        assert type(ainv) is tuple
+        assert tuple(ainv[a[i]] for i in range(degree)) == ident
+        assert rep.mul(ident, a) == a and rep.mul(a, ainv) == ident
+    assert cj.cyclic_group(1).order() == 1
+    assert cj.to_permutation(cj.cyclic_group(1)).order() == 1
+
+
+def _lattice_cases(corpus):
+    for entry in corpus:
+        yield entry.name, entry.group()
+    by_name = {entry.name: entry for entry in corpus}
+    for name in ("agl1_9", "sl2_9"):
+        g = by_name[name].group()
+        yield f"{name}/Z", g.quotient(g.center())
+
+
+def test_normal_subgroups_match_oracle(corpus):
+    for name, g in _lattice_cases(corpus):
+        fast, slow = g.normal_subgroups(), naive_normal_subgroups(g)
+        assert [(s.members, s.gens) for s in fast] == \
+            [(s.members, s.gens) for s in slow], name
 
 
 def test_normal_subgroups_are_normal_class_unions():

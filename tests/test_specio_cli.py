@@ -222,6 +222,20 @@ def test_cli_exit_codes(tmp_path, monkeypatch):
     assert code == 1 and "error:" in err
 
 
+def test_field_caps_checked_before_primality(tmp_path, monkeypatch):
+    def no_primality_test(p):
+        raise AssertionError(f"is_prime({p}) ran before the field-size cap")
+
+    monkeypatch.setattr("conjlab.gf.is_prime", no_primality_test)
+    spec = tmp_path / "field.json"
+    for p, n in ((100000000000031, 1), (3, 3000000)):
+        spec.write_text(json.dumps(dict(SL25_SPEC, field={"p": p, "n": n})))
+        code, _, err = run_cli("analyze", str(spec))
+        assert code == 1 and err.startswith("error:")
+        assert f"field size {p}^{n} exceeds the configured cap of 256" in err
+        assert "Traceback" not in err
+
+
 def test_readme_cli_examples_parse():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
