@@ -3,7 +3,7 @@ the divisibility-cover digraph on those sizes, the SP/CH/CA/F group
 classes, and classification of SP groups into structural types."""
 
 from .classgraph import (ClassSizeSet, CoverDigraph, build_gamma, class_size_set,
-                         export, gamma_of_group, is_primitive, n_set)
+                         export, is_primitive, n_set)
 from .classifier import (FrobeniusStructure, SPClassification, Verdict,
                          check_corollary1, classify, find_frobenius_structure)
 from .errors import (CapExceeded, ConjlabError, ConstructionError,

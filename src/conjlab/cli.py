@@ -60,8 +60,8 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("verify", help="run the verification suites")
     p.add_argument("--corpus", dest="corpus_dir", default=None,
-                   help="directory of group specs plus expectations.json "
-                        "(default: the bundled corpus)")
+                   help="directory of expectations.json and the group specs "
+                        "it names (default: the bundled corpus)")
     p.add_argument("--schur-cover", dest="schur_cover", default=None,
                    help="generator file for the order-2160 cover of PSL(2, 9)")
     p.add_argument("--seed", type=int, default=verify.DEFAULT_SEED)

@@ -66,6 +66,8 @@ def alternating_group(n: int, max_order: int = DEFAULT_MAX_ORDER) -> FiniteGroup
 def dihedral_group(n: int, max_order: int = DEFAULT_MAX_ORDER) -> FiniteGroup:
     if n < 3:
         raise ValueError("dihedral(n) needs n >= 3")
+    if 2 * n > max_order:
+        raise CapExceeded(f"dihedral order 2 * {n}", max_order)
     rep = PermutationRep(n)
     rotation = tuple(list(range(1, n)) + [0])
     reflection = tuple((n - i) % n for i in range(n))
@@ -77,6 +79,8 @@ def dihedral_group(n: int, max_order: int = DEFAULT_MAX_ORDER) -> FiniteGroup:
 def cyclic_group(n: int, max_order: int = DEFAULT_MAX_ORDER) -> FiniteGroup:
     if n < 1:
         raise ValueError("cyclic(n) needs n >= 1")
+    if n > max_order:
+        raise CapExceeded(f"cyclic order {n}", max_order)
     rep = PermutationRep(n)
     cycle = tuple(list(range(1, n)) + [0])
     g = FiniteGroup(rep, (cycle,), name=f"cyclic_{n}", max_order=max_order)

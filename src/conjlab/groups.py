@@ -27,7 +27,7 @@ from operator import itemgetter
 
 from .errors import CapExceeded, InternalCheckError
 from .gf import Field
-from .intmath import factor, is_power_of, p_part
+from .intmath import is_power_of, p_part
 
 DEFAULT_MAX_ORDER = 200_000
 
@@ -394,23 +394,6 @@ class FiniteGroup:
             self._orders = orders
         return self._orders
 
-    def primary_decomposition(self, g) -> list:
-        """Split g into commuting power-of-g parts of coprime prime-power
-        orders whose product is g; empty for the identity."""
-        m = self.element_order(g)
-        if m == 1:
-            return []
-        fact = factor(m)
-        if len(fact) == 1:
-            return [g]
-        parts = []
-        for p, e in fact:
-            pe = p ** e
-            rest = m // pe
-            exponent = rest * pow(rest, -1, pe)
-            parts.append(self.pow(g, exponent % m))
-        return parts
-
     # -- conjugacy classes ---------------------------------------------
 
     def conjugacy_classes(self) -> list[ConjugacyClass]:
@@ -472,13 +455,8 @@ class FiniteGroup:
 
     # -- centralizers ----------------------------------------------------
 
-    def centralizer(self, x, within: Subgroup | None = None) -> Subgroup:
-        """Elements commuting with x, in G or in a given subgroup."""
-        if within is not None:
-            mul = self.rep.mul
-            members = [y for y in self._order_like(within.members)
-                       if mul(x, y) == mul(y, x)]
-            return self.subgroup_from_elements(members)
+    def centralizer(self, x) -> Subgroup:
+        """Elements of G commuting with x."""
         self.conjugacy_classes()
         cls_idx = self._class_of[x]
         base = self._centralizer_of_seed(cls_idx)
@@ -529,12 +507,6 @@ class FiniteGroup:
             sub = Subgroup(self, frozenset(closure), tuple(found))
         self._rep_centralizers[cls_idx] = sub
         return sub
-
-    def index(self, x, within: Subgroup | None = None) -> int:
-        """|N| / |C_N(x)|; with N = G this is the conjugacy class size."""
-        if within is None:
-            return self.class_size(x)
-        return len(within) // len(self.centralizer(x, within=within))
 
     def center(self) -> Subgroup:
         """Elements commuting with every generator (= size-1 classes)."""

@@ -22,13 +22,8 @@ from .groups import DEFAULT_MAX_ORDER, FiniteGroup, MatrixRep, PermutationRep
 
 def parse_group_spec(data, max_order: int = DEFAULT_MAX_ORDER) -> FiniteGroup:
     """Build a FiniteGroup from spec-file bytes, text, or a parsed dict."""
-    if isinstance(data, (bytes, bytearray)):
-        data = data.decode("utf-8")
-    if isinstance(data, str):
-        try:
-            data = json.loads(data)
-        except json.JSONDecodeError as exc:
-            raise SpecFileError(f"not valid JSON: {exc}") from exc
+    if isinstance(data, (bytes, bytearray, str)):
+        data = parse_json(data)
     if not isinstance(data, dict):
         raise SpecFileError("spec must be a JSON object")
 
@@ -62,6 +57,19 @@ def parse_group_spec(data, max_order: int = DEFAULT_MAX_ORDER) -> FiniteGroup:
                 raise SpecFileError(f"generator {i}: {exc}") from exc
     group = FiniteGroup(rep, tuple(gens), name=name, max_order=max_order)
     return group
+
+
+def parse_json(data):
+    """Parse JSON from UTF-8 bytes or text.  Malformed JSON, and nesting
+    deeper than the decoder's recursion limit, raise SpecFileError."""
+    if isinstance(data, (bytes, bytearray)):
+        data = data.decode("utf-8")
+    try:
+        return json.loads(data)
+    except json.JSONDecodeError as exc:
+        raise SpecFileError(f"not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise SpecFileError("not valid JSON: nested too deeply") from exc
 
 
 def _is_int(x) -> bool:

@@ -1,11 +1,15 @@
 """Verification suites over the bundled corpus.
 
-Each suite re-derives every stored expectation by enumeration: a stored
-value, a formula value, and an enumerated value must all agree, so a
-mismatch is a failure even when two of the three coincide.  Formula
-oracles cover N(SL2(q)) and N(GL2(q)); the order-2160 cover of PSL(2, 9)
-is checked only from an externally supplied generator file and the check
-is skipped (not failed) when no file is present.
+The bundled corpus is data (data/corpus.json): one entry per group, each
+with a group recipe and its stored expectations.  A corpus directory for
+``verify --corpus`` holds the same entries in expectations.json, and both
+forms go through one validating loader.  Each suite re-derives every
+stored expectation by enumeration: a stored value, a formula value, and
+an enumerated value must all agree, so a mismatch is a failure even when
+two of the three coincide.  Formula oracles cover N(SL2(q)) and
+N(GL2(q)); the order-2160 cover of PSL(2, 9) is checked only from an
+externally supplied generator file and the check is skipped (not failed)
+when no file is present.
 """
 
 from __future__ import annotations
@@ -24,19 +28,21 @@ from .classifier import (TYPE_VERDICTS, Verdict, classify, check_corollary1,
 from .errors import ConjlabError, SpecFileError
 from .groups import FiniteGroup, Subgroup
 from .intmath import factor
-from .predicates import PredicateReport, evaluate
-from .specio import load_group_spec
+from .predicates import PredicateReport, evaluate, is_sp
+from .specio import _is_int, load_group_spec, parse_json
 
 DEFAULT_SEED = 20240810
 DEFAULT_MIN_TUPLES = 10_000
 EXHAUSTIVE_ORDER_BOUND = 500
 SAMPLED_ORDER_BOUND = 2500
 
+DATA_DIR = Path(__file__).parent / "data"
+CORPUS_FILENAME = "corpus.json"
 SCHUR_COVER_FILENAME = "schur_cover_psl29.json"
 
 
 def default_schur_cover_path() -> Path | None:
-    path = Path(__file__).parent / "data" / SCHUR_COVER_FILENAME
+    path = DATA_DIR / SCHUR_COVER_FILENAME
     return path if path.exists() else None
 
 
@@ -83,10 +89,13 @@ def expected_N_linear(kind: str, q: int) -> FormulaExpectation:
 
 @dataclass
 class CorpusEntry:
-    """One corpus group: how to build it plus tagged expectations."""
+    """One corpus group: its validated recipe plus tagged expectations.
+
+    A recipe is {"family", "params", "regular"}, {"product": [family
+    recipe, family recipe]} or {"spec": resolved path}."""
 
     name: str
-    build: object  # Callable[[], FiniteGroup]
+    recipe: dict
     expected_order: int | None = None
     expected_N: frozenset | None = None
     n_provenance: str | None = None  # "formula" or "derived"
@@ -101,7 +110,7 @@ class CorpusEntry:
 
     def group(self) -> FiniteGroup:
         if self._group is None:
-            self._group = self.build()
+            self._group = _build(self.recipe)
         return self._group
 
     def predicates(self) -> PredicateReport:
@@ -115,157 +124,110 @@ class CorpusEntry:
         return self._classification
 
 
-def _family_entry(name, family, params, order, nset, prov, verdict, tags=()):
-    return CorpusEntry(
-        name=name,
-        build=lambda: families.build_family(family, *params),
-        expected_order=order,
-        expected_N=frozenset(nset) if nset is not None else None,
-        n_provenance=prov,
-        expected_verdict=verdict,
-        family=family,
-        params=tuple(params),
-        tags=frozenset(tags),
-    )
-
-
-def _product_entry(name, build, order, nset, verdict, tags=("product",)):
-    return CorpusEntry(
-        name=name, build=build, expected_order=order,
-        expected_N=frozenset(nset) if nset is not None else None,
-        n_provenance="derived", expected_verdict=verdict,
-        tags=frozenset(tags),
-    )
+def _build(recipe: dict) -> FiniteGroup:
+    if "spec" in recipe:
+        return load_group_spec(recipe["spec"])
+    if "product" in recipe:
+        a, b = recipe["product"]
+        return families.direct_product(_build(a), _build(b))
+    group = families.build_family(recipe["family"], *recipe["params"])
+    return families.to_permutation(group) if recipe["regular"] else group
 
 
 def default_corpus() -> list[CorpusEntry]:
     """The bundled corpus: every Theorem-2 clause, every named negative
     witness, and both corollaries are exercised by these groups."""
-    e = []
-    # symmetric / alternating
-    e.append(_family_entry("sym_3", "sym", (3,), 6, {2, 3}, "derived", "TypeII"))
-    e.append(_family_entry("sym_4", "sym", (4,), 24, {3, 6, 8}, "derived", "NotSP"))
-    e.append(_family_entry("sym_5", "sym", (5,), 120, {10, 15, 20, 24, 30}, "derived", "NotSP"))
-    e.append(_family_entry("sym_6", "sym", (6,), 720, {15, 40, 45, 90, 120, 144}, "derived", "NotSP"))
-    e.append(_family_entry("alt_4", "alt", (4,), 12, {3, 4}, "derived", "TypeII"))
-    e.append(_family_entry("alt_5", "alt", (5,), 60, {12, 15, 20}, "derived", "TypeIV"))
-    # dihedral
-    e.append(_family_entry("dihedral_3", "dihedral", (3,), 6, {2, 3}, "derived", "TypeII"))
-    e.append(_family_entry("dihedral_4", "dihedral", (4,), 8, {2}, "derived", "TypeI",
-                           tags=("p_group",)))
-    e.append(_family_entry("dihedral_5", "dihedral", (5,), 10, {2, 5}, "derived", "TypeII"))
-    e.append(_family_entry("dihedral_6", "dihedral", (6,), 12, {2, 3}, "derived", "TypeII"))
-    e.append(_family_entry("dihedral_7", "dihedral", (7,), 14, {2, 7}, "derived", "TypeII"))
-    e.append(_family_entry("dihedral_8", "dihedral", (8,), 16, {2, 4}, "derived", "NotSP",
-                           tags=("p_group",)))
-    # abelian assortment
-    e.append(_family_entry("cyclic_2", "cyclic", (2,), 2, set(), "derived", "Abelian"))
-    e.append(_family_entry("cyclic_6", "cyclic", (6,), 6, set(), "derived", "Abelian"))
-    e.append(_family_entry("cyclic_12", "cyclic", (12,), 12, set(), "derived", "Abelian"))
-    e.append(_family_entry("elem_abelian_2_3", "elem_abelian", (2, 3), 8, set(), "derived", "Abelian"))
-    e.append(_family_entry("elem_abelian_3_2", "elem_abelian", (3, 2), 9, set(), "derived", "Abelian"))
-    e.append(_family_entry("elem_abelian_5_2", "elem_abelian", (5, 2), 25, set(), "derived", "Abelian"))
-    # p-groups
-    e.append(_family_entry("quaternion", "quaternion", (), 8, {2}, "derived", "TypeI",
-                           tags=("p_group",)))
-    e.append(_family_entry("heisenberg_3", "heisenberg", (3,), 27, {3}, "derived", "TypeI",
-                           tags=("p_group",)))
-    e.append(_family_entry("heisenberg_5", "heisenberg", (5,), 125, {5}, "derived", "TypeI",
-                           tags=("p_group",)))
-    e.append(_family_entry("heisenberg_7", "heisenberg", (7,), 343, {7}, "derived", "TypeI",
-                           tags=("p_group",)))
-    e.append(_family_entry("remark_3", "remark", (3,), 81, {3, 9}, "formula", "NotSP",
-                           tags=("p_group",)))
-    # AGL(1, q): Frobenius with elementary abelian kernel, cyclic complement
-    for q, order, nset in ((4, 12, {3, 4}), (5, 20, {4, 5}), (7, 42, {6, 7}),
-                           (8, 56, {7, 8}), (9, 72, {8, 9})):
-        e.append(_family_entry(f"agl1_{q}", "agl1", (q,), order, nset, "derived",
-                               "TypeII", tags=("frobenius_kernel",)))
-    # Heisenberg-kernel Frobenius family; N = {p d, p^2} is forced by the
-    # index formula for the rank-1 kernel case
-    for p, d in ((3, 2), (5, 2), (7, 3), (13, 4)):
-        e.append(_family_entry(f"type3_{p}_{d}", "type3", (p, d), p ** 3 * d,
-                               {p * d, p * p}, "derived", "TypeIII",
-                               tags=("frobenius_kernel_quotient",)))
-    # SL2(q)
-    sl2_expect = {
-        3: ({4, 6}, "derived", "TypeIII"),
-        4: ({12, 15, 20}, "derived", "TypeIV"),
-        5: ({12, 20, 30}, "formula", "TypeIV"),
-        7: ({24, 42, 56}, "formula", "TypeIV"),
-        8: ({56, 63, 72}, "derived", "TypeIV"),
-        9: ({40, 72, 90}, "formula", "TypeIV"),
-        11: ({60, 110, 132}, "formula", "TypeIV"),
-        13: ({84, 156, 182}, "formula", "TypeIV"),
-    }
-    for q, (nset, prov, verdict) in sl2_expect.items():
-        e.append(_family_entry(f"sl2_{q}", "sl2", (q,), q * (q * q - 1), nset, prov, verdict))
-    # GL2(q)
-    gl2_expect = {
-        3: ({6, 8, 12}, "derived", "NotSP"),
-        4: ({12, 15, 20}, "formula", "TypeIV"),
-        5: ({20, 24, 30}, "formula", "TypeIV"),
-        7: ({42, 48, 56}, "formula", "TypeIV"),
-        8: ({56, 63, 72}, "formula", "TypeIV"),
-        9: ({72, 80, 90}, "formula", "TypeIV"),
-    }
-    for q, (nset, prov, verdict) in gl2_expect.items():
-        e.append(_family_entry(f"gl2_{q}", "gl2", (q,), (q * q - 1) * (q * q - q),
-                               nset, prov, verdict))
-    # direct products: extra centers and the abelian-times-p-group type
-    e.append(_product_entry(
-        "prod_c5_heis3",
-        lambda: families.direct_product(families.cyclic_group(5),
-                                        families.to_permutation(families.heisenberg(3))),
-        135, {3}, "TypeI"))
-    e.append(_product_entry(
-        "prod_c7_heis3",
-        lambda: families.direct_product(families.cyclic_group(7),
-                                        families.to_permutation(families.heisenberg(3))),
-        189, {3}, "TypeI"))
-    for q, order, nset in ((4, 36, {3, 4}), (5, 60, {4, 5}), (7, 126, {6, 7}),
-                           (8, 168, {7, 8}), (9, 216, {8, 9})):
-        e.append(_product_entry(
-            f"prod_agl1{q}_c3",
-            (lambda qq: lambda: families.direct_product(
-                families.agl1(qq), families.cyclic_group(3)))(q),
-            order, nset, "TypeII"))
-    e.append(_product_entry(
-        "prod_sl25_c3",
-        lambda: families.direct_product(families.to_permutation(families.sl2(5)),
-                                        families.cyclic_group(3)),
-        360, {12, 20, 30}, "TypeIV"))
-    return e
+    return _load_entries(parse_json((DATA_DIR / CORPUS_FILENAME).read_bytes()), DATA_DIR)
 
 
 def load_corpus_dir(path) -> list[CorpusEntry]:
-    """A corpus directory: one <name>.json group spec per entry plus an
-    expectations.json mapping name -> {order, N, verdict, provenance}."""
-    import json
-
+    """A corpus directory: expectations.json maps each entry name to the
+    rest of its entry; an entry with no group recipe reads <name>.json."""
     root = Path(path)
     expfile = root / "expectations.json"
-    if not expfile.exists():
+    if not expfile.is_file():
         raise SpecFileError(f"no expectations.json in {root}")
-    with open(expfile, "r", encoding="utf-8") as fh:
-        expectations = json.load(fh)
+    expectations = parse_json(expfile.read_bytes())
+    if not isinstance(expectations, dict):
+        raise SpecFileError(f"{expfile} must map entry names to objects")
+    return _load_entries([{**exp, "name": name} if isinstance(exp, dict) else exp
+                          for name, exp in sorted(expectations.items())], root)
+
+
+_VERDICTS = tuple(v.value for v in Verdict)
+_ENTRY_FIELDS = {
+    "order": ("a positive integer", lambda v: _is_int(v) and v > 0),
+    "N": ("an integer array", lambda v: isinstance(v, list) and all(map(_is_int, v))),
+    "provenance": ("a string", lambda v: isinstance(v, str)),
+    "verdict": (f"one of {list(_VERDICTS)}", lambda v: v in _VERDICTS),
+    "tags": ("a string array",
+             lambda v: isinstance(v, list) and all(isinstance(t, str) for t in v)),
+    "allow_unrecognized": ("a boolean", lambda v: isinstance(v, bool)),
+}
+_RECIPE_KEYS = {"family": {"family", "params", "regular"},
+                "product": {"product"}, "spec": {"spec"}}
+
+
+def _load_entries(raw, root: Path) -> list[CorpusEntry]:
+    """The one validating loader: a list of entries, spec paths relative
+    to root."""
+    if not isinstance(raw, list):
+        raise SpecFileError("a corpus must be an array of entries")
     entries = []
-    for name in sorted(expectations):
-        exp = expectations[name]
-        spec_path = root / f"{name}.json"
-        if not spec_path.exists():
-            raise SpecFileError(f"missing group spec {spec_path}")
+    for i, item in enumerate(raw):
+        name = item.get("name") if isinstance(item, dict) else None
+        if not isinstance(name, str) or not name or any(e.name == name for e in entries):
+            raise SpecFileError(f"corpus entry {i} needs an object with a new "
+                                f"nonempty string 'name', got {item!r}")
+        where = f"corpus entry {name!r}"
+        unknown = set(item) - set(_ENTRY_FIELDS) - {"name", "group"}
+        if unknown:
+            raise SpecFileError(f"{where}: unknown keys {sorted(unknown)}")
+        for key, (what, ok) in _ENTRY_FIELDS.items():
+            if item.get(key) is not None and not ok(item[key]):
+                raise SpecFileError(f"{where}: {key} must be {what}, got {item[key]!r}")
+        nset = item.get("N")
+        recipe = _recipe(item.get("group", {"spec": f"{name}.json"}), root, where)
         entries.append(CorpusEntry(
-            name=name,
-            build=(lambda p: lambda: load_group_spec(p))(spec_path),
-            expected_order=exp.get("order"),
-            expected_N=frozenset(exp["N"]) if exp.get("N") is not None else None,
-            n_provenance=exp.get("provenance"),
-            expected_verdict=exp.get("verdict"),
-            tags=frozenset(exp.get("tags", ())),
-            allow_unrecognized=bool(exp.get("allow_unrecognized", False)),
-        ))
+            name=name, recipe=recipe, expected_order=item.get("order"),
+            expected_N=frozenset(nset) if nset is not None else None,
+            n_provenance=item.get("provenance"), expected_verdict=item.get("verdict"),
+            family=recipe.get("family"), params=tuple(recipe.get("params", ())),
+            tags=frozenset(item.get("tags") or ()),
+            allow_unrecognized=bool(item.get("allow_unrecognized"))))
     return entries
+
+
+def _recipe(raw, root: Path, where: str, factor: bool = False) -> dict:
+    """A validated group recipe: a product's two factors must be family
+    recipes, and a spec path, relative to root, must name a file."""
+    kinds = [k for k in _RECIPE_KEYS if isinstance(raw, dict) and k in raw]
+    if len(kinds) != 1 or not set(raw) <= _RECIPE_KEYS[kinds[0]] \
+            or (factor and kinds[0] != "family"):
+        what = "a product factor must be a family" if factor \
+            else "group must be one family, product or spec"
+        raise SpecFileError(f"{where}: {what} recipe, got {raw!r}")
+    if "product" in raw:
+        factors = raw["product"]
+        if not (isinstance(factors, list) and len(factors) == 2):
+            raise SpecFileError(f"{where}: a product has two factors, got {factors!r}")
+        return {"product": [_recipe(f, root, where, factor=True) for f in factors]}
+    if "spec" in raw:
+        spec = raw["spec"]
+        if not (isinstance(spec, str) and (root / spec).is_file()):
+            raise SpecFileError(f"{where}: missing group spec {root / str(spec)}")
+        return {"spec": root / spec}
+    family, params, regular = raw["family"], raw.get("params", []), raw.get("regular", False)
+    if not isinstance(family, str) or family not in families.FAMILIES:
+        raise SpecFileError(f"{where}: unknown family {family!r}; "
+                            f"know {sorted(families.FAMILIES)}")
+    arity = families.FAMILIES[family][1]
+    if not (isinstance(params, list) and len(params) == arity and all(map(_is_int, params))):
+        raise SpecFileError(f"{where}: family {family!r} takes {arity} integer "
+                            f"parameter(s), got {params!r}")
+    if not isinstance(regular, bool):
+        raise SpecFileError(f"{where}: regular must be a boolean, got {regular!r}")
+    return {"family": family, "params": params, "regular": regular}
 
 
 # -- suite plumbing -----------------------------------------------------------
@@ -404,15 +366,10 @@ def run_theorem2_suite(corpus: list[CorpusEntry]) -> SuiteReport:
     # formula checks: stored expectation, formula value and enumeration
     # must all agree
     for entry in corpus:
-        if entry.family not in ("sl2", "gl2"):
-            continue
-        q = entry.params[0]
-        if entry.family == "gl2" and q < 4:
-            continue
-        if entry.family == "sl2" and q < 4:
+        if entry.family not in ("sl2", "gl2") or entry.params[0] < 4:
             continue
 
-        def check(entry=entry, q=q):
+        def check(entry=entry, q=entry.params[0]):
             formula = expected_N_linear(entry.family, q)
             enumerated = frozenset(n_set(entry.group()))
             if enumerated != formula.values:
@@ -781,7 +738,6 @@ def run_schur_cover_check(path=None) -> SuiteReport:
         enumerated = frozenset(n_set(g))
         if enumerated != {72, 90, 120}:
             return False, f"N = {sorted(enumerated)} != [72, 90, 120]"
-        from .predicates import is_sp
         sp, _ = is_sp(g)
         if not sp:
             return False, "cover group is not SP"

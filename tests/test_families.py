@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -192,3 +193,14 @@ def test_caps_respected():
         cj.sl2(13, max_order=1000)
     with pytest.raises(CapExceeded):
         cj.heisenberg(13, max_order=1000)
+    # degree-n permutations are refused before any is built
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceeded):
+            cj.cyclic_group(10**6, max_order=10)
+        with pytest.raises(CapExceeded):
+            cj.dihedral_group(10**6, max_order=10)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20

@@ -99,57 +99,6 @@ def test_element_order():
     assert sl.element_order(u) == 5
 
 
-def test_primary_decomposition_cyclic6():
-    g = cj.cyclic_group(6)
-    gen = g.generators[0]
-    parts = g.primary_decomposition(gen)
-    assert sorted(g.element_order(p) for p in parts) == [2, 3]
-    prod = parts[0]
-    for p in parts[1:]:
-        prod = g.mul(prod, p)
-    assert prod == gen
-
-
-def test_primary_decomposition_order12():
-    g = cj.cyclic_group(12)
-    gen = g.generators[0]
-    parts = g.primary_decomposition(gen)
-    assert sorted(g.element_order(p) for p in parts) == [3, 4]
-
-
-def test_primary_decomposition_p_element_and_identity():
-    g = cj.heisenberg(3)
-    x = g.generators[0]
-    assert g.primary_decomposition(x) == [x]
-    assert g.primary_decomposition(g.identity) == []
-
-
-def test_primary_decomposition_properties():
-    from math import gcd
-
-    from conjlab.intmath import factor
-
-    g = cj.symmetric_group(6)
-    for x in g.elements()[::71]:
-        parts = g.primary_decomposition(x)
-        orders = [g.element_order(p) for p in parts]
-        # pairwise coprime prime powers
-        for o in orders:
-            assert len(factor(o)) == 1
-        for i, a in enumerate(orders):
-            for b in orders[i + 1:]:
-                assert gcd(a, b) == 1
-        # commuting, and the product in any order is x
-        for p in parts:
-            for q in parts:
-                assert g.mul(p, q) == g.mul(q, p)
-        for perm in ([*parts], [*reversed(parts)]):
-            acc = g.identity
-            for p in perm:
-                acc = g.mul(acc, p)
-            assert acc == x
-
-
 def test_centralizer_examples():
     g = cj.symmetric_group(4)
     t = (1, 0, 2, 3)  # the transposition (0 1)
@@ -173,19 +122,6 @@ def test_centralizer_matches_oracle_everywhere():
                 c = g.centralizer(x)
                 assert set(c.members) == set(naive_centralizer(g, x))
                 assert g.subgroup_from_elements(c.gens).members == c.members
-
-
-def test_index_examples():
-    g = cj.symmetric_group(4)
-    assert g.index((1, 0, 2, 3)) == 6  # transposition class
-    v = next(x for x in g.elements() if g.class_size(x) == 1)
-    assert g.index(v) == 1
-    a4 = g.subgroup_from_elements(cj.alternating_group(4).generators)
-    assert len(a4) == 12
-    three_cycle = (1, 2, 0, 3)
-    ind = g.index(three_cycle, within=a4)
-    assert ind == 4
-    assert g.index(three_cycle) % ind == 0  # |x^K| divides |x^G|
 
 
 def test_conjugacy_classes_s4():

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import conjlab as cj
+from conjlab import classgraph
 from conjlab.cli import _build_parser, run_command
 from conjlab.errors import SpecFileError
 from conjlab.specio import (analysis_report, parse_group_spec, report_json,
@@ -76,6 +77,9 @@ def test_parse_rejects_malformed():
         parse_group_spec(dict(SL25_SPEC, field={"p": 5, "n": True}))
     with pytest.raises(SpecFileError):
         parse_group_spec(dict(SL25_SPEC, field={"p": 5, "n": 1, "modulus": 5}))
+    # nesting deeper than the JSON decoder's recursion limit
+    with pytest.raises(SpecFileError):
+        parse_group_spec(b"[" * 200_000)
     # a huge degree is rejected by its generators before anything is allocated
     tracemalloc.start()
     try:
@@ -199,12 +203,20 @@ def test_cli_exit_codes(tmp_path, monkeypatch):
     bad.write_text('{"kind": "permutation", "degree": 3, "generators": [[0, 0, 1]], "name": "x"}')
     code, _, err = run_cli("analyze", str(bad))
     assert code == 1 and "bijective" in err
+    bad.write_text("[" * 200_000)
+    code, _, err = run_cli("analyze", str(bad))
+    assert code == 1 and err.startswith("error:") and "nested too deeply" in err
 
     # cap exceeded: 3
     spec = tmp_path / "s6.json"
     assert run_cli("construct", "sym", "6", "-o", str(spec))[0] == 0
     code, _, err = run_cli("analyze", str(spec), "--max-order", "100")
     assert code == 3 and "cap" in err
+    # more Gamma members than MAX_GAMMA_MEMBERS, refused before the pair scan
+    members = range(2, 3 + classgraph.MAX_GAMMA_MEMBERS)
+    code, _, err = run_cli("gamma", ",".join(map(str, members)))
+    assert code == 3 and err.startswith("error:") and "cap of 1000" in err
+    assert len(classgraph._check_members(members[:-1])) == 1000
 
     # CONJLAB_MAX_ORDER mirrors --max-order, flag wins
     monkeypatch.setenv("CONJLAB_MAX_ORDER", "100")

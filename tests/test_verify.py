@@ -1,9 +1,13 @@
+import dataclasses
+import io
 import json
+import pickle
 
 import pytest
 
 import conjlab as cj
 from conjlab import verify
+from conjlab.cli import run_command
 from conjlab.specio import write_group_spec
 
 
@@ -118,6 +122,72 @@ def test_corpus_dir_interface(tmp_path):
     assert verify.run_corollary_suite(entries).ok
 
 
+def test_corpus_dir_recipes_without_spec_files(tmp_path):
+    # the interface test again, with the groups given as recipes
+    d5 = {"order": 10, "N": [2, 5], "verdict": "TypeII", "provenance": "derived"}
+    (tmp_path / "expectations.json").write_text(json.dumps({
+        "mini_d5": dict(d5, group={"family": "dihedral", "params": [5]}),
+        "mini_d5_spec": dict(d5, group={"spec": "groups/d5.json"}),
+        "mini_agl15_x_c3": {"group": {"product": [{"family": "agl1", "params": [5]},
+                                                  {"family": "cyclic", "params": [3]}]},
+                            "order": 60, "N": [4, 5], "verdict": "TypeII",
+                            "provenance": "derived", "tags": ["product"]},
+    }))
+    (tmp_path / "groups").mkdir()
+    write_group_spec(cj.dihedral_group(5), tmp_path / "groups" / "d5.json")
+
+    entries = verify.load_corpus_dir(tmp_path)
+    assert [e.name for e in entries] == ["mini_agl15_x_c3", "mini_d5", "mini_d5_spec"]
+    assert (entries[1].family, entries[1].params) == ("dihedral", (5,))
+    assert verify.run_theorem1_suite(entries).ok
+    assert verify.run_theorem2_suite(entries).ok
+    assert verify.run_corollary_suite(entries).ok
+    assert verify.run_lemma_invariants(entries, min_tuples=50).ok
+
+
+HOSTILE_EXPECTATIONS = {
+    "array": '["a"]',
+    "N_not_array": '{"x": {"N": 5}}',
+    "entry_not_object": '{"x": 5}',
+    "unknown_family": '{"x": {"group": {"family": "galaxy", "params": [3]}}}',
+    "unhashable_family": '{"x": {"group": {"family": ["sym"], "params": [3]}}}',
+    "wrong_arity": '{"x": {"group": {"family": "sym", "params": [3, 4]}}}',
+    "boolean_param": '{"x": {"group": {"family": "sym", "params": [true]}}}',
+    "nested_product": '{"x": {"group": {"product": [{"product": ['
+                      '{"family": "cyclic", "params": [2]}, {"family": "cyclic", "params": [3]}]}, '
+                      '{"family": "cyclic", "params": [5]}]}}}',
+    "three_factors": '{"x": {"group": {"product": [{"family": "quaternion"}, '
+                     '{"family": "quaternion"}, {"family": "quaternion"}]}}}',
+    "two_recipes": '{"x": {"group": {"family": "sym", "params": [3], "spec": "x.json"}}}',
+    "spec_not_string": '{"x": {"group": {"spec": 5}}}',
+    "unknown_key": '{"x": {"verdit": "TypeII"}}',
+    "bad_verdict": '{"x": {"verdict": ["TypeII"]}}',
+    "deep_nesting": "[" * 200_000,
+}
+
+
+@pytest.mark.parametrize("text", list(HOSTILE_EXPECTATIONS.values()),
+                         ids=list(HOSTILE_EXPECTATIONS))
+def test_corpus_dir_rejects_hostile_expectations(tmp_path, text):
+    write_group_spec(cj.symmetric_group(3), tmp_path / "x.json")
+    (tmp_path / "expectations.json").write_text(text)
+    with pytest.raises(cj.SpecFileError):
+        verify.load_corpus_dir(tmp_path)
+    err = io.StringIO()
+    code = run_command(["verify", "--corpus", str(tmp_path)], out=io.StringIO(), err=err)
+    assert code == 1 and err.getvalue().startswith("error:")
+
+
+def test_default_corpus_is_plain_data():
+    corpus = verify.default_corpus()
+    assert len(corpus) == 54
+    pickle.dumps(corpus)
+    for entry in corpus:
+        for f in dataclasses.fields(entry):
+            assert not callable(getattr(entry, f.name)), (entry.name, f.name)
+    assert [e.name for e in pickle.loads(pickle.dumps(corpus))] == [e.name for e in corpus]
+
+
 def test_corpus_dir_detects_wrong_expectation(tmp_path):
     g = cj.symmetric_group(3)
     g.name = "bad_s3"
@@ -139,10 +209,6 @@ def test_corpus_dir_missing_files(tmp_path):
 
 
 def test_cli_verify_exit_codes(tmp_path):
-    import io
-
-    from conjlab.cli import run_command
-
     # a miniature green corpus: exit 0
     for name, group in (("mini_d5", cj.dihedral_group(5)),
                         ("mini_heis3", cj.heisenberg(3))):
