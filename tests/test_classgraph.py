@@ -30,9 +30,6 @@ def test_build_gamma_examples():
     g = build_gamma({2, 4, 12})
     assert g.edges == ((2, 4), (4, 12))  # (2, 12) excluded by the witness 4
     assert build_gamma({72, 90, 120}).edges == ()
-    s4 = build_gamma(n_set(cj.symmetric_group(4)))
-    assert s4.vertices == (3, 6, 8)
-    assert s4.edges == ((3, 6),)
 
 
 def test_build_gamma_rejects_small_members():
@@ -64,6 +61,12 @@ def test_export_json_sorted_and_stable():
     assert data == {"vertices": [2, 4, 12], "edges": [[2, 4], [4, 12]]}
     with pytest.raises(ValueError):
         export(g, "svg")
+
+
+def test_gamma_of_group():
+    g = build_gamma(n_set(cj.symmetric_group(4)))
+    assert g.vertices == (3, 6, 8)
+    assert g.edges == ((3, 6),)
 
 
 @settings(max_examples=200, deadline=None)
