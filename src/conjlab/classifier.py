@@ -6,8 +6,10 @@ run in order I..V and the first match wins (the type classes overlap, so
 the report also lists every type whose conditions pass).  Types IV and V
 are recognized by fingerprint (order plus class-size multiset of G/Z and
 of the derived subgroup) against reference projective linear groups
-built on demand; that is weaker than an isomorphism test and the
-evidence records it.
+built on demand: PSL2(q) or PGL2(q) as a permutation group on the q + 1
+points of the projective line, and N(SL2(q)) from SL2(q) itself.  A
+fingerprint is weaker than an isomorphism test and the evidence records
+it.
 """
 
 from __future__ import annotations
@@ -119,13 +121,18 @@ _ref_cache: dict = {}
 
 def _linear_reference(kind: str, q: int, max_order: int):
     """(quotient order, quotient class-size multiset) for PSL2(q)/PGL2(q),
-    plus the enumerated N(SL2(q)); built once per (kind, q)."""
+    plus the enumerated N(SL2(q)); built once per (kind, q).
+
+    The quotient is a permutation group on the q + 1 points of the
+    projective line (families.projective_linear).  That action has the
+    scalars as its kernel, so order and class sizes are those of SL2(q)/Z
+    or GL2(q)/Z, and GL2(q) is never enumerated.  CapExceeded when SL2(q)
+    or PGL2(q) exceeds max_order; the callers skip that candidate."""
     key = (kind, q)
     if key in _ref_cache:
         return _ref_cache[key]
     sl2 = families.sl2(q, max_order=max_order)
-    base = sl2 if kind == "psl" else families.gl2(q, max_order=max_order)
-    quot = base.quotient(base.center())
+    quot = families.projective_linear(q, kind, max_order=max_order)
     ref = {
         "quotient_order": quot.order(),
         "quotient_sizes": tuple(quot.class_sizes()),
@@ -150,6 +157,14 @@ def _psl_pgl_candidates(quotient_order: int):
                 out.append((q, "psl"))
         q += 1
     return out
+
+
+def _derived_n_set(g: FiniteGroup, derived: Subgroup) -> frozenset:
+    """N(G'), read off G itself when G' = G instead of recomputing every
+    class of a copy."""
+    if len(derived) == g.order():
+        return frozenset(n_set(g))
+    return frozenset(n_set(derived.as_group()))
 
 
 # -- the five type checks ----------------------------------------------------
@@ -243,7 +258,7 @@ def _try_type_iv(g: FiniteGroup, quotient: FiniteGroup | None) -> dict | None:
         derived = g.derived_subgroup()
         if len(derived) != ref["sl2_order"]:
             continue
-        if frozenset(n_set(derived.as_group())) != ref["sl2_N"]:
+        if _derived_n_set(g, derived) != ref["sl2_N"]:
             continue
         return {
             "q": q,
@@ -273,7 +288,7 @@ def _try_type_v(g: FiniteGroup, quotient: FiniteGroup | None) -> dict | None:
     derived = g.derived_subgroup()
     if len(derived) != SCHUR_COVER_PSL29_ORDER:
         return None
-    if frozenset(n_set(derived.as_group())) != SCHUR_COVER_PSL29_N:
+    if _derived_n_set(g, derived) != SCHUR_COVER_PSL29_N:
         return None
     return {
         "quotient_kind": kind,

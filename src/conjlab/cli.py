@@ -189,7 +189,7 @@ def run_command(argv, out=None, err=None) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=err)
         return EXIT_INVALID
-    except (SpecFileError, FileNotFoundError, ValueError) as exc:
+    except (SpecFileError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=err)
         return EXIT_INVALID
     except CapExceeded as exc:

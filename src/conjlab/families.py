@@ -3,13 +3,16 @@ corpus needs: symmetric/alternating/dihedral/cyclic/elementary-abelian
 permutation groups, the quaternion group, Heisenberg groups, SL2(q) and
 GL2(q), AGL(1, q), the Heisenberg-kernel Frobenius family, the order
 p^(p+1) wreath-style p-group, direct products, and the regular
-permutation embedding.
+permutation embedding.  PSL2(q) and PGL2(q) on the projective line are
+the classifier's Type IV/V references and are not in FAMILIES.
 
 Every constructor asserts its claimed order after enumeration; a
 mismatch raises ConstructionError rather than returning a wrong group.
 """
 
 from __future__ import annotations
+
+from math import factorial
 
 from .errors import CapExceeded, ConstructionError
 from .gf import Field, make_field
@@ -37,30 +40,30 @@ def _as_field(q) -> Field:
 def symmetric_group(n: int, max_order: int = DEFAULT_MAX_ORDER) -> FiniteGroup:
     if not 2 <= n <= 9:
         raise ValueError("sym(n) supports 2 <= n <= 9")
+    order = factorial(n)
+    if order > max_order:
+        raise CapExceeded(f"|sym({n})| = {order}", max_order)
     rep = PermutationRep(n)
     swap = tuple([1, 0] + list(range(2, n)))
     cycle = tuple(list(range(1, n)) + [0])
-    fact = 1
-    for k in range(2, n + 1):
-        fact *= k
     g = FiniteGroup(rep, (swap, cycle), name=f"sym_{n}", max_order=max_order)
-    return _checked(g, fact)
+    return _checked(g, order)
 
 
 def alternating_group(n: int, max_order: int = DEFAULT_MAX_ORDER) -> FiniteGroup:
     if not 2 <= n <= 9:
         raise ValueError("alt(n) supports 2 <= n <= 9")
+    order = max(1, factorial(n) // 2)
+    if order > max_order:
+        raise CapExceeded(f"|alt({n})| = {order}", max_order)
     rep = PermutationRep(n)
     gens = []
     for i in range(n - 2):
         images = list(range(n))
         images[i], images[i + 1], images[i + 2] = images[i + 1], images[i + 2], images[i]
         gens.append(tuple(images))
-    fact = 1
-    for k in range(2, n + 1):
-        fact *= k
     g = FiniteGroup(rep, tuple(gens), name=f"alt_{n}", max_order=max_order)
-    return _checked(g, max(1, fact // 2))
+    return _checked(g, order)
 
 
 def dihedral_group(n: int, max_order: int = DEFAULT_MAX_ORDER) -> FiniteGroup:
@@ -165,6 +168,43 @@ def gl2(q, max_order: int = DEFAULT_MAX_ORDER) -> FiniteGroup:
     rep = MatrixRep(f, 2)
     gens = _transvections(f) + [(f.primitive_element, 0, 0, 1)]
     g = FiniteGroup(rep, tuple(gens), name=f"gl2_{f.q}", max_order=max_order)
+    return _checked(g, n)
+
+
+def projective_linear(q, kind: str,
+                      max_order: int = DEFAULT_MAX_ORDER) -> FiniteGroup:
+    """PSL2(q) (kind "psl") or PGL2(q) (kind "pgl") acting on the q + 1
+    points of the projective line.
+
+    The SL2 generators, plus diag(alpha, 1) for "pgl", act on the lines
+    of row vectors: point x < q is the line of (x, 1) and point q the line
+    of (1, 0).  The kernel of that action is the scalars, so the image is
+    SL2(q)/Z or GL2(q)/Z without enumerating a matrix group.  Order
+    q(q^2 - 1), halved for "psl" when q is odd, is asserted.
+    """
+    if kind not in ("psl", "pgl"):
+        raise ValueError(f"kind must be 'psl' or 'pgl', got {kind!r}")
+    f = _as_field(q)
+    q = f.q
+    n = q * (q * q - 1)
+    if kind == "psl" and q % 2:
+        n //= 2
+    if n > max_order:
+        raise CapExceeded(f"|{kind.upper()}2({q})| = {n}", max_order)
+    mats = _transvections(f)
+    if kind == "pgl":
+        mats.append((f.primitive_element, 0, 0, 1))
+    add, mul, inv = f.add, f.mul, f.inv
+
+    def point(a, b):
+        return q if b == 0 else mul(a, inv(b))
+
+    gens = tuple(
+        tuple(point(add(mul(x, m0), m2), add(mul(x, m1), m3)) for x in range(q))
+        + (point(m0, m1),)
+        for m0, m1, m2, m3 in mats)
+    g = FiniteGroup(PermutationRep(q + 1), gens, name=f"{kind}2_{q}",
+                    max_order=max_order)
     return _checked(g, n)
 
 

@@ -195,9 +195,6 @@ class Field:
             raise ZeroDivisionError("division by zero field element")
         return self._mul[a][self._inv[b]]
 
-    def neg(self, a: int) -> int:
-        return self._neg[a]
-
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("zero has no multiplicative inverse")

@@ -132,3 +132,12 @@ def naive_primitive_by_sieve(members):
                 return False
             m += a
     return True
+
+
+def naive_projective_linear(q, kind):
+    """PSL2(q) ("psl") or PGL2(q) ("pgl") as a quotient of a matrix group:
+    all of SL2(q) or GL2(q) enumerated, then divided by its center."""
+    from conjlab import families
+
+    base = families.sl2(q) if kind == "psl" else families.gl2(q)
+    return base.quotient(base.center())

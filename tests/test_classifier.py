@@ -1,6 +1,7 @@
 import pytest
 
 import conjlab as cj
+from conjlab import classifier, families
 from conjlab.classifier import Verdict, classify, check_corollary1, find_frobenius_structure
 
 
@@ -60,6 +61,28 @@ def test_classify_type_iv():
     assert c.evidence["q"] == 7
     assert c.evidence["derived_order"] == 336
     assert "fingerprint" in c.evidence["method"]
+
+
+def test_linear_reference_builds_no_gl2(monkeypatch):
+    """The Type IV references come from the projective line: with the
+    reference cache empty and families.gl2 unusable, sl2(16) and gl2(9)
+    keep their verdict and evidence."""
+    groups = [cj.sl2(16), cj.gl2(9)]
+
+    def no_gl2(*args, **kwargs):
+        raise AssertionError("families.gl2 called for a reference")
+
+    monkeypatch.setattr(families, "gl2", no_gl2)
+    monkeypatch.setattr(classifier, "_ref_cache", {})
+    expected = [(16, [240, 255, 272], 4080), (9, [40, 72, 90], 720)]
+    for g, (q, derived_n, derived_order) in zip(groups, expected):
+        c = classify(g)
+        assert c.verdict is Verdict.TYPE_IV
+        assert c.all_matching == ("TypeIV",)
+        assert c.evidence == {
+            "q": q, "quotient_kind": "pgl", "derived_order": derived_order,
+            "derived_N": derived_n, "method": classifier.FINGERPRINT_NOTE}
+    assert set(classifier._ref_cache) >= {("pgl", 16), ("pgl", 9)}
 
 
 def test_classify_not_sp_witness():

@@ -4,7 +4,9 @@ from collections import Counter
 import pytest
 
 import conjlab as cj
+from conjlab import families
 from conjlab.errors import CapExceeded, ConstructionError
+from oracles import naive_projective_linear
 
 
 def test_standard_groups():
@@ -200,7 +202,39 @@ def test_caps_respected():
             cj.cyclic_group(10**6, max_order=10)
         with pytest.raises(CapExceeded):
             cj.dihedral_group(10**6, max_order=10)
+        # |sym(9)| = 362,880 and |alt(9)| = 181,440 are refused up front
+        with pytest.raises(CapExceeded):
+            cj.symmetric_group(9, max_order=10)
+        with pytest.raises(CapExceeded):
+            cj.alternating_group(9, max_order=10)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+    with pytest.raises(CapExceeded):
+        cj.symmetric_group(5, max_order=119)
+    with pytest.raises(CapExceeded):
+        cj.alternating_group(5, max_order=59)
+    assert cj.symmetric_group(5, max_order=120).order() == 120
+    assert cj.alternating_group(5, max_order=60).order() == 60
+    with pytest.raises(CapExceeded):
+        families.projective_linear(13, "pgl", max_order=2183)
+    assert families.projective_linear(13, "psl", max_order=1092).order() == 1092
+
+
+@pytest.mark.parametrize("kind", ["psl", "pgl"])
+@pytest.mark.parametrize("q", [4, 5, 7, 8, 9, 11])
+def test_projective_linear_matches_quotient_oracle(q, kind):
+    g = families.projective_linear(q, kind)
+    oracle = naive_projective_linear(q, kind)
+    assert g.rep.degree == q + 1
+    assert g.order() == oracle.order()
+    assert g.class_sizes() == oracle.class_sizes()
+
+
+def test_projective_linear_rejects_bad_input():
+    with pytest.raises(ValueError):
+        families.projective_linear(9, "psu")
+    with pytest.raises(ValueError):
+        families.projective_linear(6, "psl")  # not a prime power
+    assert "projective_linear" not in families.FAMILIES

@@ -206,6 +206,11 @@ def test_cli_exit_codes(tmp_path, monkeypatch):
     bad.write_text("[" * 200_000)
     code, _, err = run_cli("analyze", str(bad))
     assert code == 1 and err.startswith("error:") and "nested too deeply" in err
+    # a directory is no spec file: IsADirectoryError ends as exit 1
+    empty = tmp_path / "empty_dir"
+    empty.mkdir()
+    code, _, err = run_cli("analyze", str(empty))
+    assert code == 1 and err.startswith("error:") and "Traceback" not in err
 
     # cap exceeded: 3
     spec = tmp_path / "s6.json"
