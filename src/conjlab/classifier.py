@@ -4,12 +4,14 @@ The decision procedure mirrors the classification statement: abelian
 groups and non-SP groups short-circuit; otherwise the five type checks
 run in order I..V and the first match wins (the type classes overlap, so
 the report also lists every type whose conditions pass).  Types IV and V
-are recognized by fingerprint (order plus class-size multiset of G/Z and
-of the derived subgroup) against reference projective linear groups
-built on demand: PSL2(q) or PGL2(q) as a permutation group on the q + 1
-points of the projective line, and N(SL2(q)) from SL2(q) itself.  A
-fingerprint is weaker than an isomorphism test and the evidence records
-it.
+share one check, _try_linear: a fingerprint of G/Z (order plus class-size
+multiset) against PSL2(q) or PGL2(q), built on demand as a permutation
+group on the q + 1 points of the projective line, plus the order and
+class-size set of the derived subgroup.  Type IV expects G' = SL2(q),
+with N(SL2(q)) from the closed form expected_N_linear; Type V expects
+the order-2160 cover of PSL(2, 9).  No SL2(q) or GL2(q) is enumerated.
+A fingerprint is weaker than an isomorphism test and the evidence
+records it.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from math import gcd
 
 from . import families
 from .classgraph import n_set
-from .errors import CapExceeded, ConjlabError
+from .errors import ConjlabError
 from .groups import FiniteGroup, Subgroup
 from .intmath import factor
 from .predicates import is_sp, rank
@@ -114,33 +116,43 @@ def find_frobenius_structure(q: FiniteGroup) -> FrobeniusStructure | None:
                               complement=complement)
 
 
-# -- reference fingerprints for types IV / V --------------------------------
-
-_ref_cache: dict = {}
+# -- types IV / V: N(SL2(q)) by formula, PSL2/PGL2 candidates --------------
 
 
-def _linear_reference(kind: str, q: int, max_order: int):
-    """(quotient order, quotient class-size multiset) for PSL2(q)/PGL2(q),
-    plus the enumerated N(SL2(q)); built once per (kind, q).
+@dataclass(frozen=True)
+class FormulaExpectation:
+    values: frozenset[int]
+    provenance: str  # "formula" or "derived-even-q"
 
-    The quotient is a permutation group on the q + 1 points of the
-    projective line (families.projective_linear).  That action has the
-    scalars as its kernel, so order and class sizes are those of SL2(q)/Z
-    or GL2(q)/Z, and GL2(q) is never enumerated.  CapExceeded when SL2(q)
-    or PGL2(q) exceeds max_order; the callers skip that candidate."""
-    key = (kind, q)
-    if key in _ref_cache:
-        return _ref_cache[key]
-    sl2 = families.sl2(q, max_order=max_order)
-    quot = families.projective_linear(q, kind, max_order=max_order)
-    ref = {
-        "quotient_order": quot.order(),
-        "quotient_sizes": tuple(quot.class_sizes()),
-        "sl2_order": q * (q * q - 1),
-        "sl2_N": frozenset(n_set(sl2)),
-    }
-    _ref_cache[key] = ref
-    return ref
+
+def expected_N_linear(kind: str, q: int) -> FormulaExpectation:
+    """The class-size set formulas for SL2(q) and GL2(q), read off the
+    standard class lists (Dornhoff, Group Representation Theory A, §38).
+
+    The odd-q SL2 branch needs q >= 5; even q >= 4 gets the derived
+    variant with q^2 - 1 in place of (q^2 - 1)/2, flagged as such.
+    """
+    if kind == "sl2":
+        if q % 2:
+            if q < 5:
+                raise ValueError("SL2 formula branch needs odd q >= 5")
+            values = frozenset({(q * q - 1) // 2, q * (q - 1), q * (q + 1)})
+            provenance = "formula"
+        else:
+            if q < 4:
+                raise ValueError("SL2 derived branch needs even q >= 4")
+            values = frozenset({q * q - 1, q * (q - 1), q * (q + 1)})
+            provenance = "derived-even-q"
+    elif kind == "gl2":
+        if q < 4:
+            raise ValueError("GL2 formula is not asserted for q <= 3")
+        values = frozenset({q * (q - 1), q * q - 1, q * (q + 1)})
+        provenance = "formula"
+    else:
+        raise ValueError(f"unknown kind {kind!r}")
+    if len(values) != 3:
+        raise AssertionError(f"formula set {sorted(values)} is not three distinct values")
+    return FormulaExpectation(values=values, provenance=provenance)
 
 
 def _psl_pgl_candidates(quotient_order: int):
@@ -239,63 +251,48 @@ def _try_type_iii(g: FiniteGroup, frob: FrobeniusStructure | None,
     return None
 
 
-def _try_type_iv(g: FiniteGroup, quotient: FiniteGroup | None) -> dict | None:
-    if quotient is None:
+def _sl2_derived(q: int):
+    """Type IV: G' = SL2(q), with N(SL2(q)) by the closed form."""
+    return q * (q * q - 1), expected_N_linear("sl2", q).values, {"q": q}
+
+
+def _cover_derived(q: int):
+    """Type V: q = 9 and G' the order-2160 cover of PSL(2, 9)."""
+    if q != 9:
         return None
-    qorder = quotient.order()
+    return SCHUR_COVER_PSL29_ORDER, SCHUR_COVER_PSL29_N, {}
+
+
+def _try_linear(g: FiniteGroup, quotient: FiniteGroup, expected_derived) -> dict | None:
+    """Types IV and V: evidence for the first candidate q at which G/Z is
+    fingerprinted as PSL2(q) or PGL2(q) and G' is as expected_derived(q)
+    says, or None.  expected_derived(q) gives |G'|, N(G') and any extra
+    evidence fields, or None when the type allows no G' at that q.
+
+    The cheap test comes first: |G'|.  Only then is the reference built,
+    as a permutation group on the q + 1 points of the projective line
+    (families.projective_linear), and its class sizes, whose sum is its
+    order, compared with those of G/Z; last comes N(G').  The reference
+    is no larger than G', so it fits under G's max_order."""
     qsizes = None
-    for q, kind in _psl_pgl_candidates(qorder):
-        try:
-            ref = _linear_reference(kind, q, g.max_order)
-        except (CapExceeded, ValueError):
+    for q, kind in _psl_pgl_candidates(quotient.order()):
+        expected = expected_derived(q)
+        if expected is None:
             continue
-        if ref["quotient_order"] != qorder:
+        derived_order, derived_n, fields = expected
+        derived = g.derived_subgroup()
+        if len(derived) != derived_order:
             continue
+        ref = families.projective_linear(q, kind, max_order=g.max_order)
         if qsizes is None:
             qsizes = tuple(quotient.class_sizes())
-        if ref["quotient_sizes"] != qsizes:
+        if tuple(ref.class_sizes()) != qsizes:
             continue
-        derived = g.derived_subgroup()
-        if len(derived) != ref["sl2_order"]:
+        if _derived_n_set(g, derived) != derived_n:
             continue
-        if _derived_n_set(g, derived) != ref["sl2_N"]:
-            continue
-        return {
-            "q": q,
-            "quotient_kind": kind,
-            "derived_order": len(derived),
-            "derived_N": sorted(ref["sl2_N"]),
-            "method": FINGERPRINT_NOTE,
-        }
+        return {**fields, "quotient_kind": kind, "derived_order": derived_order,
+                "derived_N": sorted(derived_n), "method": FINGERPRINT_NOTE}
     return None
-
-
-def _try_type_v(g: FiniteGroup, quotient: FiniteGroup | None) -> dict | None:
-    if quotient is None:
-        return None
-    qorder = quotient.order()
-    if qorder not in (360, 720):
-        return None
-    kind = "psl" if qorder == 360 else "pgl"
-    try:
-        ref = _linear_reference(kind, 9, g.max_order)
-    except (CapExceeded, ValueError):
-        return None
-    if ref["quotient_order"] != qorder:
-        return None
-    if ref["quotient_sizes"] != tuple(quotient.class_sizes()):
-        return None
-    derived = g.derived_subgroup()
-    if len(derived) != SCHUR_COVER_PSL29_ORDER:
-        return None
-    if _derived_n_set(g, derived) != SCHUR_COVER_PSL29_N:
-        return None
-    return {
-        "quotient_kind": kind,
-        "derived_order": len(derived),
-        "derived_N": sorted(SCHUR_COVER_PSL29_N),
-        "method": FINGERPRINT_NOTE,
-    }
 
 
 def classify(g: FiniteGroup) -> SPClassification:
@@ -315,8 +312,8 @@ def classify(g: FiniteGroup) -> SPClassification:
         (Verdict.TYPE_I, lambda: _try_type_i(g)),
         (Verdict.TYPE_II, lambda: _try_type_ii(g, frob, quotient)),
         (Verdict.TYPE_III, lambda: _try_type_iii(g, frob, quotient, center)),
-        (Verdict.TYPE_IV, lambda: _try_type_iv(g, quotient)),
-        (Verdict.TYPE_V, lambda: _try_type_v(g, quotient)),
+        (Verdict.TYPE_IV, lambda: _try_linear(g, quotient, _sl2_derived)),
+        (Verdict.TYPE_V, lambda: _try_linear(g, quotient, _cover_derived)),
     )
     verdict = Verdict.UNRECOGNIZED
     evidence: dict = {}

@@ -70,15 +70,18 @@ def _build_parser() -> _Parser:
 
 
 def _max_order(args) -> int:
-    if getattr(args, "max_order", None):
-        return args.max_order
-    env = os.environ.get("CONJLAB_MAX_ORDER")
-    if env:
+    cap, source = getattr(args, "max_order", None), "--max-order"
+    if cap is None:
+        env = os.environ.get("CONJLAB_MAX_ORDER")
+        if not env:
+            return DEFAULT_MAX_ORDER
         try:
-            return int(env)
+            cap, source = int(env), "CONJLAB_MAX_ORDER"
         except ValueError as exc:
             raise _UsageError(f"CONJLAB_MAX_ORDER={env!r} is not an integer") from exc
-    return DEFAULT_MAX_ORDER
+    if cap < 1:
+        raise _UsageError(f"{source} must be a positive integer, got {cap}")
+    return cap
 
 
 def _cmd_analyze(args, out) -> int:

@@ -190,11 +190,6 @@ class Field:
     def mul(self, a: int, b: int) -> int:
         return self._mul[a][b]
 
-    def div(self, a: int, b: int) -> int:
-        if b == 0:
-            raise ZeroDivisionError("division by zero field element")
-        return self._mul[a][self._inv[b]]
-
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("zero has no multiplicative inverse")

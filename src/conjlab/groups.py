@@ -220,10 +220,6 @@ class Subgroup:
     def __len__(self) -> int:
         return len(self.members)
 
-    @property
-    def order(self) -> int:
-        return len(self.members)
-
     def __contains__(self, enc) -> bool:
         return enc in self.members
 
@@ -285,18 +281,6 @@ class FiniteGroup:
         """g^-1 * x * g."""
         r = self.rep
         return r.mul(r.mul(r.inv(g), x), g)
-
-    def pow(self, a, k: int):
-        r = self.rep
-        if k < 0:
-            a, k = r.inv(a), -k
-        out = r.identity
-        while k:
-            if k & 1:
-                out = r.mul(out, a)
-            a = r.mul(a, a)
-            k >>= 1
-        return out
 
     @property
     def identity(self):

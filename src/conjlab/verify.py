@@ -6,8 +6,10 @@ with a group recipe and its stored expectations.  A corpus directory for
 forms go through one validating loader.  Each suite re-derives every
 stored expectation by enumeration: a stored value, a formula value, and
 an enumerated value must all agree, so a mismatch is a failure even when
-two of the three coincide.  Formula oracles cover N(SL2(q)) and
-N(GL2(q)); the order-2160 cover of PSL(2, 9) is checked only from an
+two of the three coincide.  The formula oracles for N(SL2(q)) and
+N(GL2(q)) live in the classifier (expected_N_linear), which trusts the
+SL2 one for Type IV, so the formula checks here test it against
+enumeration; the order-2160 cover of PSL(2, 9) is checked only from an
 externally supplied generator file and the check is skipped (not failed)
 when no file is present.
 """
@@ -23,7 +25,9 @@ from pathlib import Path
 
 from . import families
 from .classgraph import n_set
-from .classifier import (TYPE_VERDICTS, Verdict, classify, check_corollary1,
+from .classifier import (SCHUR_COVER_PSL29_N, SCHUR_COVER_PSL29_ORDER,
+                         TYPE_VERDICTS, FormulaExpectation, Verdict, classify,
+                         check_corollary1, expected_N_linear,
                          find_frobenius_structure)
 from .errors import ConjlabError, SpecFileError
 from .groups import FiniteGroup, Subgroup
@@ -44,44 +48,6 @@ SCHUR_COVER_FILENAME = "schur_cover_psl29.json"
 def default_schur_cover_path() -> Path | None:
     path = DATA_DIR / SCHUR_COVER_FILENAME
     return path if path.exists() else None
-
-
-# -- formula oracles ----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class FormulaExpectation:
-    values: frozenset[int]
-    provenance: str  # "formula" or "derived-even-q"
-
-
-def expected_N_linear(kind: str, q: int) -> FormulaExpectation:
-    """The class-size set formulas for SL2(q) and GL2(q).
-
-    The odd-q SL2 branch needs q >= 5; even q >= 4 gets the derived
-    variant with q^2 - 1 in place of (q^2 - 1)/2, flagged as such.
-    """
-    if kind == "sl2":
-        if q % 2:
-            if q < 5:
-                raise ValueError("SL2 formula branch needs odd q >= 5")
-            values = frozenset({(q * q - 1) // 2, q * (q - 1), q * (q + 1)})
-            provenance = "formula"
-        else:
-            if q < 4:
-                raise ValueError("SL2 derived branch needs even q >= 4")
-            values = frozenset({q * q - 1, q * (q - 1), q * (q + 1)})
-            provenance = "derived-even-q"
-    elif kind == "gl2":
-        if q < 4:
-            raise ValueError("GL2 formula is not asserted for q <= 3")
-        values = frozenset({q * (q - 1), q * q - 1, q * (q + 1)})
-        provenance = "formula"
-    else:
-        raise ValueError(f"unknown kind {kind!r}")
-    if len(values) != 3:
-        raise AssertionError(f"formula set {sorted(values)} is not three distinct values")
-    return FormulaExpectation(values=values, provenance=provenance)
 
 
 # -- corpus -------------------------------------------------------------------
@@ -733,15 +699,16 @@ def run_schur_cover_check(path=None) -> SuiteReport:
             g = load_group_spec(path)
         except SpecFileError as exc:
             return False, f"unreadable cover file: {exc}"
-        if g.order() != 2160:
-            return False, f"order {g.order()} != 2160"
-        enumerated = frozenset(n_set(g))
-        if enumerated != {72, 90, 120}:
-            return False, f"N = {sorted(enumerated)} != [72, 90, 120]"
+        order, expected = SCHUR_COVER_PSL29_ORDER, sorted(SCHUR_COVER_PSL29_N)
+        if g.order() != order:
+            return False, f"order {g.order()} != {order}"
+        enumerated = sorted(n_set(g))
+        if enumerated != expected:
+            return False, f"N = {enumerated} != {expected}"
         sp, _ = is_sp(g)
         if not sp:
             return False, "cover group is not SP"
-        return True, "order 2160, N = [72, 90, 120], SP"
+        return True, f"order {order}, N = {expected}, SP"
     suite.timed("cover_class_sizes", check)
     return suite.report
 

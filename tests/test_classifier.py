@@ -63,17 +63,28 @@ def test_classify_type_iv():
     assert "fingerprint" in c.evidence["method"]
 
 
-def test_linear_reference_builds_no_gl2(monkeypatch):
-    """The Type IV references come from the projective line: with the
-    reference cache empty and families.gl2 unusable, sl2(16) and gl2(9)
-    keep their verdict and evidence."""
+@pytest.fixture
+def no_matrix_references(monkeypatch):
+    """families.sl2 and families.gl2 fail if the classifier calls them."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("SL2(q) or GL2(q) built for a reference")
+
+    monkeypatch.setattr(families, "sl2", refuse)
+    monkeypatch.setattr(families, "gl2", refuse)
+
+
+@pytest.mark.parametrize("q", [4, 5, 7, 8, 9, 11, 13, 16, 17])
+def test_expected_N_linear_sl2_matches_enumeration(q):
+    """The closed form the Type IV check trusts, against the enumerated
+    N(SL2(q)) for every prime power 4 <= q <= 17."""
+    assert classifier.expected_N_linear("sl2", q).values == set(cj.n_set(cj.sl2(q)))
+
+
+def test_linear_reference_builds_no_gl2(no_matrix_references):
+    """The Type IV references come from the projective line and N(SL2(q))
+    from its closed form: with families.sl2 and families.gl2 unusable,
+    sl2(16) and gl2(9) keep their verdict and evidence."""
     groups = [cj.sl2(16), cj.gl2(9)]
-
-    def no_gl2(*args, **kwargs):
-        raise AssertionError("families.gl2 called for a reference")
-
-    monkeypatch.setattr(families, "gl2", no_gl2)
-    monkeypatch.setattr(classifier, "_ref_cache", {})
     expected = [(16, [240, 255, 272], 4080), (9, [40, 72, 90], 720)]
     for g, (q, derived_n, derived_order) in zip(groups, expected):
         c = classify(g)
@@ -82,7 +93,6 @@ def test_linear_reference_builds_no_gl2(monkeypatch):
         assert c.evidence == {
             "q": q, "quotient_kind": "pgl", "derived_order": derived_order,
             "derived_N": derived_n, "method": classifier.FINGERPRINT_NOTE}
-    assert set(classifier._ref_cache) >= {("pgl", 16), ("pgl", 9)}
 
 
 def test_classify_not_sp_witness():
@@ -127,7 +137,8 @@ def test_all_matching_lists_every_passing_type():
     assert "TypeI" in c.all_matching
 
 
-def test_classify_type_v_on_bundled_cover():
+def test_classify_type_v_on_bundled_cover(no_matrix_references):
+    """The cover is the only Type V input; the golden digests leave it out."""
     from conjlab import verify
     from conjlab.specio import load_group_spec
 
@@ -137,8 +148,10 @@ def test_classify_type_v_on_bundled_cover():
     g = load_group_spec(path)
     c = classify(g)
     assert c.verdict is Verdict.TYPE_V
-    assert c.evidence["derived_order"] == 2160
-    assert c.evidence["derived_N"] == [72, 90, 120]
+    assert c.all_matching == ("TypeV",)
+    assert c.evidence == {
+        "quotient_kind": "psl", "derived_order": 2160,
+        "derived_N": [72, 90, 120], "method": classifier.FINGERPRINT_NOTE}
 
 
 def test_check_corollary1():

@@ -1,13 +1,16 @@
 import io
 import json
 import shlex
+import time
 import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import conjlab as cj
-from conjlab import classgraph
+from conjlab import classgraph, families
 from conjlab.cli import _build_parser, run_command
 from conjlab.errors import SpecFileError
 from conjlab.specio import (analysis_report, parse_group_spec, report_json,
@@ -229,6 +232,17 @@ def test_cli_exit_codes(tmp_path, monkeypatch):
     assert code == 3
     code, _, _ = run_cli("analyze", str(spec), "--max-order", "200000")
     assert code == 0
+    # a cap must be positive, from either source
+    for bad_cap in ("0", "-5"):
+        code, out, err = run_cli("analyze", str(spec), "--max-order", bad_cap)
+        assert code == 1 and err.startswith("error:") and not out
+        assert f"--max-order must be a positive integer, got {bad_cap}" in err
+        monkeypatch.setenv("CONJLAB_MAX_ORDER", bad_cap)
+        code, out, err = run_cli("analyze", str(spec))
+        assert code == 1 and err.startswith("error:") and not out
+        assert "CONJLAB_MAX_ORDER must be a positive integer" in err
+    code, _, err = run_cli("construct", "sym", "3", "--max-order", "0", "-o", str(spec))
+    assert code == 1 and err.startswith("error:")
 
     # bad usage: 1
     code, _, _ = run_cli("frobnicate")
@@ -251,6 +265,49 @@ def test_field_caps_checked_before_primality(tmp_path, monkeypatch):
         assert code == 1 and err.startswith("error:")
         assert f"field size {p}^{n} exceeds the configured cap of 256" in err
         assert "Traceback" not in err
+
+
+HUGE_PRIME = 1000000000000000003
+
+
+def test_family_parameters_capped_before_primality(tmp_path, monkeypatch):
+    """Every family's order is at least its parameter: a parameter above the
+    cap is refused before trial division, factorisation or a big power."""
+    cap = cj.DEFAULT_MAX_ORDER
+    for name in ("is_prime", "prime_power"):
+        original = getattr(families, name)
+
+        def guarded(n, name=name, original=original):
+            if n > cap:
+                raise AssertionError(f"{name}({n}) ran before the order cap")
+            return original(n)
+
+        monkeypatch.setattr(families, name, guarded)
+    out = str(tmp_path / "x.json")
+    for argv in (["heisenberg", HUGE_PRIME], ["sl2", HUGE_PRIME],
+                 ["agl1", HUGE_PRIME], ["type3", HUGE_PRIME, 2],
+                 ["remark", 1000003], ["elem_abelian", 2, 300000000]):
+        start = time.process_time()
+        code, _, err = run_cli("construct", *map(str, argv), "-o", out)
+        assert time.process_time() - start < 1.0, argv
+        assert code == 3 and err.startswith("error:"), (argv, err)
+
+
+@settings(max_examples=150, deadline=2000,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_construct_property_exit_codes(tmp_path, data):
+    """Any family and any parameters within +-10^30 end in exit 0, 1 or 3
+    with no traceback."""
+    family = data.draw(st.sampled_from(sorted(families.FAMILIES)))
+    arity = families.FAMILIES[family][1]
+    # small values as well, so that some draws build a group
+    params = data.draw(st.lists(st.integers(-2, 40) | st.integers(-10**30, 10**30),
+                                min_size=arity, max_size=arity))
+    code, _, err = run_cli("construct", family, *map(str, params),
+                           "--max-order", "1000", "-o", str(tmp_path / "x.json"))
+    assert code in (0, 1, 3), (family, params, err)
+    assert "Traceback" not in err
 
 
 def test_readme_cli_examples_parse():
