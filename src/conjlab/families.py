@@ -8,9 +8,9 @@ the classifier's Type IV/V references and are not in FAMILIES.
 
 Every constructor asserts its claimed order after enumeration; a
 mismatch raises ConstructionError rather than returning a wrong group.
-Every family's order is at least its parameter, so a parameter above
-max_order is refused before any primality test, factorisation or large
-power.
+Every family's order is at least each of its parameters, so
+build_family refuses a parameter above max_order before any primality
+test, factorisation or large power.
 """
 
 from __future__ import annotations
@@ -31,15 +31,9 @@ def _checked(group: FiniteGroup, expected: int) -> FiniteGroup:
     return group
 
 
-def _check_param(n: int, max_order: int) -> None:
-    if n > max_order:
-        raise CapExceeded(f"family parameter {n}", max_order)
-
-
-def _as_field(q, max_order: int) -> Field:
+def _as_field(q) -> Field:
     if isinstance(q, Field):
         return q
-    _check_param(q, max_order)
     pn = prime_power(q)
     if pn is None:
         raise ValueError(f"{q} is not a prime power")
@@ -101,7 +95,6 @@ def cyclic_group(n: int, max_order: int = DEFAULT_MAX_ORDER) -> FiniteGroup:
 
 def elementary_abelian_group(p: int, k: int,
                              max_order: int = DEFAULT_MAX_ORDER) -> FiniteGroup:
-    _check_param(p, max_order)
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     # p >= 2, so p^k >= 2^k > max_order once k reaches its bit length
@@ -133,10 +126,10 @@ def quaternion_group(max_order: int = DEFAULT_MAX_ORDER) -> FiniteGroup:
 
 def heisenberg(p: int, max_order: int = DEFAULT_MAX_ORDER) -> FiniteGroup:
     """Upper unitriangular 3x3 matrices over GF(p), order p^3, exponent p."""
-    if p ** 3 > max_order:
-        raise CapExceeded(f"Heisenberg order {p}^3", max_order)
     if not is_prime(p) or p == 2:
         raise ValueError("heisenberg(p) needs an odd prime")
+    if p ** 3 > max_order:
+        raise CapExceeded(f"Heisenberg order {p}^3", max_order)
     f = make_field(p, 1)
     rep = MatrixRep(f, 3)
     x = (1, 1, 0, 0, 1, 0, 0, 0, 1)
@@ -158,7 +151,7 @@ def _transvections(f: Field) -> list[tuple]:
 
 def sl2(q, max_order: int = DEFAULT_MAX_ORDER) -> FiniteGroup:
     """SL2(q) from transvection generators; order q(q^2 - 1) is asserted."""
-    f = _as_field(q, max_order)
+    f = _as_field(q)
     n = f.q * (f.q ** 2 - 1)
     if n > max_order:
         raise CapExceeded(f"|SL2({f.q})| = {n}", max_order)
@@ -170,7 +163,7 @@ def sl2(q, max_order: int = DEFAULT_MAX_ORDER) -> FiniteGroup:
 
 def gl2(q, max_order: int = DEFAULT_MAX_ORDER) -> FiniteGroup:
     """GL2(q): the SL2 generators plus diag(alpha, 1)."""
-    f = _as_field(q, max_order)
+    f = _as_field(q)
     if f.q < 3:
         raise ValueError("gl2(q) needs q >= 3")
     n = (f.q ** 2 - 1) * (f.q ** 2 - f.q)
@@ -195,7 +188,7 @@ def projective_linear(q, kind: str,
     """
     if kind not in ("psl", "pgl"):
         raise ValueError(f"kind must be 'psl' or 'pgl', got {kind!r}")
-    f = _as_field(q, max_order)
+    f = _as_field(q)
     q = f.q
     n = q * (q * q - 1)
     if kind == "psl" and q % 2:
@@ -222,7 +215,7 @@ def projective_linear(q, kind: str,
 def agl1(q, max_order: int = DEFAULT_MAX_ORDER) -> FiniteGroup:
     """AGL(1, q) acting on the q field elements: translations by a basis
     plus multiplication by a primitive element.  Frobenius of order q(q-1)."""
-    f = _as_field(q, max_order)
+    f = _as_field(q)
     if f.q < 3:
         raise ValueError("agl1(q) needs q >= 3")
     n = f.q * (f.q - 1)
@@ -245,7 +238,6 @@ def type3_frobenius(p: int, d: int, max_order: int = DEFAULT_MAX_ORDER) -> Finit
     lam the canonical element of multiplicative order d.  Conjugation acts
     as (x, y, z) -> (lam x, y/lam, z) on Heisenberg coordinates, so the
     center stays pointwise fixed.  Order p^3 d."""
-    _check_param(p, max_order)
     if not is_prime(p) or p == 2:
         raise ValueError("type3_frobenius needs an odd prime p")
     if d <= 1 or (p - 1) % d:
@@ -266,7 +258,6 @@ def type3_frobenius(p: int, d: int, max_order: int = DEFAULT_MAX_ORDER) -> Finit
 def remark_group(p: int, max_order: int = DEFAULT_MAX_ORDER) -> FiniteGroup:
     """Order p^(p+1) permutation group on p^2 points: p disjoint p-cycles
     (one per block) extended by a block shift.  N = {p, p^(p-1)}."""
-    _check_param(p, max_order)
     if not is_prime(p) or p == 2:
         raise ValueError("remark_group(p) needs an odd prime")
     if p + 1 >= max_order.bit_length() or p ** (p + 1) > max_order:
@@ -343,4 +334,7 @@ def build_family(family: str, *params: int,
     builder, arity = FAMILIES[family]
     if len(params) != arity:
         raise ValueError(f"family {family!r} takes {arity} parameter(s), got {len(params)}")
+    for n in params:
+        if n > max_order:
+            raise CapExceeded(f"family parameter {n}", max_order)
     return builder(*params, max_order=max_order)

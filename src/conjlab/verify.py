@@ -26,9 +26,8 @@ from pathlib import Path
 from . import families
 from .classgraph import n_set
 from .classifier import (SCHUR_COVER_PSL29_N, SCHUR_COVER_PSL29_ORDER,
-                         TYPE_VERDICTS, FormulaExpectation, Verdict, classify,
-                         check_corollary1, expected_N_linear,
-                         find_frobenius_structure)
+                         TYPE_VERDICTS, Verdict, classify, check_corollary1,
+                         expected_N_linear, find_frobenius_structure)
 from .errors import ConjlabError, SpecFileError
 from .groups import FiniteGroup, Subgroup
 from .intmath import factor

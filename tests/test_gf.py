@@ -57,8 +57,6 @@ def test_arith_examples():
 def test_division_errors():
     f = make_field(5, 1)
     with pytest.raises(ZeroDivisionError):
-        f.mul(3, f.inv(0))
-    with pytest.raises(ZeroDivisionError):
         f.inv(0)
 
 

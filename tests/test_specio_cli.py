@@ -241,14 +241,15 @@ def test_cli_exit_codes(tmp_path, monkeypatch):
         code, out, err = run_cli("analyze", str(spec))
         assert code == 1 and err.startswith("error:") and not out
         assert "CONJLAB_MAX_ORDER must be a positive integer" in err
+    monkeypatch.delenv("CONJLAB_MAX_ORDER")
     code, _, err = run_cli("construct", "sym", "3", "--max-order", "0", "-o", str(spec))
     assert code == 1 and err.startswith("error:")
 
     # bad usage: 1
     code, _, _ = run_cli("frobnicate")
     assert code == 1
-    code, _, _ = run_cli("construct", "sl2", "6", "-o", str(tmp_path / "x.json"))
-    assert code == 1
+    code, _, err = run_cli("construct", "sl2", "6", "-o", str(tmp_path / "x.json"))
+    assert code == 1 and "not a prime power" in err
     code, _, err = run_cli("verify", "--threads", "2")
     assert code == 1 and "error:" in err
 
