@@ -12,6 +12,11 @@ with N(SL2(q)) from the closed form expected_N_linear; Type V expects
 the order-2160 cover of PSL(2, 9).  No SL2(q) or GL2(q) is enumerated.
 A fingerprint is weaker than an isomorphism test and the evidence
 records it.
+
+Counts come before closures.  When Z(G) = 1, G itself serves as G/Z and
+the Type II/III preimages are the subgroups themselves.  Type I skips a
+prime p unless the normal_sylow count finds P normal and the p'-elements
+number |G|/|P|; only then are they closed and tested.
 """
 
 from __future__ import annotations
@@ -189,11 +194,12 @@ def _try_type_i(g: FiniteGroup) -> dict | None:
         sylow = g.normal_sylow(p)
         if sylow is None:
             continue
+        # a normal p-complement has |G|/|P| elements, all of them p'-elements
         t_elems = [x for x in g.elements() if orders[x] % p]
+        if len(t_elems) * len(sylow) != n:
+            continue
         t_sub = g.subgroup_from_elements(t_elems)
         if len(t_sub) != len(t_elems) or not t_sub.is_abelian():
-            continue
-        if len(t_sub) * len(sylow) != n:
             continue
         mul = g.rep.mul
         if not all(mul(a, b) == mul(b, a) for a in t_sub.gens for b in sylow.gens):
@@ -204,12 +210,22 @@ def _try_type_i(g: FiniteGroup) -> dict | None:
     return None
 
 
+def _preimage(g: FiniteGroup, quotient: FiniteGroup, sub: Subgroup) -> Subgroup:
+    """Preimage in G of a subgroup of G/Z; G/Z is G itself when Z = 1."""
+    return sub if quotient is g else quotient.preimage(sub)
+
+
+def _central_quotient(g: FiniteGroup, center: Subgroup) -> FiniteGroup:
+    """G/Z, or G itself when Z = 1, with no coset copy."""
+    return g if len(center) == 1 else g.quotient(center)
+
+
 def _try_type_ii(g: FiniteGroup, frob: FrobeniusStructure | None,
                  quotient: FiniteGroup | None) -> dict | None:
     if frob is None or frob.complement is None:
         return None
-    kernel_pre = quotient.preimage(frob.kernel)
-    comp_pre = quotient.preimage(frob.complement)
+    kernel_pre = _preimage(g, quotient, frob.kernel)
+    comp_pre = _preimage(g, quotient, frob.complement)
     if not (kernel_pre.is_abelian() and comp_pre.is_abelian()):
         return None
     return {
@@ -224,10 +240,10 @@ def _try_type_iii(g: FiniteGroup, frob: FrobeniusStructure | None,
                   quotient: FiniteGroup | None, center: Subgroup) -> dict | None:
     if frob is None or frob.complement is None:
         return None
-    comp_pre = quotient.preimage(frob.complement)
+    comp_pre = _preimage(g, quotient, frob.complement)
     if not comp_pre.is_abelian():
         return None
-    kernel_pre = quotient.preimage(frob.kernel)
+    kernel_pre = _preimage(g, quotient, frob.kernel)
     mul = g.rep.mul
     for p, _ in factor(len(frob.kernel)):
         sylow = g.normal_sylow(p) if g.order() % p == 0 else None
@@ -304,7 +320,7 @@ def classify(g: FiniteGroup) -> SPClassification:
     if not sp:
         return SPClassification(verdict=Verdict.NOT_SP, witness=witness)
     center = g.center()
-    quotient = g.quotient(center)
+    quotient = _central_quotient(g, center)
     frob = None
     if not quotient.is_abelian():
         frob = find_frobenius_structure(quotient)
@@ -334,7 +350,7 @@ def check_corollary1(g: FiniteGroup) -> bool:
     sp, _ = is_sp(g)
     if not sp or rank(g) != 2:
         raise ValueError("corollary-1 check applies to SP groups of rank 2")
-    quotient = g.quotient(g.center())
+    quotient = _central_quotient(g, g.center())
     if quotient.is_abelian():
         return False
     frob = find_frobenius_structure(quotient)

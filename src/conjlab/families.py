@@ -10,7 +10,9 @@ Every constructor asserts its claimed order after enumeration; a
 mismatch raises ConstructionError rather than returning a wrong group.
 Every family's order is at least each of its parameters, so
 build_family refuses a parameter above max_order before any primality
-test, factorisation or large power.
+test, factorisation or large power.  A family over a field also checks the
+field cap first, so a large max_order never lets trial division run on a
+field size that GF could not build.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 from math import factorial
 
 from .errors import CapExceeded, ConstructionError
-from .gf import Field, make_field
+from .gf import DEFAULT_FIELD_CAP, Field, make_field
 from .groups import DEFAULT_MAX_ORDER, FiniteGroup, MatrixRep, PermutationRep
 from .intmath import is_prime, prime_power
 
@@ -31,9 +33,16 @@ def _checked(group: FiniteGroup, expected: int) -> FiniteGroup:
     return group
 
 
+def _check_field_cap(q: int) -> None:
+    """Refuse a field size above the field cap before any trial division."""
+    if q > DEFAULT_FIELD_CAP:
+        raise CapExceeded(f"field size {q}", DEFAULT_FIELD_CAP)
+
+
 def _as_field(q) -> Field:
     if isinstance(q, Field):
         return q
+    _check_field_cap(q)
     pn = prime_power(q)
     if pn is None:
         raise ValueError(f"{q} is not a prime power")
@@ -126,6 +135,7 @@ def quaternion_group(max_order: int = DEFAULT_MAX_ORDER) -> FiniteGroup:
 
 def heisenberg(p: int, max_order: int = DEFAULT_MAX_ORDER) -> FiniteGroup:
     """Upper unitriangular 3x3 matrices over GF(p), order p^3, exponent p."""
+    _check_field_cap(p)
     if not is_prime(p) or p == 2:
         raise ValueError("heisenberg(p) needs an odd prime")
     if p ** 3 > max_order:
@@ -238,6 +248,7 @@ def type3_frobenius(p: int, d: int, max_order: int = DEFAULT_MAX_ORDER) -> Finit
     lam the canonical element of multiplicative order d.  Conjugation acts
     as (x, y, z) -> (lam x, y/lam, z) on Heisenberg coordinates, so the
     center stays pointwise fixed.  Order p^3 d."""
+    _check_field_cap(p)
     if not is_prime(p) or p == 2:
         raise ValueError("type3_frobenius needs an odd prime p")
     if d <= 1 or (p - 1) % d:

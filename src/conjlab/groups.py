@@ -14,9 +14,21 @@ of the generators from the identity, and the subgroups built one generator
 at a time (greedy generating sets, Schreier centralizers, the derived
 subgroup) never re-close what they already hold.  Conjugacy classes are
 conjugation orbits, and centralizers of class representatives come from the
-orbit transversal via Schreier generators.  Normal subgroups are the normal
-closures of one class per rational class (x and x^k, k prime to |x|, share
-one), joined pairwise.
+orbit transversal via Schreier generators.
+
+A question is settled by a count over the classes before anything is
+closed, and closed only when the count cannot settle it:
+
+- the Sylow p-subgroup is normal exactly when the p-elements number the
+  p-part of |G|, so only a normal one is closed;
+- the center is the size-1 classes, with no products;
+- the derived subgroup grows its basis only by commutators and conjugates
+  outside its closure, and is G itself, with G's generators, once the
+  closure reaches |G|;
+- normal subgroups are the normal closures of one class per rational class
+  (x and x^k, k prime to |x|, share one), joined pairwise.  Each is keyed by
+  the bitmask of its classes, so |AB| = |A||B|/|A & B| is known before a
+  join is closed, and a join already in the pool is never closed again.
 """
 
 from __future__ import annotations
@@ -114,6 +126,16 @@ class MatrixRep:
         return tuple(out)
 
     def inv(self, a):
+        if self.dim == 2:
+            # adjugate over the determinant: det^-1 * (a3, -a1, -a2, a0)
+            f = self.field
+            mul, neg = f._mul, f._neg
+            a0, a1, a2, a3 = a
+            det = f._add[mul[a0][a3]][neg[mul[a1][a2]]]
+            if det == 0:
+                raise ValueError("matrix is singular")
+            row = mul[f._inv[det]]
+            return (row[a3], row[neg[a1]], row[neg[a2]], row[a0])
         inv = self._gauss_invert(a)
         if inv is None:
             raise ValueError("matrix is singular")
@@ -493,13 +515,10 @@ class FiniteGroup:
         return sub
 
     def center(self) -> Subgroup:
-        """Elements commuting with every generator (= size-1 classes)."""
+        """The size-1 classes, in element order."""
         if self._center is None:
-            mul = self.rep.mul
-            gens = self.generators
-            members = [x for x in self.elements()
-                       if all(mul(x, g) == mul(g, x) for g in gens)]
-            self._center = self.subgroup_from_elements(members)
+            self._center = self.subgroup_from_elements(self._order_like(
+                c.representative for c in self.conjugacy_classes() if c.size == 1))
         return self._center
 
     # -- subgroups -------------------------------------------------------
@@ -526,18 +545,28 @@ class FiniteGroup:
     def _compute_derived(self) -> Subgroup:
         mul = self.rep.mul
         moves = self._moves()
-        comms = dict.fromkeys(mul(mul(mul(ai, bi), a), b)
-                              for a, ai in moves for b, bi in moves)
-        comms.pop(self.rep.identity, None)
-        basis = list(comms)
-        closure = self._closure(basis)
-        new = basis
-        while new:
-            # conjugates of earlier rounds' elements are already in the closure
-            new = [c for t in new for g, gi in moves
-                   if (c := mul(mul(gi, t), g)) not in closure]
-            basis.extend(new)
-            self._closure(basis, closure)
+        n = self.order()
+        closure = {self.rep.identity: 0}
+        basis = []
+
+        def grow(c) -> None:
+            if c not in closure:
+                basis.append(c)
+                self._closure(basis, closure)
+
+        for a, ai in moves:
+            for b, bi in moves:
+                grow(mul(mul(mul(ai, bi), a), b))
+        # the basis grows while it is read: every basis element's conjugates
+        # by the generators end up in the closure, which is then normal
+        i = 0
+        while i < len(basis) and len(closure) < n:
+            t = basis[i]
+            i += 1
+            for g, gi in moves:
+                grow(mul(mul(gi, t), g))
+        if len(closure) == n:
+            return Subgroup(self, frozenset(self.elements()), self.generators)
         return self.subgroup_from_elements(self._order_like(closure))
 
     def normal_subgroups(self) -> list[Subgroup]:
@@ -548,19 +577,25 @@ class FiniteGroup:
         return self._normals
 
     def _compute_normals(self) -> list[Subgroup]:
-        pool: dict[frozenset, Subgroup] = {}
-
-        def add(sub: Subgroup) -> bool:
-            if sub.members in pool:
-                return False
-            pool[sub.members] = sub
-            return True
-
-        # x and x^k (k prime to |x|) have one normal closure: close the first
-        # class of each rational class and mark the classes of those powers
+        # A normal subgroup is a union of classes: key it by the bitmask of
+        # its classes.  Then A & B is the intersection, and the join AB has
+        # order |A||B|/|A & B| (Hulpke, "Computing normal subgroups", 1998).
         mul, ident = self.rep.mul, self.rep.identity
         classes = self.conjugacy_classes()
         class_of = self._class_of
+        sizes = [c.size for c in classes]
+        pool: dict[int, Subgroup] = {}
+        by_order: dict[int, list[int]] = {}
+
+        def add(sub: Subgroup) -> None:
+            mask = sum(1 << i for i, c in enumerate(classes)
+                       if c.representative in sub.members)
+            if mask not in pool:
+                pool[mask] = sub
+                by_order.setdefault(len(sub), []).append(mask)
+
+        # x and x^k (k prime to |x|) have one normal closure: close the first
+        # class of each rational class and mark the classes of those powers
         covered = set()
         for i, cls in enumerate(classes):
             if i in covered:
@@ -572,20 +607,30 @@ class FiniteGroup:
             m = len(powers)
             covered.update(class_of[y] for k, y in enumerate(powers, 1) if gcd(k, m) == 1)
             add(self.subgroup_from_elements(self._order_like(cls.members)))
-        changed = True
-        while changed:
-            changed = False
-            subs = list(pool.values())
-            for i, a in enumerate(subs):
-                for b in subs[i + 1:]:
-                    if a.members <= b.members or b.members <= a.members:
+        # Join pairs round by round, each pair once: a round examines only
+        # the pairs with a member found in the round before.
+        done = 0
+        while done < len(pool):
+            subs = list(pool.items())
+            for i, (am, a) in enumerate(subs):
+                for bm, b in subs[max(i + 1, done):]:
+                    both = am | bm
+                    if both == am or both == bm:
+                        continue
+                    meet = am & bm
+                    order = len(a) * len(b) // sum(
+                        s for j, s in enumerate(sizes) if meet >> j & 1)
+                    # a pool member of that order holding A and B is AB
+                    if any(m & both == both for m in by_order.get(order, ())):
                         continue
                     join = self.subgroup_from_elements(
                         self._order_like(a.members | b.members))
-                    if add(join):
-                        changed = True
-        out = sorted(pool.values(), key=lambda s: (len(s), tuple(s.sorted_members())))
-        return out
+                    if len(join) != order:
+                        raise InternalCheckError(
+                            f"join has order {len(join)}, expected |A||B|/|A & B| = {order}")
+                    add(join)
+            done = len(subs)
+        return sorted(pool.values(), key=lambda s: (len(s), tuple(s.sorted_members())))
 
     def is_normal(self, sub: Subgroup) -> bool:
         mul = self.rep.mul
@@ -593,19 +638,23 @@ class FiniteGroup:
                    for g, gi in self._moves() for t in sub.gens)
 
     def normal_sylow(self, p: int):
-        """The unique Sylow p-subgroup when the p-elements are product
-        closed, else None."""
+        """The unique Sylow p-subgroup when it is normal, else None.
+
+        By Sylow's theorems the p-elements number the p-part of |G| exactly
+        when the Sylow p-subgroup is normal, and more otherwise, so a count
+        over the classes settles it; only a normal one is closed."""
         n = self.order()
         if n % p:
             raise ValueError(f"{p} does not divide the group order {n}")
         orders = self.element_orders()
+        if sum(c.size for c in self.conjugacy_classes()
+               if is_power_of(orders[c.representative], p)) != p_part(n, p):
+            return None
         pelems = [x for x in self.elements() if is_power_of(orders[x], p)]
         sub = self.subgroup_from_elements(pelems)
         if len(sub) != len(pelems):
-            return None
-        if len(sub) != p_part(n, p):
             raise InternalCheckError(
-                f"closed p-element set has order {len(sub)}, not the {p}-part of {n}")
+                f"the {len(pelems)} {p}-elements close to a subgroup of order {len(sub)}")
         return sub
 
     # -- quotients -------------------------------------------------------

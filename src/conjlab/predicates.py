@@ -112,13 +112,15 @@ def is_f(g: FiniteGroup, cap: int = F_SCAN_CAP):
     for cls in _noncentral_reps(g):
         x = cls.representative
         cx_order = n // cls.size
+        # noncentral y whose centralizer order is a proper multiple of
+        # |C(x)|; the filter reads |y^G| alone, so x with none is skipped
+        sizes = {s for s in g.class_sizes()
+                 if s != 1 and s != cls.size and (n // s) % cx_order == 0}
+        if not sizes:
+            continue
         cx_members = None
         for pos, y in enumerate(elements):
-            ysize = size_by_idx[pos]
-            if ysize == 1 or ysize == cls.size:
-                continue
-            cy_order = n // ysize
-            if cy_order % cx_order:
+            if size_by_idx[pos] not in sizes:
                 continue
             if cx_members is None:
                 cx_members = g.centralizer(x).members

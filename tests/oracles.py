@@ -29,6 +29,17 @@ def naive_closure(group, gens):
     return members
 
 
+def naive_generated(group, elements):
+    """Member set of the subgroup the elements generate: naive_closure of a
+    growing list of those not yet reached, closed anew from the identity each time."""
+    gens, members = [], {group.rep.identity}
+    for x in elements:
+        if x not in members:
+            gens.append(x)
+            members = set(naive_closure(group, gens))
+    return members
+
+
 def naive_centralizer(group, x):
     mul = group.rep.mul
     return [y for y in group.elements() if mul(x, y) == mul(y, x)]

@@ -3,6 +3,7 @@ import pytest
 import conjlab as cj
 from conjlab import classifier, families
 from conjlab.classifier import Verdict, classify, check_corollary1, find_frobenius_structure
+from conjlab.groups import FiniteGroup
 
 
 def test_find_frobenius_agl15():
@@ -93,6 +94,33 @@ def test_linear_reference_builds_no_gl2(no_matrix_references):
         assert c.evidence == {
             "q": q, "quotient_kind": "pgl", "derived_order": derived_order,
             "derived_N": derived_n, "method": classifier.FINGERPRINT_NOTE}
+
+
+def test_try_linear_compares_derived_n_set(monkeypatch):
+    """Type IV needs N(G') to match N(SL2(q)): with a wrong closed form,
+    sl2(13) is no longer Type IV."""
+    assert classify(cj.sl2(13)).verdict is Verdict.TYPE_IV
+    monkeypatch.setattr(classifier, "expected_N_linear", lambda kind, q:
+                        classifier.FormulaExpectation(frozenset({1, 2, 3}), "formula"))
+    assert classify(cj.sl2(13)).verdict is not Verdict.TYPE_IV
+
+
+@pytest.mark.parametrize("build", [lambda: cj.agl1(9), lambda: cj.dihedral_group(5)])
+def test_trivial_center_classifies_without_quotient(build, monkeypatch):
+    """With Z(G) = 1, G itself is G/Z: Type II keeps its verdict and
+    evidence, and corollary 1 its answer, with FiniteGroup.quotient broken."""
+    expected = classify(build())
+    assert expected.verdict is Verdict.TYPE_II
+    assert check_corollary1(build())
+
+    def refuse(self, normal):
+        raise AssertionError("quotient by the trivial center")
+
+    monkeypatch.setattr(FiniteGroup, "quotient", refuse)
+    g = build()
+    assert len(g.center()) == 1
+    assert classify(g) == expected
+    assert check_corollary1(g)
 
 
 def test_classify_not_sp_witness():

@@ -3,11 +3,13 @@ import random
 import pytest
 
 import conjlab as cj
+from conjlab import specio, verify
 from conjlab.errors import CapExceeded
-from conjlab.groups import FiniteGroup, PermutationRep
+from conjlab.groups import FiniteGroup, MatrixRep, PermutationRep
+from conjlab.intmath import factor, is_power_of
 
 from oracles import (naive_centralizer, naive_class_sizes, naive_closure,
-                     naive_element_order, naive_normal_subgroups)
+                     naive_element_order, naive_generated, naive_normal_subgroups)
 
 
 def s3():
@@ -184,6 +186,37 @@ def test_derived_subgroup_examples():
     assert len(sl.derived_subgroup()) == 120  # perfect
 
 
+def test_derived_subgroup_matches_oracle(corpus):
+    """G' of every corpus group and of the bundled cover against the oracle
+    closure of the commutators [x, s] = (s^-1)^x s, x in G and s a generator.
+    They generate the same subgroup as all commutators: by
+    [xy, s] = [x, s]^y [y, s] their closure K is normal, and modulo K every
+    generator is central.  The conjugates of s^-1 are its orbit under the
+    generators."""
+    groups = [entry.group() for entry in corpus]
+    groups.append(specio.load_group_spec(verify.default_schur_cover_path()))
+    perfect = 0
+    for g in groups:
+        mul = g.rep.mul
+        moves = [(s, g.rep.inv(s)) for s in g.generators]
+        comms = []
+        for s, si in moves:
+            orbit, seen = [si], {si}
+            for y in orbit:
+                for t, ti in moves:
+                    z = mul(mul(ti, y), t)
+                    if z not in seen:
+                        seen.add(z)
+                        orbit.append(z)
+            comms += [mul(c, s) for c in orbit]
+        derived = g.derived_subgroup()
+        assert derived.members == naive_generated(g, comms), g.name
+        if len(derived) == g.order():
+            perfect += 1
+            assert derived.gens == g.generators
+    assert perfect >= 8  # alt_5, the cover and the SL2(q), q >= 4
+
+
 def test_subgroup_generated():
     g = cj.symmetric_group(4)
     assert len(g.subgroup_from_elements([g.identity])) == 1
@@ -286,6 +319,22 @@ def test_normal_sylow_examples():
         c6.normal_sylow(5)
 
 
+def test_normal_sylow_by_count_matches_oracle(corpus):
+    """normal_sylow(p) is None exactly when the oracle closure of the
+    p-elements is larger than that set, for every corpus group and every
+    prime p dividing |G|."""
+    for entry in corpus:
+        g = entry.group()
+        orders = {x: naive_element_order(g, x) for x in g.elements()}
+        for p, _ in factor(g.order()):
+            pelems = {x for x in g.elements() if is_power_of(orders[x], p)}
+            closed = len(naive_generated(g, sorted(pelems))) == len(pelems)
+            sylow = g.normal_sylow(p)
+            assert (sylow is not None) == closed, (entry.name, p)
+            if sylow is not None:
+                assert sylow.members == pelems
+
+
 def test_s4_two_elements_not_closed():
     # (0 1) * (0 2) is a 3-cycle, so the 2-elements of S4 are not closed
     g = cj.symmetric_group(4)
@@ -329,3 +378,25 @@ def test_quotient_order_product_invariant():
     for sub in g.normal_subgroups():
         q = g.quotient(sub)
         assert q.order() * len(sub) == g.order()
+
+
+def test_adjugate_inverse_matches_gauss():
+    """The 2x2 adjugate inverse against Gauss-Jordan on all of GL2(4) and
+    GL2(5), and on seeded random matrices over GF(16)."""
+    for q in (4, 5):
+        g = cj.gl2(q)
+        for a in g.elements():
+            assert g.rep.inv(a) == g.rep._gauss_invert(a)
+    rep = MatrixRep(cj.make_field(2, 4), 2)
+    rng = random.Random(16)
+    checked = 0
+    while checked < 2000:
+        a = tuple(rng.randrange(16) for _ in range(4))
+        expected = rep._gauss_invert(a)
+        if expected is None:
+            with pytest.raises(ValueError, match="singular"):
+                rep.inv(a)
+            continue
+        assert rep.inv(a) == expected
+        assert rep.mul(a, rep.inv(a)) == rep.identity
+        checked += 1

@@ -79,6 +79,33 @@ def test_is_f_examples():
     assert ok and witness is None
 
 
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_is_f_witness_matches_naive_scan(n):
+    """is_f skips a representative whose class size lets no y pass its
+    filter; the witness is still the first (x, y) of the unfiltered scan,
+    x over noncentral class representatives, y over all elements, with
+    C(x) properly inside C(y)."""
+    g = cj.symmetric_group(n)
+    cent = {}
+
+    def c(x):
+        if x not in cent:
+            cent[x] = frozenset(naive_centralizer(g, x))
+        return cent[x]
+
+    naive = None
+    for cls in g.conjugacy_classes():
+        x = cls.representative
+        if cls.size == 1:
+            continue
+        naive = next(((x, y) for y in g.elements()
+                      if c(x) < c(y) and len(c(y)) < g.order()), None)
+        if naive:
+            break
+    assert naive is not None
+    assert is_f(g) == (False, naive)
+
+
 def test_is_f_cap():
     with pytest.raises(CapExceeded):
         is_f(cj.symmetric_group(4), cap=10)

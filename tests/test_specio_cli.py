@@ -292,6 +292,15 @@ def test_family_parameters_capped_before_primality(tmp_path, monkeypatch):
         code, _, err = run_cli("construct", *map(str, argv), "-o", out)
         assert time.process_time() - start < 1.0, argv
         assert code == 3 and err.startswith("error:"), (argv, err)
+    # under a cap far above the order, the field cap still comes first
+    for argv in (["sl2", HUGE_PRIME], ["gl2", HUGE_PRIME], ["heisenberg", HUGE_PRIME],
+                 ["agl1", HUGE_PRIME], ["type3", HUGE_PRIME, 2]):
+        start = time.process_time()
+        code, _, err = run_cli("construct", *map(str, argv), "-o", out,
+                               "--max-order", str(10 ** 30))
+        assert time.process_time() - start < 1.0, argv
+        assert code == 3 and err.startswith("error:"), (argv, err)
+        assert "field size" in err, (argv, err)
 
 
 @settings(max_examples=150, deadline=2000,
@@ -308,6 +317,62 @@ def test_construct_property_exit_codes(tmp_path, data):
     code, _, err = run_cli("construct", family, *map(str, params),
                            "--max-order", "1000", "-o", str(tmp_path / "x.json"))
     assert code in (0, 1, 3), (family, params, err)
+    assert "Traceback" not in err
+
+
+_JUNK = (st.none() | st.booleans() | st.integers(-10**30, 10**30) | st.text(max_size=4)
+         | st.lists(st.integers(-2, 9), max_size=3) | st.dictionaries(st.text(max_size=2),
+                                                                       st.integers(), max_size=2))
+
+
+@st.composite
+def _spec_json(draw):
+    """A small valid permutation or matrix spec, then one perturbation: a
+    dropped key, a junk or boolean value, a huge degree or field, a junk
+    generator, or no object at all."""
+    if draw(st.booleans()):
+        degree = draw(st.integers(1, 5))
+        gens = draw(st.lists(st.permutations(range(degree)), min_size=1, max_size=3))
+        spec = {"name": "p", "kind": "permutation", "degree": degree,
+                "generators": [list(x) for x in gens]}
+    else:
+        p, n, d = draw(st.sampled_from([(2, 1, 2), (3, 1, 2), (5, 1, 2), (2, 2, 2), (2, 1, 3)]))
+        entry = st.integers(0, p - 1)
+        if n > 1:
+            entry = st.lists(entry, min_size=n, max_size=n)
+        square = st.lists(st.lists(entry, min_size=d, max_size=d), min_size=d, max_size=d)
+        spec = {"name": "m", "kind": "matrix", "degree": d, "field": {"p": p, "n": n},
+                "generators": draw(st.lists(square, min_size=1, max_size=2))}
+    how = draw(st.sampled_from(["none", "drop", "junk", "bool", "huge_degree",
+                                "huge_field", "junk_generator", "not_object"]))
+    key = draw(st.sampled_from(sorted(spec)))
+    if how == "drop":
+        del spec[key]
+    elif how == "junk":
+        spec[key] = draw(_JUNK)
+    elif how == "bool":
+        spec[key] = draw(st.booleans())
+    elif how == "huge_degree":
+        spec["degree"] = draw(st.integers(10**6, 10**30))
+    elif how == "huge_field":
+        spec["field"] = {"p": draw(st.sampled_from([2, 257, 10**15 + 37, HUGE_PRIME])),
+                         "n": draw(st.integers(-2, 10**6))}
+    elif how == "junk_generator":
+        spec["generators"][0] = draw(_JUNK)
+    elif how == "not_object":
+        spec = draw(_JUNK | st.just([spec]))
+    return json.dumps(spec)
+
+
+@settings(max_examples=100, deadline=3000, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=_spec_json())
+def test_analyze_spec_property_exit_codes(tmp_path, text):
+    """Any perturbed spec file ends in exit 0, 1 or 3 with no traceback."""
+    path = tmp_path / "spec.json"
+    path.write_text(text)
+    code, _, err = run_cli("analyze", str(path))
+    assert code in (0, 1, 3), (text, err)
     assert "Traceback" not in err
 
 
