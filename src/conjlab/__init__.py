@@ -20,10 +20,5 @@ from .predicates import (PredicateReport, evaluate, is_ca, is_ch, is_f, is_sp,
                          rank)
 from .specio import (analysis_report, group_spec_dict, load_group_spec,
                      parse_group_spec, write_group_spec)
-from .verify import (CorpusEntry, SuiteReport, default_corpus,
-                     expected_N_linear, load_corpus_dir, run_all,
-                     run_corollary_suite, run_lemma_invariants,
-                     run_schur_cover_check, run_theorem1_suite,
-                     run_theorem2_suite)
 
 __version__ = "0.1.0"

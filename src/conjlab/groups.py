@@ -567,7 +567,7 @@ class FiniteGroup:
                 grow(mul(mul(gi, t), g))
         if len(closure) == n:
             return Subgroup(self, frozenset(self.elements()), self.generators)
-        return self.subgroup_from_elements(self._order_like(closure))
+        return Subgroup(self, frozenset(closure), tuple(basis))
 
     def normal_subgroups(self) -> list[Subgroup]:
         """All normal subgroups, as join-closed unions of conjugacy classes,

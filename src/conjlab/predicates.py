@@ -129,16 +129,16 @@ def is_f(g: FiniteGroup, cap: int = F_SCAN_CAP):
     return True, None
 
 
-def evaluate(g: FiniteGroup, f_cap: int = F_SCAN_CAP,
-             skip_f_over_cap: bool = False) -> PredicateReport:
-    """All four predicates plus rank in one report."""
+def evaluate(g: FiniteGroup, skip_f_over_cap: bool = False) -> PredicateReport:
+    """All four predicates plus rank in one report; with skip_f_over_cap, F
+    is None above F_SCAN_CAP (read at each call)."""
     sp, sp_w = is_sp(g)
     ch, ch_w = is_ch(g)
     ca, ca_w = is_ca(g)
-    if skip_f_over_cap and g.order() > f_cap:
+    if skip_f_over_cap and g.order() > F_SCAN_CAP:
         f, f_w = None, None
     else:
-        f, f_w = is_f(g, cap=f_cap)
+        f, f_w = is_f(g, cap=F_SCAN_CAP)
     return PredicateReport(sp=sp, ch=ch, ca=ca, f=f, rank=rank(g),
                            sp_witness=sp_w, ch_witness=ch_w,
                            ca_witness=ca_w, f_witness=f_w)

@@ -174,7 +174,7 @@ def write_group_spec(group: FiniteGroup, path) -> None:
 # -- analysis reports ---------------------------------------------------------
 
 
-def analysis_report(group: FiniteGroup, f_cap: int = predicates.F_SCAN_CAP) -> dict:
+def analysis_report(group: FiniteGroup) -> dict:
     """Full analysis of one group: order, class data, Gamma, predicates,
     classification.  Everything except the 'timings' key is byte-stable."""
     timings = {}
@@ -183,7 +183,7 @@ def analysis_report(group: FiniteGroup, f_cap: int = predicates.F_SCAN_CAP) -> d
     timings["classes_s"] = round(time.perf_counter() - t0, 6)
     gamma = classgraph.build_gamma(css.N) if css.N else classgraph.CoverDigraph((), ())
     t0 = time.perf_counter()
-    report = predicates.evaluate(group, f_cap=f_cap, skip_f_over_cap=True)
+    report = predicates.evaluate(group, skip_f_over_cap=True)
     timings["predicates_s"] = round(time.perf_counter() - t0, 6)
     t0 = time.perf_counter()
     cls = classifier.classify(group)

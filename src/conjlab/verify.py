@@ -12,14 +12,17 @@ SL2 one for Type IV, so the formula checks here test it against
 enumeration; the order-2160 cover of PSL(2, 9) is checked only from an
 externally supplied generator file and the check is skipped (not failed)
 when no file is present.
+
+The suites run entry by entry: an entry's group is built once, checked by
+every suite and then dropped with all its caches.
 """
 
 from __future__ import annotations
 
-import gc
 import random
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import gcd
 from pathlib import Path
 
@@ -55,6 +58,7 @@ def default_schur_cover_path() -> Path | None:
 @dataclass
 class CorpusEntry:
     """One corpus group: its validated recipe plus tagged expectations.
+    Plain data: ``build`` makes a new group on every call.
 
     A recipe is {"family", "params", "regular"}, {"product": [family
     recipe, family recipe]} or {"spec": resolved path}."""
@@ -69,24 +73,9 @@ class CorpusEntry:
     params: tuple = ()
     tags: frozenset = frozenset()
     allow_unrecognized: bool = False
-    _group: FiniteGroup | None = field(default=None, repr=False)
-    _predicates: PredicateReport | None = field(default=None, repr=False)
-    _classification: object = field(default=None, repr=False)
 
-    def group(self) -> FiniteGroup:
-        if self._group is None:
-            self._group = _build(self.recipe)
-        return self._group
-
-    def predicates(self) -> PredicateReport:
-        if self._predicates is None:
-            self._predicates = evaluate(self.group())
-        return self._predicates
-
-    def classification(self):
-        if self._classification is None:
-            self._classification = classify(self.group())
-        return self._classification
+    def build(self) -> FiniteGroup:
+        return _build(self.recipe)
 
 
 def _build(recipe: dict) -> FiniteGroup:
@@ -237,17 +226,56 @@ class SuiteReport:
         return out
 
 
+class _Case:
+    """One corpus entry while its checks run: the group, built on first
+    use, and what the checks derive from it.  Only those checks, and Lemma-2
+    sampling until another entry samples, refer to it."""
+
+    def __init__(self, entry: CorpusEntry):
+        self.entry = entry
+        self._splits = {}
+
+    @cached_property
+    def group(self) -> FiniteGroup:
+        return self.entry.build()
+
+    @cached_property
+    def predicates(self) -> PredicateReport:
+        return evaluate(self.group)
+
+    @cached_property
+    def classification(self):
+        return classify(self.group)
+
+    @cached_property
+    def normals(self) -> list[Subgroup]:
+        """The normal subgroups other than 1 and G."""
+        g = self.group
+        return [s for s in g.normal_subgroups() if 1 < len(s) < g.order()]
+
+    def split(self, idx: int) -> tuple[FiniteGroup, FiniteGroup]:
+        """K and G/K for the idx-th of ``normals``, K."""
+        if idx not in self._splits:
+            sub = self.normals[idx]
+            self._splits[idx] = (sub.as_group(), self.group.quotient(sub))
+        return self._splits[idx]
+
+
 class _Suite:
-    def __init__(self, name: str):
-        self.report = SuiteReport(name=name)
+    """A suite's checks, recorded entry by entry and reported kind by kind; a
+    kind is a name up to its first '/'.  A subclass sets ``name`` and
+    ``kinds``, and a corpus suite's ``check(case)`` checks one entry."""
 
-    def record(self, name: str, ok: bool, detail: str = "", seconds: float = 0.0):
-        self.report.checks.append(
-            CheckResult(name=name, status="pass" if ok else "fail",
-                        detail=detail, seconds=seconds))
+    def __init__(self):
+        self.checks = {kind: [] for kind in self.kinds}
 
-    def skip(self, name: str, detail: str = ""):
-        self.report.checks.append(CheckResult(name=name, status="skip", detail=detail))
+    def finish(self) -> SuiteReport:
+        return SuiteReport(self.name, [c for checks in self.checks.values() for c in checks])
+
+    def record(self, name: str, ok: bool | None, detail: str = "", seconds: float = 0.0):
+        """Record a check; ok None marks it skipped."""
+        status = "skip" if ok is None else "pass" if ok else "fail"
+        self.checks[name.split("/")[0]].append(CheckResult(name, status, detail, seconds))
 
     def timed(self, name: str, fn):
         t0 = time.perf_counter()
@@ -258,57 +286,75 @@ class _Suite:
         self.record(name, ok, detail, time.perf_counter() - t0)
 
 
+def _check_entries(corpus: list[CorpusEntry], suites: list[_Suite]) -> list[SuiteReport]:
+    """Every suite's checks of one entry, then the next entry."""
+    for entry in corpus:
+        case = _Case(entry)
+        for suite in suites:
+            suite.check(case)
+    return [suite.finish() for suite in suites]
+
+
 # -- theorem 1 ----------------------------------------------------------------
 
 
-def run_theorem1_suite(corpus: list[CorpusEntry]) -> SuiteReport:
+class _Theorem1(_Suite):
     """SP => CH on every entry, strictness via the order-81 witness, and
     the containment chain CA => CH => F."""
-    suite = _Suite("theorem1")
-    for entry in corpus:
-        def check(entry=entry):
-            rep = entry.predicates()
+
+    name, kinds = "theorem1", ("sp_implies_ch", "chain_ca_ch_f", "strictness_remark_3")
+
+    def check(self, case: _Case) -> None:
+        name = case.entry.name
+        def sp_implies_ch():
+            rep = case.predicates
             if rep.sp and not rep.ch:
-                return False, f"{entry.name}: sp holds but ch fails"
+                return False, f"{name}: sp holds but ch fails"
             return True, ""
-        suite.timed(f"sp_implies_ch/{entry.name}", check)
-    for entry in corpus:
-        def check(entry=entry):
-            rep = entry.predicates()
+        self.timed(f"sp_implies_ch/{name}", sp_implies_ch)
+        def chain():
+            rep = case.predicates
             if rep.ca and not rep.ch:
-                return False, f"{entry.name}: ca holds but ch fails"
+                return False, f"{name}: ca holds but ch fails"
             if rep.ch and rep.f is not True:
-                return False, f"{entry.name}: ch holds but f is {rep.f}"
+                return False, f"{name}: ch holds but f is {rep.f}"
             return True, ""
-        suite.timed(f"chain_ca_ch_f/{entry.name}", check)
-    strict = [x for x in corpus if x.name == "remark_3"]
-    if strict:
-        def check(entry=strict[0]):
-            rep = entry.predicates()
-            ok = rep.ch and rep.ca and not rep.sp
-            return ok, f"ca={rep.ca} ch={rep.ch} sp={rep.sp}"
-        suite.timed("strictness_remark_3", check)
-    else:
-        suite.skip("strictness_remark_3", "entry not in corpus")
-    return suite.report
+        self.timed(f"chain_ca_ch_f/{name}", chain)
+        if name == "remark_3":
+            def strictness():
+                rep = case.predicates
+                ok = rep.ch and rep.ca and not rep.sp
+                return ok, f"ca={rep.ca} ch={rep.ch} sp={rep.sp}"
+            self.timed("strictness_remark_3", strictness)
+
+    def finish(self) -> SuiteReport:
+        if not self.checks["strictness_remark_3"]:
+            self.record("strictness_remark_3", None, "entry not in corpus")
+        return super().finish()
+
+
+def run_theorem1_suite(corpus: list[CorpusEntry]) -> SuiteReport:
+    return _check_entries(corpus, [_Theorem1()])[0]
 
 
 # -- theorem 2 ----------------------------------------------------------------
 
 
-def run_theorem2_suite(corpus: list[CorpusEntry]) -> SuiteReport:
-    suite = _Suite("theorem2")
-    for entry in corpus:
-        def check(entry=entry):
-            g = entry.group()
+class _Theorem2(_Suite):
+    name, kinds = "theorem2", ("classify", "formula", "typeI_N_equals_NP", "frobenius_sizes")
+
+    def check(self, case: _Case) -> None:
+        entry = case.entry
+        def classified():
+            g = case.group
             if entry.expected_order is not None and g.order() != entry.expected_order:
                 return False, f"order {g.order()} != expected {entry.expected_order}"
             enumerated = frozenset(n_set(g))
             if entry.expected_N is not None and enumerated != entry.expected_N:
                 return False, (f"N {sorted(enumerated)} != expected "
                                f"{sorted(entry.expected_N)}")
-            rep = entry.predicates()
-            cls = entry.classification()
+            rep = case.predicates
+            cls = case.classification
             if (cls.verdict is Verdict.NOT_SP) != (not rep.sp):
                 return False, "NotSP verdict disagrees with is_sp"
             if cls.verdict is Verdict.NOT_SP:
@@ -316,53 +362,46 @@ def run_theorem2_suite(corpus: list[CorpusEntry]) -> SuiteReport:
                 if not (a in enumerated and b in enumerated and b % a == 0):
                     return False, f"bad NotSP witness {cls.witness}"
             if rep.sp:
-                recognized = (cls.verdict is Verdict.ABELIAN
-                              or cls.verdict in TYPE_VERDICTS)
+                recognized = cls.verdict is Verdict.ABELIAN or cls.verdict in TYPE_VERDICTS
                 if not recognized and not entry.allow_unrecognized:
                     return False, f"SP entry is {cls.verdict.value}"
             if cls.verdict in TYPE_VERDICTS and not rep.sp:
                 return False, f"{cls.verdict.value} verdict on a non-SP group"
-            if entry.expected_verdict is not None \
-                    and cls.verdict.value != entry.expected_verdict:
+            if entry.expected_verdict not in (None, cls.verdict.value):
                 return False, (f"verdict {cls.verdict.value} != expected "
                                f"{entry.expected_verdict}")
             return True, ""
-        suite.timed(f"classify/{entry.name}", check)
-    # formula checks: stored expectation, formula value and enumeration
-    # must all agree
-    for entry in corpus:
-        if entry.family not in ("sl2", "gl2") or entry.params[0] < 4:
-            continue
-
-        def check(entry=entry, q=entry.params[0]):
-            formula = expected_N_linear(entry.family, q)
-            enumerated = frozenset(n_set(entry.group()))
-            if enumerated != formula.values:
-                return False, (f"enumerated {sorted(enumerated)} != formula "
-                               f"{sorted(formula.values)} [{formula.provenance}]")
-            if entry.expected_N is not None and enumerated != entry.expected_N:
-                return False, "stored expectation disagrees with enumeration"
-            return True, formula.provenance
-        suite.timed(f"formula/{entry.name}", check)
-    # F(V)-style: for type-I verdicts, N(G) equals N(P) for the p-factor
-    for entry in corpus:
-        def check(entry=entry):
-            cls = entry.classification()
+        self.timed(f"classify/{entry.name}", classified)
+        # formula checks: stored expectation, formula value and enumeration
+        # must all agree
+        if entry.family in ("sl2", "gl2") and entry.params[0] >= 4:
+            def by_formula():
+                formula = expected_N_linear(entry.family, entry.params[0])
+                enumerated = frozenset(n_set(case.group))
+                if enumerated != formula.values:
+                    return False, (f"enumerated {sorted(enumerated)} != formula "
+                                   f"{sorted(formula.values)} [{formula.provenance}]")
+                if entry.expected_N is not None and enumerated != entry.expected_N:
+                    return False, "stored expectation disagrees with enumeration"
+                return True, formula.provenance
+            self.timed(f"formula/{entry.name}", by_formula)
+        # F(V)-style: for type-I verdicts, N(G) equals N(P) for the p-factor
+        def type_i():
+            cls = case.classification
             if cls.verdict is not Verdict.TYPE_I:
                 return True, "not TypeI"
-            g = entry.group()
+            g = case.group
             sylow = g.normal_sylow(cls.evidence["p"])
             if sylow is None:
                 return False, "TypeI evidence names a prime without normal Sylow"
             if frozenset(n_set(sylow.as_group())) != frozenset(n_set(g)):
                 return False, "N(G) != N(P)"
             return True, ""
-        suite.timed(f"typeI_N_equals_NP/{entry.name}", check)
-    # F(II)-literal: with trivial center the class sizes are the kernel and
-    # complement image orders, and those orders are coprime
-    for entry in corpus:
-        def check(entry=entry):
-            cls = entry.classification()
+        self.timed(f"typeI_N_equals_NP/{entry.name}", type_i)
+        # F(II)-literal: with trivial center the class sizes are the kernel
+        # and complement image orders, and those orders are coprime
+        def frobenius_sizes():
+            cls = case.classification
             if cls.verdict not in (Verdict.TYPE_II, Verdict.TYPE_III):
                 return True, "not TypeII/III"
             ko = cls.evidence.get("kernel_image_order")
@@ -372,82 +411,56 @@ def run_theorem2_suite(corpus: list[CorpusEntry]) -> SuiteReport:
                 co = cls.evidence["complement_preimage_order"] // cls.evidence["center_order"]
             if gcd(ko, co) != 1:
                 return False, f"kernel/complement image orders {ko}, {co} not coprime"
-            g = entry.group()
+            g = case.group
             if cls.verdict is Verdict.TYPE_II and len(g.center()) == 1:
                 if frozenset(n_set(g)) != {ko, co}:
                     return False, (f"Z=1 TypeII N {sorted(n_set(g))} != "
                                    f"{{kernel, complement}} = {sorted({ko, co})}")
             return True, ""
-        suite.timed(f"frobenius_sizes/{entry.name}", check)
-    return suite.report
+        self.timed(f"frobenius_sizes/{entry.name}", frobenius_sizes)
+
+
+def run_theorem2_suite(corpus: list[CorpusEntry]) -> SuiteReport:
+    return _check_entries(corpus, [_Theorem2()])[0]
 
 
 # -- corollaries ---------------------------------------------------------------
 
 
-def run_corollary_suite(corpus: list[CorpusEntry]) -> SuiteReport:
-    suite = _Suite("corollaries")
-    for entry in corpus:
-        def check1(entry=entry):
-            rep = entry.predicates()
+class _Corollaries(_Suite):
+    name, kinds = "corollaries", ("corollary1", "corollary2")
+
+    def check(self, case: _Case) -> None:
+        def corollary1():
+            rep = case.predicates
             if not (rep.sp and rep.rank == 2):
                 return True, "not a rank-2 SP group"
-            ok = check_corollary1(entry.group())
+            ok = check_corollary1(case.group)
             return ok, "" if ok else "G/Z is not a solvable Frobenius group"
-        suite.timed(f"corollary1/{entry.name}", check1)
-    for entry in corpus:
-        def check2(entry=entry):
-            rep = entry.predicates()
+        self.timed(f"corollary1/{case.entry.name}", corollary1)
+        def corollary2():
+            rep = case.predicates
             if not rep.sp:
                 return True, "not SP"
             if rep.rank > 3:
                 return False, f"SP group with |N(G)| = {rep.rank} > 3"
             return True, ""
-        suite.timed(f"corollary2/{entry.name}", check2)
-    return suite.report
+        self.timed(f"corollary2/{case.entry.name}", corollary2)
+
+
+def run_corollary_suite(corpus: list[CorpusEntry]) -> SuiteReport:
+    return _check_entries(corpus, [_Corollaries()])[0]
 
 
 # -- lemma-level invariants ----------------------------------------------------
 
 
-def _proper_normals(g: FiniteGroup) -> list[Subgroup]:
-    return [s for s in g.normal_subgroups() if 1 < len(s) < g.order()]
-
-
-class _LemmaContext:
-    """Per-group caches used by both the exhaustive and sampled checks."""
-
-    def __init__(self, g: FiniteGroup):
-        self.g = g
-        self.normals = None
-        self.quotients = {}
-        self.subgroup_groups = {}
-
-    def proper_normals(self):
-        if self.normals is None:
-            self.normals = _proper_normals(self.g)
-        return self.normals
-
-    def quotient(self, idx: int):
-        if idx not in self.quotients:
-            self.quotients[idx] = self.g.quotient(self.proper_normals()[idx])
-        return self.quotients[idx]
-
-    def subgroup_group(self, idx: int) -> FiniteGroup:
-        if idx not in self.subgroup_groups:
-            self.subgroup_groups[idx] = self.proper_normals()[idx].as_group()
-        return self.subgroup_groups[idx]
-
-
-def _check_lemma2_for_normal(ctx: _LemmaContext, idx: int, exhaustive: bool,
+def _check_lemma2_for_normal(case: _Case, idx: int, exhaustive: bool,
                              rng: random.Random | None, budget: int):
     """Lemma 2 parts (i), (iv), (v) for one normal subgroup.  Returns
     (tuples_checked, first_failure_or_None)."""
-    g = ctx.g
-    sub = ctx.proper_normals()[idx]
-    ksize = len(sub)
-    kgroup = ctx.subgroup_group(idx)
-    quot = ctx.quotient(idx)
+    g = case.group
+    kgroup, quot = case.split(idx)
     project = quot.rep.coset_rep
     orders = g.element_orders()
     checked = 0
@@ -474,13 +487,12 @@ def _check_lemma2_for_normal(ctx: _LemmaContext, idx: int, exhaustive: bool,
             return checked, f"(i) quotient class size does not divide |x^G| for x={x}"
         # (v): image of C_G(x) inside C_{G/K}(xbar)
         checked += 1
-        cgx = g.centralizer(x)
         cq = quot.centralizer(xbar).members
-        image = {project[c] for c in cgx.members}
+        image = {project[c] for c in g.centralizer(x).members}
         if not image <= cq:
             return checked, f"(v) centralizer image escapes C(xbar) for x={x}"
         # (iv): with (|x|, |K|) = 1 the image equals C_{G/K}(xbar)
-        if gcd(orders[x], ksize) == 1:
+        if gcd(orders[x], kgroup.order()) == 1:
             checked += 1
             if image != cq:
                 return checked, f"(iv) centralizer image != C(xbar) for x={x}"
@@ -496,22 +508,19 @@ def _check_lemma2_iii(g: FiniteGroup, exhaustive: bool,
         return 1, None
     orders = g.element_orders()
     center = g.center().members
-    reps = [c.representative for c in g.conjugacy_classes()
-            if c.size > 1]
+    reps = [c.representative for c in g.conjugacy_classes() if c.size > 1]
     checked = 0
     pairs = []
     if exhaustive:
         for x in reps:
-            cx = g.centralizer(x)
-            for y in g._order_like(cx.members):
+            for y in g._order_like(g.centralizer(x).members):
                 if y in center or gcd(orders[x], orders[y]) != 1:
                     continue
                 pairs.append((x, y))
     else:
         for _ in range(budget):
             x = rng.choice(reps)
-            cx_members = g._order_like(g.centralizer(x).members)
-            y = rng.choice(cx_members)
+            y = rng.choice(g._order_like(g.centralizer(x).members))
             if y in center or gcd(orders[x], orders[y]) != 1:
                 continue
             pairs.append((x, y))
@@ -541,8 +550,7 @@ def _check_lemma9(g: FiniteGroup, kernel: Subgroup, complement: Subgroup):
             c = g.mul(g.inv(k), g.conj(k, a))
             if c != g.identity:
                 comm_gens.append(c)
-    comm_sub = g.subgroup_from_elements(comm_gens) if comm_gens \
-        else g.subgroup_from_elements([])
+    comm_sub = g.subgroup_from_elements(comm_gens)
     if not comm_sub.members <= kernel.members:
         return "[P, A] escapes the kernel"
     if len(fixed_sub) * len(comm_sub) != len(kernel):
@@ -556,142 +564,140 @@ def _check_lemma9(g: FiniteGroup, kernel: Subgroup, complement: Subgroup):
     return None
 
 
+class _Lemmas(_Suite):
+    """Lemmas 3, 9 and 1 on tagged entries; Lemma 2 exhaustively on small
+    groups and by sampling up to SAMPLED_ORDER_BOUND.  Each entry samples
+    its share, the tuples still missing over the entries left, with an RNG
+    seeded by the seed and its name; an entry that cannot passes its share
+    on.  The last entry that sampled is kept until another does, and at the
+    end samples what the entries after it could not."""
+
+    name, kinds = "lemmas", ("lemma3", "lemma9", "lemma1", "lemma2_exhaustive",
+                             "lemma2_sampled", "lemma2_sampled_budget")
+
+    def __init__(self, seed: int, min_tuples: int, entries: int):
+        super().__init__()
+        self.seed, self.min_tuples, self.entries_left = seed, min_tuples, entries
+        self.sampled, self.failure, self.seconds = 0, None, 0.0
+        self.last = None  # (case, rng) of the last entry that sampled
+
+    def check(self, case: _Case) -> None:
+        entry = case.entry
+        # Lemma 3: nonabelian p-groups have noncyclic central quotient
+        if "p_group" in entry.tags:
+            def lemma3():
+                g = case.group
+                if g.is_abelian():
+                    return False, "tagged p-group is abelian"
+                quot = g.quotient(g.center())
+                qorder = quot.order()
+                cyclic = any(quot.element_order(c.representative) == qorder
+                             for c in quot.conjugacy_classes())
+                return not cyclic, "P/Z(P) is cyclic" if cyclic else ""
+            self.timed(f"lemma3/{entry.name}", lemma3)
+        # Lemma 9 on Frobenius kernels (AGL directly, type3 on G/Z)
+        if entry.tags & {"frobenius_kernel", "frobenius_kernel_quotient"}:
+            def lemma9():
+                g = case.group
+                if "frobenius_kernel_quotient" in entry.tags:
+                    g = g.quotient(g.center())
+                frob = find_frobenius_structure(g)
+                if frob is None or frob.complement is None:
+                    return False, "no Frobenius structure with recoverable complement"
+                fail = _check_lemma9(g, frob.kernel, frob.complement)
+                return fail is None, fail or ""
+            self.timed(f"lemma9/{entry.name}", lemma9)
+        # Lemma 1 (contrapositive) on direct products: when every p'-element
+        # has p-free index, the Sylow p-subgroup splits off
+        if "product" in entry.tags:
+            def lemma1():
+                g = case.group
+                orders = g.element_orders()
+                for p, _ in factor(g.order()):
+                    t_elems = [x for x in g.elements() if orders[x] % p]
+                    if not all(g.class_size(x) % p for x in t_elems):
+                        continue
+                    sylow = g.normal_sylow(p)
+                    if sylow is None:
+                        return False, f"p={p}: hypothesis holds but no normal Sylow"
+                    t_sub = g.subgroup_from_elements(t_elems)
+                    if len(t_sub) != len(t_elems):
+                        return False, f"p={p}: p'-elements are not a subgroup"
+                    if len(t_sub) * len(sylow) != g.order():
+                        return False, f"p={p}: orders do not multiply to |G|"
+                    mul = g.rep.mul
+                    if not all(mul(a, b) == mul(b, a)
+                               for a in t_sub.gens for b in sylow.gens):
+                        return False, f"p={p}: factors do not commute"
+                return True, ""
+            self.timed(f"lemma1/{entry.name}", lemma1)
+        # Lemma 2: exhaustive on small groups; a group that cannot be built
+        # fails here with its build error
+        try:
+            order = case.group.order()
+        except ConjlabError:
+            order = None
+        if order is None or order <= EXHAUSTIVE_ORDER_BOUND:
+            def lemma2():
+                results = [_check_lemma2_for_normal(case, idx, True, None, 0)
+                           for idx in range(len(case.normals))]
+                results.append(_check_lemma2_iii(case.group, True, None, 0))
+                fail = next((f for _, f in results if f), None)
+                return not fail, fail or f"{sum(n for n, _ in results)} tuples"
+            self.timed(f"lemma2_exhaustive/{entry.name}", lemma2)
+        # Lemma 2: this entry's share of the seeded sampling
+        share = -(-(self.min_tuples - self.sampled) // self.entries_left)
+        self.entries_left -= 1
+        if order is not None and order <= SAMPLED_ORDER_BOUND:
+            self.last = (case, random.Random(f"{self.seed}:{entry.name}"))
+            self._sample(self.sampled + share)
+
+    def _sample(self, target: int) -> None:
+        case, rng = self.last
+        t0 = time.perf_counter()
+        while self.sampled < target and self.failure is None:
+            results = []
+            if case.normals:
+                idx = rng.randrange(len(case.normals))
+                results.append(_check_lemma2_for_normal(case, idx, False, rng, 4))
+            results.append(_check_lemma2_iii(case.group, False, rng, 4))
+            self.sampled += sum(n for n, _ in results)
+            fail = next((f for _, f in results if f), None)
+            self.failure = fail and f"{case.entry.name}: {fail}"
+        self.seconds += time.perf_counter() - t0
+
+    def finish(self) -> SuiteReport:
+        if self.last is not None:
+            self._sample(self.min_tuples)
+        self.record("lemma2_sampled", self.failure is None,
+                    self.failure or f"{self.sampled} sampled tuples, seed {self.seed}",
+                    self.seconds)
+        self.record("lemma2_sampled_budget", self.sampled >= self.min_tuples,
+                    f"{self.sampled} >= {self.min_tuples}")
+        return super().finish()
+
+
 def run_lemma_invariants(corpus: list[CorpusEntry], seed: int = DEFAULT_SEED,
                          min_tuples: int = DEFAULT_MIN_TUPLES) -> SuiteReport:
-    suite = _Suite("lemmas")
-    rng = random.Random(seed)
-    contexts = {}
-
-    def ctx_for(entry: CorpusEntry) -> _LemmaContext:
-        if entry.name not in contexts:
-            contexts[entry.name] = _LemmaContext(entry.group())
-        return contexts[entry.name]
-
-    # Lemma 3: nonabelian p-groups have noncyclic central quotient
-    for entry in corpus:
-        if "p_group" not in entry.tags:
-            continue
-
-        def check(entry=entry):
-            g = entry.group()
-            if g.is_abelian():
-                return False, "tagged p-group is abelian"
-            quot = g.quotient(g.center())
-            qorder = quot.order()
-            cyclic = any(quot.element_order(c.representative) == qorder
-                         for c in quot.conjugacy_classes())
-            return not cyclic, "P/Z(P) is cyclic" if cyclic else ""
-        suite.timed(f"lemma3/{entry.name}", check)
-
-    # Lemma 9 on Frobenius kernels (AGL directly, type3 on G/Z)
-    for entry in corpus:
-        if not entry.tags & {"frobenius_kernel", "frobenius_kernel_quotient"}:
-            continue
-
-        def check(entry=entry):
-            g = entry.group()
-            if "frobenius_kernel_quotient" in entry.tags:
-                g = g.quotient(g.center())
-            frob = find_frobenius_structure(g)
-            if frob is None or frob.complement is None:
-                return False, "no Frobenius structure with recoverable complement"
-            fail = _check_lemma9(g, frob.kernel, frob.complement)
-            return fail is None, fail or ""
-        suite.timed(f"lemma9/{entry.name}", check)
-
-    # Lemma 1 (contrapositive) on direct products: when every p'-element
-    # has p-free index, the Sylow p-subgroup splits off
-    for entry in corpus:
-        if "product" not in entry.tags:
-            continue
-
-        def check(entry=entry):
-            g = entry.group()
-            orders = g.element_orders()
-            for p, _ in factor(g.order()):
-                hypothesis = all(g.class_size(x) % p
-                                 for x in g.elements() if orders[x] % p)
-                if not hypothesis:
-                    continue
-                sylow = g.normal_sylow(p)
-                if sylow is None:
-                    return False, f"p={p}: hypothesis holds but no normal Sylow"
-                t_elems = [x for x in g.elements() if orders[x] % p]
-                t_sub = g.subgroup_from_elements(t_elems)
-                if len(t_sub) != len(t_elems):
-                    return False, f"p={p}: p'-elements are not a subgroup"
-                if len(t_sub) * len(sylow) != g.order():
-                    return False, f"p={p}: orders do not multiply to |G|"
-                mul = g.rep.mul
-                if not all(mul(a, b) == mul(b, a)
-                           for a in t_sub.gens for b in sylow.gens):
-                    return False, f"p={p}: factors do not commute"
-            return True, ""
-        suite.timed(f"lemma1/{entry.name}", check)
-
-    # Lemma 2: exhaustive on small groups
-    for entry in corpus:
-        g = entry.group()
-        if g.order() > EXHAUSTIVE_ORDER_BOUND:
-            continue
-
-        def check(entry=entry):
-            ctx = ctx_for(entry)
-            total = 0
-            for idx in range(len(ctx.proper_normals())):
-                n, fail = _check_lemma2_for_normal(ctx, idx, True, None, 0)
-                total += n
-                if fail:
-                    return False, fail
-            n, fail = _check_lemma2_iii(ctx.g, True, None, 0)
-            total += n
-            if fail:
-                return False, fail
-            return True, f"{total} tuples"
-        suite.timed(f"lemma2_exhaustive/{entry.name}", check)
-
-    # Lemma 2: seeded sampling across the whole desk-scale corpus
-    eligible = [entry for entry in corpus
-                if entry.group().order() <= SAMPLED_ORDER_BOUND]
-    sampled = 0
-    failures = []
-    t0 = time.perf_counter()
-    while sampled < min_tuples and eligible:
-        for entry in eligible:
-            ctx = ctx_for(entry)
-            normals = ctx.proper_normals()
-            if normals:
-                idx = rng.randrange(len(normals))
-                n, fail = _check_lemma2_for_normal(ctx, idx, False, rng, 4)
-                sampled += n
-                if fail:
-                    failures.append(f"{entry.name}: {fail}")
-            n, fail = _check_lemma2_iii(ctx.g, False, rng, 4)
-            sampled += n
-            if fail:
-                failures.append(f"{entry.name}: {fail}")
-        if failures:
-            break
-    suite.record("lemma2_sampled", not failures,
-                 failures[0] if failures else f"{sampled} sampled tuples, seed {seed}",
-                 time.perf_counter() - t0)
-    suite.record("lemma2_sampled_budget", sampled >= min_tuples,
-                 f"{sampled} >= {min_tuples}")
-    return suite.report
+    return _check_entries(corpus, [_Lemmas(seed, min_tuples, len(corpus))])[0]
 
 
 # -- Schur cover ---------------------------------------------------------------
 
 
+class _SchurCover(_Suite):
+    name, kinds = "schur_cover", ("cover_class_sizes",)
+
+
 def run_schur_cover_check(path=None) -> SuiteReport:
     """Data-driven check of the order-2160 cover of PSL(2, 9): the file is
     externally sourced, and the check is SKIPPED when it is absent."""
-    suite = _Suite("schur_cover")
+    suite = _SchurCover()
     if path is None:
         path = default_schur_cover_path()
     if path is None or not Path(path).exists():
-        suite.skip("cover_class_sizes", "no generator file supplied")
-        return suite.report
+        suite.record("cover_class_sizes", None, "no generator file supplied")
+        return suite.finish()
 
     def check():
         try:
@@ -709,7 +715,7 @@ def run_schur_cover_check(path=None) -> SuiteReport:
             return False, "cover group is not SP"
         return True, f"order {order}, N = {expected}, SP"
     suite.timed("cover_class_sizes", check)
-    return suite.report
+    return suite.finish()
 
 
 # -- driver --------------------------------------------------------------------
@@ -718,18 +724,11 @@ def run_schur_cover_check(path=None) -> SuiteReport:
 def run_all(corpus: list[CorpusEntry] | None = None, schur_path=None,
             seed: int = DEFAULT_SEED,
             min_tuples: int = DEFAULT_MIN_TUPLES) -> list[SuiteReport]:
+    """The four corpus suites, run entry by entry, then the Schur cover."""
     if corpus is None:
         corpus = default_corpus()
-    reports = [
-        run_theorem1_suite(corpus),
-        run_theorem2_suite(corpus),
-        run_corollary_suite(corpus),
-        run_lemma_invariants(corpus, seed=seed, min_tuples=min_tuples),
-    ]
-    # The quotient and subgroup groups the suites drop reference themselves
-    # through their cached subgroups, so only the cycle collector frees them,
-    # at a point that depends on the seeded sampling.  Free them before the
-    # cover, the largest group built here, so that it reuses their memory.
-    gc.collect()
-    reports.append(run_schur_cover_check(schur_path))
-    return reports
+    # The cover is the largest group built here.  Checked first, its memory
+    # is reused by the entries; checked last, it would add to their heap.
+    cover = run_schur_cover_check(schur_path)
+    return _check_entries(corpus, [_Theorem1(), _Theorem2(), _Corollaries(),
+                                   _Lemmas(seed, min_tuples, len(corpus))]) + [cover]

@@ -36,12 +36,11 @@ def criterion(num, desc):
 
 
 @criterion(1, "N(SL2(q)) formula for q in {5,7,9,11,13}")
-def test_criterion_01_sl2_formula(corpus_by_name):
+def test_criterion_01_sl2_formula(group_of):
     t0 = time.time()
     for q in (5, 7, 9, 11, 13):
         tq = time.time()
-        entry = corpus_by_name[f"sl2_{q}"]
-        enumerated = frozenset(cj.n_set(entry.group()))
+        enumerated = frozenset(cj.n_set(group_of(f"sl2_{q}")))
         expected = verify.expected_N_linear("sl2", q)
         assert expected.provenance == "formula"
         assert enumerated == expected.values, (q, sorted(enumerated))
@@ -51,27 +50,25 @@ def test_criterion_01_sl2_formula(corpus_by_name):
 
 
 @criterion(2, "N(GL2(q)) formula for q in {4,5,7,8,9}")
-def test_criterion_02_gl2_formula(corpus_by_name):
+def test_criterion_02_gl2_formula(group_of):
     t0 = time.time()
     for q in (4, 5, 7, 8, 9):
         tq = time.time()
-        entry = corpus_by_name[f"gl2_{q}"]
-        enumerated = frozenset(cj.n_set(entry.group()))
+        enumerated = frozenset(cj.n_set(group_of(f"gl2_{q}")))
         expected = verify.expected_N_linear("gl2", q)
         assert enumerated == expected.values, (q, sorted(enumerated))
         if q == 9:
-            assert entry.group().order() == 5760
+            assert group_of("gl2_9").order() == 5760
             assert time.time() - tq < 30, "GL2(9) exceeded 30 s"
     return (f"N(GL2(q)) = (q(q-1), q^2-1, q(q+1)) exactly for q in 4..9 "
             f"({time.time() - t0:.1f}s)")
 
 
 @criterion(3, "GL2(3) negative witness")
-def test_criterion_03_gl23_negative_witness(corpus_by_name):
-    entry = corpus_by_name["gl2_3"]
-    nset = set(cj.n_set(entry.group()))
+def test_criterion_03_gl23_negative_witness(group_of, predicates_of):
+    nset = set(cj.n_set(group_of("gl2_3")))
     assert 6 in nset and 12 in nset
-    rep = entry.predicates()
+    rep = predicates_of("gl2_3")
     assert rep.ch is True
     assert rep.sp is False
     assert rep.sp_witness == (6, 12)
@@ -79,22 +76,21 @@ def test_criterion_03_gl23_negative_witness(corpus_by_name):
 
 
 @criterion(4, "order-81 CA-not-SP witness")
-def test_criterion_04_remark_witness(corpus_by_name):
-    entry = corpus_by_name["remark_3"]
-    g = entry.group()
+def test_criterion_04_remark_witness(group_of, predicates_of):
+    g = group_of("remark_3")
     assert g.order() == 81
     assert cj.n_set(g) == (3, 9)
-    rep = entry.predicates()
+    rep = predicates_of("remark_3")
     assert rep.ca is True and rep.sp is False
     assert rep.ch is True  # CA inside CH: so SP is strictly inside CH
     return "order-81 witness: N = {3, 9}, CA holds, SP fails"
 
 
 @criterion(5, "SP => CH and CA => CH => F over the corpus")
-def test_criterion_05_theorem1_corpus(corpus):
+def test_criterion_05_theorem1_corpus(corpus, predicates_of):
     assert len(corpus) >= 40
     for entry in corpus:
-        rep = entry.predicates()
+        rep = predicates_of(entry.name)
         assert not (rep.sp and not rep.ch), entry.name
         assert not (rep.ca and not rep.ch), entry.name
         assert not (rep.ch and rep.f is not True), entry.name
@@ -102,11 +98,11 @@ def test_criterion_05_theorem1_corpus(corpus):
 
 
 @criterion(6, "classification round-trip on constructed type instances")
-def test_criterion_06_theorem2_roundtrip(corpus):
+def test_criterion_06_theorem2_roundtrip(corpus, predicates_of, classification_of):
     constructed = 0
     for entry in corpus:
-        cls = entry.classification()
-        rep = entry.predicates()
+        cls = classification_of(entry.name)
+        rep = predicates_of(entry.name)
         if entry.expected_verdict in {"TypeI", "TypeII", "TypeIII", "TypeIV"}:
             assert rep.sp, entry.name
             assert cls.verdict.value == entry.expected_verdict, \
@@ -128,12 +124,12 @@ def test_criterion_06_theorem2_roundtrip(corpus):
 
 
 @criterion(7, "corollaries 1 and 2 over the corpus")
-def test_criterion_07_corollaries(corpus):
+def test_criterion_07_corollaries(corpus, group_of, predicates_of):
     rank2 = 0
     for entry in corpus:
-        rep = entry.predicates()
+        rep = predicates_of(entry.name)
         if rep.sp and rep.rank == 2:
-            assert cj.check_corollary1(entry.group()), entry.name
+            assert cj.check_corollary1(group_of(entry.name)), entry.name
             rank2 += 1
         if rep.sp:
             assert rep.rank <= 3, entry.name

@@ -15,9 +15,9 @@ from conjlab import specio
 DIGESTS = Path(__file__).parent / "data" / "analysis_digests.json"
 
 
-def test_analysis_digests_unchanged(corpus):
+def test_analysis_digests_unchanged(corpus, group_of):
     expected = json.loads(DIGESTS.read_text())
     actual = {entry.name: hashlib.sha256(specio.stable_report_json(
-        specio.analysis_report(entry.group()))).hexdigest() for entry in corpus}
+        specio.analysis_report(group_of(entry.name)))).hexdigest() for entry in corpus}
     assert sorted(actual) == sorted(expected)
     assert [name for name in expected if actual[name] != expected[name]] == []

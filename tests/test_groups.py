@@ -71,8 +71,8 @@ def _assert_closure_matches_oracle(g, sub):
 
 
 @pytest.mark.parametrize("name", ["sym_4", "agl1_9", "gl2_3", "type3_3_2", "sl2_5"])
-def test_subgroup_closures_match_oracle(corpus_by_name, name):
-    g = corpus_by_name[name].group()
+def test_subgroup_closures_match_oracle(group_of, name):
+    g = group_of(name)
     elems = g.elements()
     picks = [elems[7], elems[-3], elems[len(elems) // 2]]
     sub = g.subgroup_from_elements(picks)
@@ -186,14 +186,14 @@ def test_derived_subgroup_examples():
     assert len(sl.derived_subgroup()) == 120  # perfect
 
 
-def test_derived_subgroup_matches_oracle(corpus):
+def test_derived_subgroup_matches_oracle(corpus, group_of):
     """G' of every corpus group and of the bundled cover against the oracle
     closure of the commutators [x, s] = (s^-1)^x s, x in G and s a generator.
     They generate the same subgroup as all commutators: by
     [xy, s] = [x, s]^y [y, s] their closure K is normal, and modulo K every
     generator is central.  The conjugates of s^-1 are its orbit under the
     generators."""
-    groups = [entry.group() for entry in corpus]
+    groups = [group_of(entry.name) for entry in corpus]
     groups.append(specio.load_group_spec(verify.default_schur_cover_path()))
     perfect = 0
     for g in groups:
@@ -250,17 +250,16 @@ def test_permutation_kernel_matches_naive_composition(degree):
     assert cj.to_permutation(cj.cyclic_group(1)).order() == 1
 
 
-def _lattice_cases(corpus):
+def _lattice_cases(corpus, group_of):
     for entry in corpus:
-        yield entry.name, entry.group()
-    by_name = {entry.name: entry for entry in corpus}
+        yield entry.name, group_of(entry.name)
     for name in ("agl1_9", "sl2_9"):
-        g = by_name[name].group()
+        g = group_of(name)
         yield f"{name}/Z", g.quotient(g.center())
 
 
-def test_normal_subgroups_match_oracle(corpus):
-    for name, g in _lattice_cases(corpus):
+def test_normal_subgroups_match_oracle(corpus, group_of):
+    for name, g in _lattice_cases(corpus, group_of):
         fast, slow = g.normal_subgroups(), naive_normal_subgroups(g)
         assert [(s.members, s.gens) for s in fast] == \
             [(s.members, s.gens) for s in slow], name
@@ -319,12 +318,12 @@ def test_normal_sylow_examples():
         c6.normal_sylow(5)
 
 
-def test_normal_sylow_by_count_matches_oracle(corpus):
+def test_normal_sylow_by_count_matches_oracle(corpus, group_of):
     """normal_sylow(p) is None exactly when the oracle closure of the
     p-elements is larger than that set, for every corpus group and every
     prime p dividing |G|."""
     for entry in corpus:
-        g = entry.group()
+        g = group_of(entry.name)
         orders = {x: naive_element_order(g, x) for x in g.elements()}
         for p, _ in factor(g.order()):
             pelems = {x for x in g.elements() if is_power_of(orders[x], p)}

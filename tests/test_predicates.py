@@ -1,6 +1,7 @@
 import pytest
 
 import conjlab as cj
+from conjlab import predicates
 from conjlab.errors import CapExceeded
 from conjlab.predicates import evaluate, is_ca, is_ch, is_f, is_sp, rank
 
@@ -145,6 +146,7 @@ def test_witnesses_deterministic():
     assert a == b
 
 
-def test_skip_f_over_cap_reports_none():
-    r = evaluate(cj.symmetric_group(4), f_cap=10, skip_f_over_cap=True)
+def test_skip_f_over_cap_reports_none(monkeypatch):
+    monkeypatch.setattr(predicates, "F_SCAN_CAP", 10)
+    r = evaluate(cj.symmetric_group(4), skip_f_over_cap=True)
     assert r.f is None and r.f_witness is None

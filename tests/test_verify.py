@@ -1,14 +1,22 @@
 import dataclasses
+import gc
+import hashlib
 import io
 import json
 import pickle
+import re
+import weakref
+from pathlib import Path
 
 import pytest
 
 import conjlab as cj
 from conjlab import verify
 from conjlab.cli import run_command
+from conjlab.groups import FiniteGroup
 from conjlab.specio import write_group_spec
+
+REPORT_DIGEST = Path(__file__).parent / "data" / "verify_report.sha256"
 
 
 def test_expected_N_linear_formula_values():
@@ -36,43 +44,46 @@ def test_expected_N_linear_domain_errors():
         verify.expected_N_linear("psl2", 5)
 
 
-def test_default_corpus_is_desk_scale(corpus):
+def test_default_corpus_is_desk_scale(corpus, group_of):
     assert len(corpus) >= 40
     names = {e.name for e in corpus}
     assert {"remark_3", "gl2_3", "sl2_9", "type3_7_3", "agl1_8"} <= names
     for entry in corpus:
-        assert entry.group().order() <= 10_000
+        assert group_of(entry.name).order() <= 10_000
 
 
-def test_theorem1_suite_green(corpus):
-    report = verify.run_theorem1_suite(corpus)
+def test_theorem1_suite_green(verify_reports):
+    report = verify_reports["theorem1"]
     assert report.ok, [c.detail for c in report.failures]
     names = {c.name for c in report.checks}
     assert "strictness_remark_3" in names
 
 
-def test_theorem2_suite_green(corpus):
-    report = verify.run_theorem2_suite(corpus)
+def test_theorem2_suite_green(verify_reports):
+    report = verify_reports["theorem2"]
     assert report.ok, [f"{c.name}: {c.detail}" for c in report.failures]
 
 
-def test_corollary_suite_green(corpus):
-    report = verify.run_corollary_suite(corpus)
+def test_corollary_suite_green(verify_reports):
+    report = verify_reports["corollaries"]
     assert report.ok, [f"{c.name}: {c.detail}" for c in report.failures]
 
 
-def test_lemma_suite_green(corpus):
-    report = verify.run_lemma_invariants(corpus)
+def test_lemma_suite_green(verify_reports):
+    report = verify_reports["lemmas"]
     assert report.ok, [f"{c.name}: {c.detail}" for c in report.failures]
     budget = next(c for c in report.checks if c.name == "lemma2_sampled_budget")
     assert budget.status == "pass"
 
 
-def test_suite_reports_deterministic(corpus):
-    a = verify.run_lemma_invariants(corpus, seed=7, min_tuples=500)
-    b = verify.run_lemma_invariants(corpus, seed=7, min_tuples=500)
-    assert [(c.name, c.status, c.detail) for c in a.checks] == \
-           [(c.name, c.status, c.detail) for c in b.checks]
+def _outcomes(report):
+    return [(c.name, c.status, c.detail) for c in report.checks]
+
+
+def test_suite_reports_deterministic(corpus, verify_reports):
+    # a second run, through the lemma suite alone, samples the same tuples
+    again = verify.run_lemma_invariants(corpus, min_tuples=500)
+    assert _outcomes(again) == _outcomes(verify_reports["lemmas"])
 
 
 def test_schur_cover_skip_when_absent(tmp_path):
@@ -139,10 +150,13 @@ def test_corpus_dir_recipes_without_spec_files(tmp_path):
     entries = verify.load_corpus_dir(tmp_path)
     assert [e.name for e in entries] == ["mini_agl15_x_c3", "mini_d5", "mini_d5_spec"]
     assert (entries[1].family, entries[1].params) == ("dihedral", (5,))
-    assert verify.run_theorem1_suite(entries).ok
-    assert verify.run_theorem2_suite(entries).ok
-    assert verify.run_corollary_suite(entries).ok
-    assert verify.run_lemma_invariants(entries, min_tuples=50).ok
+    suites = [verify.run_theorem1_suite(entries), verify.run_theorem2_suite(entries),
+              verify.run_corollary_suite(entries),
+              verify.run_lemma_invariants(entries, min_tuples=50)]
+    assert all(report.ok for report in suites)
+    # run_all checks entry by entry and reports what the suites report alone
+    together = verify.run_all(entries, schur_path=tmp_path / "none.json", min_tuples=50)
+    assert list(map(_outcomes, together[:4])) == list(map(_outcomes, suites))
 
 
 HOSTILE_EXPECTATIONS = {
@@ -240,9 +254,65 @@ def test_cli_verify_exit_codes(tmp_path):
     assert "FAIL" in out.getvalue()
 
 
-def test_run_all_default_corpus(corpus):
-    reports = verify.run_all(corpus=corpus, schur_path=None, min_tuples=500)
+def test_run_all_default_corpus(verify_reports):
+    reports = list(verify_reports.values())
     assert all(r.ok for r in reports), [
         (r.name, [c.detail for c in r.failures]) for r in reports]
     lines = [line for r in reports for line in r.lines()]
     assert any("schur" in line for line in lines)
+    # the report line for line, timings stripped
+    text = "\n".join(re.sub(r" \(\d+ ms\)$", "", line) for line in lines)
+    assert hashlib.sha256(text.encode()).hexdigest() == REPORT_DIGEST.read_text().strip()
+
+
+def _verify_dir(tmp_path, expectations: dict) -> tuple[int, str]:
+    (tmp_path / "expectations.json").write_text(json.dumps(expectations))
+    out = io.StringIO()
+    code = run_command(["verify", "--corpus", str(tmp_path), "--min-tuples", "50",
+                        "--schur-cover", str(tmp_path / "none.json")],
+                       out=out, err=io.StringIO())
+    return code, out.getvalue()
+
+
+D5 = {"group": {"family": "dihedral", "params": [5]}, "order": 10, "N": [2, 5],
+      "verdict": "TypeII", "provenance": "derived"}
+
+
+def test_unbuildable_entry_fails_its_checks_only(tmp_path):
+    code, out = _verify_dir(tmp_path, {"big": {"group": {"family": "sym", "params": [9]}},
+                                       "d5": D5})
+    assert code == 2 and "total: " in out
+    big = [line for line in out.splitlines() if re.search(r"/big\b", line)]
+    d5 = [line for line in out.splitlines() if re.search(r"/d5\b", line)]
+    assert {line.split("/")[0] for line in big} == \
+        {"[FAIL] theorem1", "[FAIL] theorem2", "[FAIL] corollaries", "[FAIL] lemmas"}
+    assert all("CapExceeded" in line for line in big)
+    assert len(d5) == len(big) and all(line.startswith("[PASS]") for line in d5)
+    assert "[PASS] lemmas/lemma2_sampled_budget -- " in out
+
+
+def test_sampling_budget_met_when_the_last_entry_is_over_the_bound(tmp_path):
+    code, out = _verify_dir(tmp_path, {
+        "d5": D5, "zz_big": {"group": {"family": "elem_abelian", "params": [2, 12]},
+                             "order": 4096, "verdict": "Abelian"}})
+    assert code == 0, out
+    assert "[PASS] lemmas/lemma2_sampled_budget -- " in out
+
+
+def test_run_all_leaves_no_group_alive(monkeypatch):
+    built = []
+    init = FiniteGroup.__init__
+
+    def tracked_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(weakref.ref(self))
+    monkeypatch.setattr(FiniteGroup, "__init__", tracked_init)
+    # lemma 3 and 9 quotients, lemma 1 on a product, Lemma-2 quotients and
+    # subgroups, and the Schur cover
+    names = {"heisenberg_3", "agl1_5", "type3_3_2", "prod_agl14_c3", "sl2_5"}
+    corpus = [entry for entry in verify.default_corpus() if entry.name in names]
+    reports = verify.run_all(corpus, min_tuples=200)
+    assert all(r.ok for r in reports)
+    gc.collect()
+    assert len(built) > len(corpus)
+    assert [ref() for ref in built if ref() is not None] == []
