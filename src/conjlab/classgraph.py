@@ -9,7 +9,6 @@ independently and cross-checked on every call.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .errors import CapExceeded, InternalCheckError
@@ -22,11 +21,10 @@ MAX_GAMMA_MEMBERS = 1000
 
 @dataclass(frozen=True)
 class ClassSizeSet:
-    """Sorted class-size multiset, the set N (sizes > 1), and |G|."""
+    """Sorted class-size multiset and the set N (sizes > 1)."""
 
     sizes: tuple[int, ...]
     N: tuple[int, ...]
-    group_order: int
 
 
 @dataclass(frozen=True)
@@ -41,7 +39,7 @@ def class_size_set(g: FiniteGroup) -> ClassSizeSet:
     total = sum(sizes)
     if total != g.order():
         raise InternalCheckError(f"class sizes sum to {total}, order is {g.order()}")
-    return ClassSizeSet(sizes=sizes, N=n, group_order=g.order())
+    return ClassSizeSet(sizes=sizes, N=n)
 
 
 def n_set(g: FiniteGroup) -> tuple[int, ...]:
@@ -87,16 +85,10 @@ def is_primitive(theta) -> bool:
     return direct
 
 
-def export(graph: CoverDigraph, format: str) -> bytes:
-    """Byte-stable DOT or JSON rendering."""
-    if format == "dot":
-        lines = ["digraph Gamma {"]
-        lines += [f"  {v};" for v in graph.vertices]
-        lines += [f"  {a} -> {b};" for a, b in graph.edges]
-        lines.append("}")
-        return ("\n".join(lines) + "\n").encode("utf-8")
-    if format == "json":
-        payload = {"vertices": list(graph.vertices),
-                   "edges": [list(e) for e in graph.edges]}
-        return json.dumps(payload, sort_keys=True).encode("utf-8")
-    raise ValueError(f"unknown export format {format!r}")
+def export(graph: CoverDigraph) -> bytes:
+    """Byte-stable DOT rendering."""
+    lines = ["digraph Gamma {"]
+    lines += [f"  {v};" for v in graph.vertices]
+    lines += [f"  {a} -> {b};" for a, b in graph.edges]
+    lines.append("}")
+    return ("\n".join(lines) + "\n").encode("utf-8")

@@ -211,8 +211,12 @@ def _try_type_i(g: FiniteGroup) -> dict | None:
 
 
 def _preimage(g: FiniteGroup, quotient: FiniteGroup, sub: Subgroup) -> Subgroup:
-    """Preimage in G of a subgroup of G/Z; G/Z is G itself when Z = 1."""
-    return sub if quotient is g else quotient.preimage(sub)
+    """Preimage in G of a subgroup of G/Z, read off the coset map; G/Z is G
+    itself when Z = 1."""
+    if quotient is g:
+        return sub
+    project = quotient.rep.coset_rep
+    return g.subgroup_from_elements([x for x in g.elements() if project[x] in sub.members])
 
 
 def _central_quotient(g: FiniteGroup, center: Subgroup) -> FiniteGroup:
@@ -220,12 +224,8 @@ def _central_quotient(g: FiniteGroup, center: Subgroup) -> FiniteGroup:
     return g if len(center) == 1 else g.quotient(center)
 
 
-def _try_type_ii(g: FiniteGroup, frob: FrobeniusStructure | None,
-                 quotient: FiniteGroup | None) -> dict | None:
-    if frob is None or frob.complement is None:
-        return None
-    kernel_pre = _preimage(g, quotient, frob.kernel)
-    comp_pre = _preimage(g, quotient, frob.complement)
+def _try_type_ii(frob: FrobeniusStructure, kernel_pre: Subgroup,
+                 comp_pre: Subgroup) -> dict | None:
     if not (kernel_pre.is_abelian() and comp_pre.is_abelian()):
         return None
     return {
@@ -236,14 +236,10 @@ def _try_type_ii(g: FiniteGroup, frob: FrobeniusStructure | None,
     }
 
 
-def _try_type_iii(g: FiniteGroup, frob: FrobeniusStructure | None,
-                  quotient: FiniteGroup | None, center: Subgroup) -> dict | None:
-    if frob is None or frob.complement is None:
-        return None
-    comp_pre = _preimage(g, quotient, frob.complement)
+def _try_type_iii(g: FiniteGroup, frob: FrobeniusStructure, kernel_pre: Subgroup,
+                  comp_pre: Subgroup, center: Subgroup) -> dict | None:
     if not comp_pre.is_abelian():
         return None
-    kernel_pre = _preimage(g, quotient, frob.kernel)
     mul = g.rep.mul
     for p, _ in factor(len(frob.kernel)):
         sylow = g.normal_sylow(p) if g.order() % p == 0 else None
@@ -321,13 +317,17 @@ def classify(g: FiniteGroup) -> SPClassification:
         return SPClassification(verdict=Verdict.NOT_SP, witness=witness)
     center = g.center()
     quotient = _central_quotient(g, center)
-    frob = None
+    frob = preimages = None
     if not quotient.is_abelian():
         frob = find_frobenius_structure(quotient)
+    if frob is not None and frob.complement is not None:
+        # the kernel and complement preimages in G, for Types II and III
+        preimages = (_preimage(g, quotient, frob.kernel),
+                     _preimage(g, quotient, frob.complement))
     attempts = (
         (Verdict.TYPE_I, lambda: _try_type_i(g)),
-        (Verdict.TYPE_II, lambda: _try_type_ii(g, frob, quotient)),
-        (Verdict.TYPE_III, lambda: _try_type_iii(g, frob, quotient, center)),
+        (Verdict.TYPE_II, lambda: preimages and _try_type_ii(frob, *preimages)),
+        (Verdict.TYPE_III, lambda: preimages and _try_type_iii(g, frob, *preimages, center)),
         (Verdict.TYPE_IV, lambda: _try_linear(g, quotient, _sl2_derived)),
         (Verdict.TYPE_V, lambda: _try_linear(g, quotient, _cover_derived)),
     )

@@ -96,7 +96,7 @@ def _cmd_analyze(args, out) -> int:
             tuple(report["gamma"]["vertices"]),
             tuple(tuple(e) for e in report["gamma"]["edges"]))
         with open(args.dot_path, "wb") as fh:
-            fh.write(classgraph.export(gamma, "dot"))
+            fh.write(classgraph.export(gamma))
     return EXIT_OK
 
 
@@ -121,11 +121,7 @@ def _print_report(report: dict, out) -> None:
 
 
 def _cmd_construct(args, out) -> int:
-    try:
-        group = families.build_family(args.family, *args.params,
-                                      max_order=_max_order(args))
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
+    group = families.build_family(args.family, *args.params, max_order=_max_order(args))
     specio.write_group_spec(group, args.output)
     print(f"wrote {args.family}{tuple(args.params)} "
           f"(order {group.order()}) to {args.output}", file=out)
@@ -139,11 +135,8 @@ def _cmd_gamma(args, out) -> int:
         raise _UsageError(f"bad member list {args.members!r}") from exc
     if not members:
         raise _UsageError("need at least one integer")
-    try:
-        graph = classgraph.build_gamma(members)
-        primitive = classgraph.is_primitive(members)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
+    graph = classgraph.build_gamma(members)
+    primitive = classgraph.is_primitive(members)
     print(f"vertices: {list(graph.vertices)}", file=out)
     if graph.edges:
         for a, b in graph.edges:
@@ -153,7 +146,7 @@ def _cmd_gamma(args, out) -> int:
     print(f"primitive: {str(primitive).lower()}", file=out)
     if args.dot_path:
         with open(args.dot_path, "wb") as fh:
-            fh.write(classgraph.export(graph, "dot"))
+            fh.write(classgraph.export(graph))
     return EXIT_OK
 
 
@@ -189,10 +182,7 @@ def run_command(argv, out=None, err=None) -> int:
         if args.command == "verify":
             return _cmd_verify(args, out)
         raise _UsageError(f"unknown command {args.command!r}")
-    except _UsageError as exc:
-        print(f"error: {exc}", file=err)
-        return EXIT_INVALID
-    except (SpecFileError, OSError, ValueError) as exc:
+    except (_UsageError, SpecFileError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=err)
         return EXIT_INVALID
     except CapExceeded as exc:

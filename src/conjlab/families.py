@@ -20,9 +20,13 @@ from __future__ import annotations
 from math import factorial
 
 from .errors import CapExceeded, ConstructionError
-from .gf import DEFAULT_FIELD_CAP, Field, make_field
+from .gf import FIELD_CAP, Field, make_field
 from .groups import DEFAULT_MAX_ORDER, FiniteGroup, MatrixRep, PermutationRep
 from .intmath import is_prime, prime_power
+
+# to_permutation refuses a group larger than this: its regular
+# representation has one point per element.
+REGULAR_REP_CAP = 5000
 
 
 def _checked(group: FiniteGroup, expected: int) -> FiniteGroup:
@@ -35,8 +39,8 @@ def _checked(group: FiniteGroup, expected: int) -> FiniteGroup:
 
 def _check_field_cap(q: int) -> None:
     """Refuse a field size above the field cap before any trial division."""
-    if q > DEFAULT_FIELD_CAP:
-        raise CapExceeded(f"field size {q}", DEFAULT_FIELD_CAP)
+    if q > FIELD_CAP:
+        raise CapExceeded(f"field size {q}", FIELD_CAP)
 
 
 def _as_field(q) -> Field:
@@ -304,11 +308,11 @@ def direct_product(a: FiniteGroup, b: FiniteGroup,
     return _checked(g, n)
 
 
-def to_permutation(g: FiniteGroup, cap: int = 5000) -> FiniteGroup:
+def to_permutation(g: FiniteGroup) -> FiniteGroup:
     """Regular permutation representation on the enumerated element list."""
     n = g.order()
-    if n > cap:
-        raise CapExceeded(f"regular representation of order {n}", cap)
+    if n > REGULAR_REP_CAP:
+        raise CapExceeded(f"regular representation of order {n}", REGULAR_REP_CAP)
     elements = g.elements()
     index = {e: i for i, e in enumerate(elements)}
     mul = g.rep.mul

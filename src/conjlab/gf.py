@@ -7,7 +7,7 @@ prime fields behave exactly like residues mod p.  The integer encoding
 is what the group engine stores inside matrix encodings, which keeps
 equality and hashing cheap; :meth:`Field.coeffs` recovers the vector.
 
-Fields here are deliberately tiny (q <= 256 by default): addition and
+Fields here are deliberately tiny (q <= FIELD_CAP = 256): addition and
 multiplication are table-driven, and the canonical modulus is found by
 exhaustive search over monic polynomials.
 """
@@ -20,7 +20,7 @@ from functools import cached_property
 from .errors import CapExceeded
 from .intmath import is_prime
 
-DEFAULT_FIELD_CAP = 256
+FIELD_CAP = 256
 
 
 def _poly_trim(c: list[int]) -> list[int]:
@@ -82,19 +82,18 @@ def smallest_irreducible(p: int, n: int) -> tuple[int, ...]:
 class Field:
     """GF(p^n) with table-driven arithmetic on integer element codes."""
 
-    def __init__(self, p: int, n: int, modulus: tuple[int, ...] | None = None,
-                 cap: int = DEFAULT_FIELD_CAP):
-        # bound p and n (2^n > cap iff n >= cap.bit_length()) before the
-        # primality test and before p^n is formed
-        if p > cap or n >= cap.bit_length():
-            raise CapExceeded(f"field size {p}^{n}", cap)
+    def __init__(self, p: int, n: int, modulus: tuple[int, ...] | None = None):
+        # bound p and n (2^n > FIELD_CAP iff n >= FIELD_CAP.bit_length())
+        # before the primality test and before p^n is formed
+        if p > FIELD_CAP or n >= FIELD_CAP.bit_length():
+            raise CapExceeded(f"field size {p}^{n}", FIELD_CAP)
         if not is_prime(p):
             raise ValueError(f"p = {p} is not prime")
         if n < 1:
             raise ValueError(f"extension degree must be >= 1, got {n}")
         q = p ** n
-        if q > cap:
-            raise CapExceeded(f"field size {p}^{n} = {q}", cap)
+        if q > FIELD_CAP:
+            raise CapExceeded(f"field size {p}^{n} = {q}", FIELD_CAP)
         if modulus is None:
             modulus = smallest_irreducible(p, n)
         else:
@@ -127,9 +126,6 @@ class Field:
                 raise ValueError(f"coefficient {c} not reduced mod {self.p}")
             code = code * self.p + c
         return code
-
-    def elements(self) -> range:
-        return range(self.q)
 
     # -- tables ------------------------------------------------------------
 
@@ -244,6 +240,6 @@ class Field:
         return f"Field(p={self.p}, n={self.n}, modulus={self.modulus})"
 
 
-def make_field(p: int, n: int, cap: int = DEFAULT_FIELD_CAP) -> Field:
+def make_field(p: int, n: int) -> Field:
     """GF(p^n) with the canonical (lexicographically smallest) modulus."""
-    return Field(p, n, modulus=None, cap=cap)
+    return Field(p, n)

@@ -6,6 +6,10 @@ image tuple, a d x d matrix over GF(q) is the flat row-major tuple of
 integer field codes (see conjlab.gf), and a coset in a quotient group is
 the encoding of its minimal member in the parent.  Products compose left
 to right: mul(a, b) applies a first, then b, and x ** g means g^-1 * x * g.
+A Subgroup is a value (representation, members, generators), and a
+quotient's representation holds the parent's representation, not the parent
+group: nothing refers back up the group hierarchy, so reference counting
+alone frees a group with everything built from it.
 
 Everything is desk scale by design.  One routine, FiniteGroup._closure,
 grows every element set: it extends a closed subgroup in place by new
@@ -190,31 +194,32 @@ class MatrixRep:
 class QuotientRep:
     """Cosets of a normal subgroup, encoded by their minimal member.
 
-    Multiplication is representative product followed by coset lookup.
+    Multiplication is representative product in the parent's
+    representation followed by coset lookup.
     """
 
     kind = "quotient"
 
-    def __init__(self, parent: "FiniteGroup", coset_rep: dict):
-        self.parent = parent
+    def __init__(self, parent_rep, coset_rep: dict):
+        self.parent_rep = parent_rep
         self.coset_rep = coset_rep
-        self.identity = coset_rep[parent.rep.identity]
+        self.identity = coset_rep[parent_rep.identity]
 
     def mul(self, a, b):
-        return self.coset_rep[self.parent.rep.mul(a, b)]
+        return self.coset_rep[self.parent_rep.mul(a, b)]
 
     def inv(self, a):
-        return self.coset_rep[self.parent.rep.inv(a)]
+        return self.coset_rep[self.parent_rep.inv(a)]
 
     def validate(self, enc) -> None:
         if self.coset_rep.get(enc) != enc:
             raise ValueError(f"{enc} is not a canonical coset representative")
 
     def describe(self, enc):
-        return self.parent.rep.describe(enc)
+        return self.parent_rep.describe(enc)
 
     def __repr__(self):
-        return f"QuotientRep(of {self.parent!r})"
+        return f"QuotientRep(of {self.parent_rep!r})"
 
 
 def _generators_commute(mul, gens) -> bool:
@@ -233,9 +238,10 @@ class ConjugacyClass:
 
 @dataclass(frozen=True)
 class Subgroup:
-    """A subgroup handle: parent group, member set, and a generating subset."""
+    """A subgroup as a value: the representation its members are encoded
+    in, the member set, and a generating subset; no group."""
 
-    group: "FiniteGroup"
+    rep: object
     members: frozenset
     gens: tuple
 
@@ -249,17 +255,18 @@ class Subgroup:
         return sorted(self.members)
 
     def is_abelian(self) -> bool:
-        return _generators_commute(self.group.rep.mul, self.gens)
+        return _generators_commute(self.rep.mul, self.gens)
 
     def as_group(self) -> "FiniteGroup":
-        gens = self.gens if self.gens else (self.group.rep.identity,)
-        sub = FiniteGroup(self.group.rep, gens, max_order=self.group.max_order)
-        sub._elements = self.group._order_like(self.members)
+        """The subgroup as a group, its elements in encoding order; nothing
+        closed inside it can outgrow it, so its order is its cap."""
+        sub = FiniteGroup(self.rep, self.gens, max_order=len(self.members))
+        sub._elements = sorted(self.members)
         sub._index = {e: i for i, e in enumerate(sub._elements)}
         return sub
 
     def __repr__(self):
-        return f"Subgroup(order={len(self.members)} of {self.group!r})"
+        return f"Subgroup(order={len(self.members)} in {self.rep!r})"
 
 
 class FiniteGroup:
@@ -281,6 +288,7 @@ class FiniteGroup:
         self.max_order = max_order
         self._elements: list | None = None
         self._index: dict | None = None
+        self._over_cap = False  # enumeration hit max_order: never retried
         self._classes: list[ConjugacyClass] | None = None
         self._class_of: dict | None = None
         self._transversal: dict | None = None
@@ -320,9 +328,12 @@ class FiniteGroup:
     def elements(self) -> list:
         """Breadth-first closure of the generators, insertion-ordered."""
         if self._elements is None:
+            if self._over_cap:
+                raise CapExceeded("group order", self.max_order)
             try:
                 index = self._closure(self.generators)
             except CapExceeded:
+                self._over_cap = True
                 raise CapExceeded("group order", self.max_order) from None
             self._index = index
             self._elements = list(index)
@@ -472,7 +483,7 @@ class FiniteGroup:
         u = self._transversal[x]
         mul = self.rep.mul
         uinv = self.rep.inv(u)
-        return Subgroup(self, frozenset(mul(mul(uinv, z), u) for z in base.members),
+        return Subgroup(self.rep, frozenset(mul(mul(uinv, z), u) for z in base.members),
                         tuple(mul(mul(uinv, z), u) for z in base.gens))
 
     def _centralizer_of_seed(self, cls_idx: int) -> Subgroup:
@@ -485,7 +496,7 @@ class FiniteGroup:
         rep = self.rep
         mul, inv = rep.mul, rep.inv
         if cls.size == 1:
-            sub = Subgroup(self, frozenset(self.elements()), self.generators)
+            sub = Subgroup(self.rep, frozenset(self.elements()), self.generators)
         else:
             transversal = self._transversal
             tinv = {}
@@ -510,7 +521,7 @@ class FiniteGroup:
             if len(closure) != target:
                 raise InternalCheckError(
                     f"Schreier centralizer has order {len(closure)}, expected {target}")
-            sub = Subgroup(self, frozenset(closure), tuple(found))
+            sub = Subgroup(self.rep, frozenset(closure), tuple(found))
         self._rep_centralizers[cls_idx] = sub
         return sub
 
@@ -534,7 +545,7 @@ class FiniteGroup:
             if x not in closure:
                 gens.append(x)
                 self._closure(gens, closure)
-        return Subgroup(self, frozenset(closure), tuple(gens))
+        return Subgroup(self.rep, frozenset(closure), tuple(gens))
 
     def derived_subgroup(self) -> Subgroup:
         """Normal closure of the generator commutators."""
@@ -566,8 +577,8 @@ class FiniteGroup:
             for g, gi in moves:
                 grow(mul(mul(gi, t), g))
         if len(closure) == n:
-            return Subgroup(self, frozenset(self.elements()), self.generators)
-        return Subgroup(self, frozenset(closure), tuple(basis))
+            return Subgroup(self.rep, frozenset(self.elements()), self.generators)
+        return Subgroup(self.rep, frozenset(closure), tuple(basis))
 
     def normal_subgroups(self) -> list[Subgroup]:
         """All normal subgroups, as join-closed unions of conjugacy classes,
@@ -661,8 +672,8 @@ class FiniteGroup:
 
     def quotient(self, normal: Subgroup) -> "FiniteGroup":
         """G / N with cosets encoded by their minimal member."""
-        if normal.group is not self:
-            raise ValueError("subgroup does not belong to this group")
+        if any(x not in self for x in normal.members):
+            raise ValueError("subgroup has members outside this group")
         if not self.is_normal(normal):
             raise ValueError("subgroup is not normal")
         mul = self.rep.mul
@@ -675,22 +686,13 @@ class FiniteGroup:
             r = min(coset)
             for c in coset:
                 coset_rep[c] = r
-        qrep = QuotientRep(self, coset_rep)
+        qrep = QuotientRep(self.rep, coset_rep)
         gens = tuple(dict.fromkeys(coset_rep[g] for g in self.generators))
         name = f"{self.name}/N{len(normal)}" if self.name else None
         q = FiniteGroup(qrep, gens, name=name, max_order=self.max_order)
         if q.order() * len(normal) != self.order():
             raise InternalCheckError("quotient order times subgroup order != group order")
         return q
-
-    def preimage(self, sub: Subgroup) -> Subgroup:
-        """Preimage in the parent of a subgroup of this quotient group."""
-        if not isinstance(self.rep, QuotientRep):
-            raise ValueError("preimage is only defined for quotient groups")
-        parent = self.rep.parent
-        project = self.rep.coset_rep
-        members = [g for g in parent.elements() if project[g] in sub.members]
-        return parent.subgroup_from_elements(members)
 
     # -- global predicates -------------------------------------------------
 

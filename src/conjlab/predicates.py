@@ -95,14 +95,14 @@ def is_ca(g: FiniteGroup):
     return True, None
 
 
-def is_f(g: FiniteGroup, cap: int = F_SCAN_CAP):
+def is_f(g: FiniteGroup):
     """(flag, witness): containment between noncentral centralizers
     implies equality.  Quadratic scan with a divisibility pre-filter;
     x over class representatives is enough because a violating pair
     conjugates to one whose small side is a representative."""
     n = g.order()
-    if n > cap:
-        raise CapExceeded(f"F-scan on group of order {n}", cap)
+    if n > F_SCAN_CAP:
+        raise CapExceeded(f"F-scan on group of order {n}", F_SCAN_CAP)
     elements = g.elements()
     g.conjugacy_classes()
     class_of = g._class_of
@@ -138,7 +138,7 @@ def evaluate(g: FiniteGroup, skip_f_over_cap: bool = False) -> PredicateReport:
     if skip_f_over_cap and g.order() > F_SCAN_CAP:
         f, f_w = None, None
     else:
-        f, f_w = is_f(g, cap=F_SCAN_CAP)
+        f, f_w = is_f(g)
     return PredicateReport(sp=sp, ch=ch, ca=ca, f=f, rank=rank(g),
                            sp_witness=sp_w, ch_witness=ch_w,
                            ca_witness=ca_w, f_witness=f_w)

@@ -1,4 +1,3 @@
-import json
 import random
 
 import pytest
@@ -16,7 +15,7 @@ def test_class_size_set_examples():
     s4 = class_size_set(cj.symmetric_group(4))
     assert s4.N == (3, 6, 8)
     assert s4.sizes == (1, 3, 6, 6, 8)
-    assert s4.group_order == 24
+    assert sum(s4.sizes) == 24  # the class equation
 
     ab = class_size_set(cj.cyclic_group(6))
     assert ab.N == ()
@@ -48,19 +47,9 @@ def test_is_primitive_examples():
 
 def test_export_dot_exact_bytes():
     g = build_gamma({3, 6, 8})
-    assert export(g, "dot") == b"digraph Gamma {\n  3;\n  6;\n  8;\n  3 -> 6;\n}\n"
+    assert export(g) == b"digraph Gamma {\n  3;\n  6;\n  8;\n  3 -> 6;\n}\n"
     empty = CoverDigraph((), ())
-    assert export(empty, "dot") == b"digraph Gamma {\n}\n"
-
-
-def test_export_json_sorted_and_stable():
-    g = build_gamma({2, 4, 12})
-    payload = export(g, "json")
-    assert payload == export(build_gamma({12, 4, 2}), "json")
-    data = json.loads(payload)
-    assert data == {"vertices": [2, 4, 12], "edges": [[2, 4], [4, 12]]}
-    with pytest.raises(ValueError):
-        export(g, "svg")
+    assert export(empty) == b"digraph Gamma {\n}\n"
 
 
 def test_gamma_of_group():

@@ -173,9 +173,10 @@ def test_to_permutation_preserves_class_multiset():
     assert cj.to_permutation(cj.cyclic_group(1)).rep.degree == 1
 
 
-def test_to_permutation_cap():
+def test_to_permutation_cap(monkeypatch):
+    monkeypatch.setattr(families, "REGULAR_REP_CAP", 500)
     with pytest.raises(CapExceeded):
-        cj.to_permutation(cj.sl2(9), cap=500)
+        cj.to_permutation(cj.sl2(9))
 
 
 def test_constructor_order_assertion_guard():

@@ -25,7 +25,7 @@ def test_gf4_canonical_modulus():
 def test_prime_field_modulus_is_x():
     f = make_field(5, 1)
     assert f.modulus == (0, 1)
-    assert list(f.elements()) == [0, 1, 2, 3, 4]
+    assert f.q == 5
 
 
 def test_gf9_modulus_matches_brute_force_minimum():
@@ -107,7 +107,7 @@ def test_field_axioms(p, n, data):
 
 def test_encode_coeffs_roundtrip():
     f = make_field(3, 2)
-    for code in f.elements():
+    for code in range(f.q):
         assert f.encode(f.coeffs(code)) == code
     with pytest.raises(ValueError):
         f.encode((3, 0))  # unreduced

@@ -297,6 +297,20 @@ def test_quotient_rejects_non_normal():
         g.quotient(sub)
 
 
+def test_quotient_rejects_subgroup_of_another_group():
+    # a subgroup is a value, not a handle on its group: quotient checks that
+    # its members are elements of G
+    s4 = cj.symmetric_group(4)
+    a4 = next(s for s in s4.normal_subgroups() if len(s) == 12)
+    d4 = cj.dihedral_group(4)
+    assert d4.rep.degree == 4
+    with pytest.raises(ValueError, match="members outside this group"):
+        d4.quotient(a4)
+    sl = cj.sl2(5)
+    with pytest.raises(ValueError, match="members outside this group"):
+        s4.quotient(sl.center())
+
+
 def test_quotient_class_sizes_divide_parent(corpus_by_name):
     # Lemma: each quotient class size divides some class size over it
     g = cj.symmetric_group(4)

@@ -107,9 +107,10 @@ def test_is_f_witness_matches_naive_scan(n):
     assert is_f(g) == (False, naive)
 
 
-def test_is_f_cap():
+def test_is_f_cap(monkeypatch):
+    monkeypatch.setattr(predicates, "F_SCAN_CAP", 10)
     with pytest.raises(CapExceeded):
-        is_f(cj.symmetric_group(4), cap=10)
+        is_f(cj.symmetric_group(4))
 
 
 def test_sp_iff_centralizer_order_scan():

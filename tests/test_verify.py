@@ -311,8 +311,35 @@ def test_run_all_leaves_no_group_alive(monkeypatch):
     # subgroups, and the Schur cover
     names = {"heisenberg_3", "agl1_5", "type3_3_2", "prod_agl14_c3", "sl2_5"}
     corpus = [entry for entry in verify.default_corpus() if entry.name in names]
-    reports = verify.run_all(corpus, min_tuples=200)
-    assert all(r.ok for r in reports)
-    gc.collect()
-    assert len(built) > len(corpus)
-    assert [ref() for ref in built if ref() is not None] == []
+    # no object points back up the group hierarchy, so reference counting
+    # alone frees every group: the cycle collector stays off
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        reports = verify.run_all(corpus, min_tuples=200)
+        assert all(r.ok for r in reports)
+        assert len(built) > len(corpus)
+        assert [ref() for ref in built if ref() is not None] == []
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def test_failed_enumeration_is_not_retried(tmp_path, monkeypatch):
+    """A spec entry over the order cap enumerates up to the cap once; its
+    other checks fail at once with the same CapExceeded."""
+    spec = {"name": "s9", "kind": "permutation", "degree": 9,
+            "generators": [[1, 0, 2, 3, 4, 5, 6, 7, 8], [1, 2, 3, 4, 5, 6, 7, 8, 0]]}
+    (tmp_path / "s9.json").write_text(json.dumps(spec))
+    closed = []
+    closure = FiniteGroup._closure
+
+    def counted(self, *args, **kwargs):
+        closed.append(self.name)
+        return closure(self, *args, **kwargs)
+    monkeypatch.setattr(FiniteGroup, "_closure", counted)
+    code, out = _verify_dir(tmp_path, {"s9": {}})
+    s9 = [line for line in out.splitlines() if re.search(r"/s9\b", line)]
+    assert code == 2 and len(s9) == 8
+    assert all(line.startswith("[FAIL]") and "CapExceeded" in line for line in s9)
+    assert closed == ["s9"]
