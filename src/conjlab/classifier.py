@@ -240,18 +240,20 @@ def _try_type_iii(g: FiniteGroup, frob: FrobeniusStructure, kernel_pre: Subgroup
                   comp_pre: Subgroup, center: Subgroup) -> dict | None:
     if not comp_pre.is_abelian():
         return None
-    mul = g.rep.mul
+    kernel = kernel_pre.members
     for p, _ in factor(len(frob.kernel)):
         sylow = g.normal_sylow(p) if g.order() % p == 0 else None
         if sylow is None:
             continue
-        product = {mul(a, b) for a in sylow.members for b in center.members}
-        if product != set(kernel_pre.members):
+        # Z is central: PZ = K_pre iff P, Z <= K_pre and |P||Z| = |K_pre||P & Z|
+        meet = sylow.members & center.members
+        if not (sylow.members <= kernel and center.members <= kernel
+                and len(sylow) * len(center) == len(kernel) * len(meet)):
             continue
         sylow_group = sylow.as_group()
         if len(n_set(sylow_group)) != 1:
             continue
-        if set(sylow_group.center().members) != sylow.members & center.members:
+        if sylow_group.center().members != meet:
             continue
         return {
             "p": p,

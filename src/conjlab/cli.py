@@ -14,12 +14,21 @@ flag wins).
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import os
 import sys
 
-from . import classgraph, families, specio, verify
+from . import classgraph, families, specio
 from .errors import CapExceeded, ConjlabError, SpecFileError
 from .groups import DEFAULT_MAX_ORDER
+
+# conjlab.verify is bound now and run at its first attribute read (importlib's
+# LazyLoader): only the verify command reads it, so no other compiles it
+_spec = importlib.util.find_spec(f"{__package__}.verify")
+_spec.loader = importlib.util.LazyLoader(_spec.loader)
+verify = sys.modules[_spec.name] = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(verify)
+setattr(sys.modules[__package__], "verify", verify)
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -64,8 +73,8 @@ def _build_parser() -> _Parser:
                         "it names (default: the bundled corpus)")
     p.add_argument("--schur-cover", dest="schur_cover", default=None,
                    help="generator file for the order-2160 cover of PSL(2, 9)")
-    p.add_argument("--seed", type=int, default=verify.DEFAULT_SEED)
-    p.add_argument("--min-tuples", type=int, default=verify.DEFAULT_MIN_TUPLES)
+    p.add_argument("--seed", type=int, default=None)  # verify.DEFAULT_SEED
+    p.add_argument("--min-tuples", type=int, default=None)  # verify.DEFAULT_MIN_TUPLES
     return parser
 
 
@@ -155,8 +164,10 @@ def _cmd_verify(args, out) -> int:
     if args.corpus_dir:
         corpus = verify.load_corpus_dir(args.corpus_dir)
     schur = args.schur_cover or verify.default_schur_cover_path()
-    reports = verify.run_all(corpus=corpus, schur_path=schur, seed=args.seed,
-                             min_tuples=args.min_tuples)
+    seed = verify.DEFAULT_SEED if args.seed is None else args.seed
+    min_tuples = verify.DEFAULT_MIN_TUPLES if args.min_tuples is None else args.min_tuples
+    reports = verify.run_all(corpus=corpus, schur_path=schur, seed=seed,
+                             min_tuples=min_tuples)
     failed = 0
     for report in reports:
         for line in report.lines():

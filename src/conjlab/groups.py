@@ -16,9 +16,15 @@ grows every element set: it extends a closed subgroup in place by new
 generators (Dimino's idea), so the group itself is a breadth-first closure
 of the generators from the identity, and the subgroups built one generator
 at a time (greedy generating sets, Schreier centralizers, the derived
-subgroup) never re-close what they already hold.  Conjugacy classes are
-conjugation orbits, and centralizers of class representatives come from the
-orbit transversal via Schreier generators.
+subgroup) never re-close what they already hold.
+
+Conjugacy classes are conjugation orbits over element positions.  The
+enumeration keeps the position of g * x for each element x and generator g
+(the left table); the classes add one product per element and generator,
+x * g (the right table), so conjugation by g is two integer lookups and the
+transversal is positions too (t_z = t_y * g is a lookup).  The tables are
+dropped once the classes exist.  Each class representative's centralizer
+comes from the transversal via Schreier generators, once per class.
 
 A question is settled by a count over the classes before anything is
 closed, and closed only when the count cannot settle it:
@@ -130,20 +136,31 @@ class MatrixRep:
         return tuple(out)
 
     def inv(self, a):
-        if self.dim == 2:
-            # adjugate over the determinant: det^-1 * (a3, -a1, -a2, a0)
-            f = self.field
-            mul, neg = f._mul, f._neg
+        # the adjugate over the determinant by the field tables up to d = 3
+        f, d = self.field, self.dim
+        mul, add, neg = f._mul, f._add, f._neg
+        if d == 2:
             a0, a1, a2, a3 = a
-            det = f._add[mul[a0][a3]][neg[mul[a1][a2]]]
-            if det == 0:
+            adj = (a3, neg[a1], neg[a2], a0)
+            det = add[mul[a0][a3]][neg[mul[a1][a2]]]
+        elif d == 3:
+            a0, a1, a2, a3, a4, a5, a6, a7, a8 = a
+
+            def minor(p, q, r, s):  # p*q - r*s
+                return add[mul[p][q]][neg[mul[r][s]]]
+
+            adj = (minor(a4, a8, a5, a7), minor(a2, a7, a1, a8), minor(a1, a5, a2, a4),
+                   minor(a5, a6, a3, a8), minor(a0, a8, a2, a6), minor(a2, a3, a0, a5),
+                   minor(a3, a7, a4, a6), minor(a1, a6, a0, a7), minor(a0, a4, a1, a3))
+            det = add[add[mul[a0][adj[0]]][mul[a1][adj[3]]]][mul[a2][adj[6]]]
+        else:
+            inv = self._gauss_invert(a)
+            if inv is None:
                 raise ValueError("matrix is singular")
-            row = mul[f._inv[det]]
-            return (row[a3], row[neg[a1]], row[neg[a2]], row[a0])
-        inv = self._gauss_invert(a)
-        if inv is None:
+            return inv
+        if det == 0:
             raise ValueError("matrix is singular")
-        return inv
+        return tuple(map(mul[f._inv[det]].__getitem__, adj))
 
     def _gauss_invert(self, a):
         """Gauss-Jordan inverse over the field; None when singular."""
@@ -289,9 +306,10 @@ class FiniteGroup:
         self._elements: list | None = None
         self._index: dict | None = None
         self._over_cap = False  # enumeration hit max_order: never retried
+        self._left: list | None = None  # positions of g * x, until the classes exist
         self._classes: list[ConjugacyClass] | None = None
-        self._class_of: dict | None = None
-        self._transversal: dict | None = None
+        self._class_of: list | None = None  # class index by element position
+        self._transversal: list | None = None  # position of t_x by position of x
         self._center: Subgroup | None = None
         self._derived: Subgroup | None = None
         self._normals: list[Subgroup] | None = None
@@ -330,13 +348,15 @@ class FiniteGroup:
         if self._elements is None:
             if self._over_cap:
                 raise CapExceeded("group order", self.max_order)
+            left = []
             try:
-                index = self._closure(self.generators)
+                index = self._closure(self.generators, left=left)
             except CapExceeded:
                 self._over_cap = True
                 raise CapExceeded("group order", self.max_order) from None
             self._index = index
             self._elements = list(index)
+            self._left = left
         return self._elements
 
     def order(self) -> int:
@@ -357,14 +377,15 @@ class FiniteGroup:
             idx = self._index
         return sorted(members, key=idx.__getitem__)
 
-    def _closure(self, gens, members=None) -> dict:
+    def _closure(self, gens, members=None, left=None) -> dict:
         """Grow a closed subgroup in place to the subgroup it generates with
         gens, and return it.
 
         members maps each element to its insertion position (None: the
         trivial subgroup).  They are closed under the generators they hold,
         so they are multiplied only by the others; each new element is
-        multiplied by every generator, breadth first.
+        multiplied by every generator, breadth first.  left (the closure from
+        the identity only) receives the position of each product g * x in turn.
         """
         rep, cap = self.rep, self.max_order
         mul = rep.mul
@@ -380,12 +401,15 @@ class FiniteGroup:
         for i, x in enumerate(queue):
             for g in fresh if i < known else gens:
                 y = mul(g, x)
-                if y not in members:
+                p = members.get(y)
+                if p is None:
                     if n >= cap:
                         raise CapExceeded("subgroup closure size", cap)
-                    members[y] = n
+                    members[y] = p = n
                     n += 1
                     queue.append(y)
+                if left is not None:
+                    left.append(p)
         return members
 
     # -- element facts -----------------------------------------------------
@@ -420,48 +444,53 @@ class FiniteGroup:
         return self._classes
 
     def _compute_classes(self):
-        rep = self.rep
-        mul = rep.mul
+        # Orbits over positions: x ** g = g^-1 * (x * g) is Linv_g[R_g[x]], with
+        # R_g[x] = x * g by one product and Linv_g the inverse of L_g[x] = g * x
+        # (the enumeration's, or by products when the elements were given).
         elements = self.elements()
+        index, mul = self._index, self.rep.mul
+        n = len(elements)
         moves = self._moves()
-        transversal = {}
-        assigned = set()
-        classes = []
-        for x in elements:
-            if x in assigned:
+        left = self._left or [index[mul(g, x)] for x in elements for g, _ in moves]
+        self._left = None
+        steps = []
+        for j, (g, _) in enumerate(moves):
+            linv = [0] * n
+            for i, p in enumerate(left[j::len(moves)]):
+                linv[p] = i
+            steps.append(([index[mul(x, g)] for x in elements], linv))
+        transversal = [0] * n
+        assigned = bytearray(n)
+        found = []
+        for s in range(n):
+            if assigned[s]:
                 continue
-            orbit = [x]
-            transversal[x] = rep.identity
-            assigned.add(x)
-            i = 0
-            while i < len(orbit):
-                y = orbit[i]
-                uy = transversal[y]
-                i += 1
-                for g, gi in moves:
-                    z = mul(mul(gi, y), g)
-                    if z not in assigned:
-                        assigned.add(z)
-                        transversal[z] = mul(uy, g)
+            assigned[s] = 1
+            transversal[s] = index[self.rep.identity]
+            orbit = [s]
+            for y in orbit:
+                ty = transversal[y]
+                for right, linv in steps:
+                    z = linv[right[y]]
+                    if not assigned[z]:
+                        assigned[z] = 1
+                        transversal[z] = right[ty]
                         orbit.append(z)
-            classes.append(ConjugacyClass(
-                representative=min(orbit),
-                size=len(orbit),
-                members=frozenset(orbit),
-                seed=x,
-            ))
-        classes.sort(key=lambda c: (c.size, c.representative))
-        class_of = {}
-        for i, cls in enumerate(classes):
-            for m in cls.members:
-                class_of[m] = i
+            members = [elements[p] for p in orbit]
+            found.append((ConjugacyClass(min(members), len(orbit), frozenset(members),
+                                         seed=elements[s]), orbit))
+        found.sort(key=lambda co: (co[0].size, co[0].representative))
+        class_of = [0] * n
+        for i, (_, orbit) in enumerate(found):
+            for p in orbit:
+                class_of[p] = i
         self._transversal = transversal
         self._class_of = class_of
-        self._classes = classes
+        self._classes = [cls for cls, _ in found]
 
     def class_of(self, enc) -> ConjugacyClass:
         self.conjugacy_classes()
-        return self._classes[self._class_of[enc]]
+        return self._classes[self._class_of[self._index[enc]]]
 
     def class_size(self, enc) -> int:
         return self.class_of(enc).size
@@ -473,57 +502,61 @@ class FiniteGroup:
     # -- centralizers ----------------------------------------------------
 
     def centralizer(self, x) -> Subgroup:
-        """Elements of G commuting with x."""
+        """Elements of G commuting with x, moved from its class representative's."""
         self.conjugacy_classes()
-        cls_idx = self._class_of[x]
-        base = self._centralizer_of_seed(cls_idx)
-        seed = self._classes[cls_idx].seed
-        if x == seed:
+        index, elements, transversal = self._index, self._elements, self._transversal
+        pos = index[x]
+        cls_idx = self._class_of[pos]
+        cls_rep = self._classes[cls_idx].representative
+        t_rep = elements[transversal[index[cls_rep]]]
+        base = self._rep_centralizers.get(cls_idx)
+        if base is None:
+            base = self._transport(self._centralizer_of_seed(cls_idx), t_rep)
+            self._rep_centralizers[cls_idx] = base
+        if x == cls_rep:
             return base
-        u = self._transversal[x]
-        mul = self.rep.mul
-        uinv = self.rep.inv(u)
-        return Subgroup(self.rep, frozenset(mul(mul(uinv, z), u) for z in base.members),
-                        tuple(mul(mul(uinv, z), u) for z in base.gens))
+        r = self.rep
+        return self._transport(base, r.mul(r.inv(t_rep), elements[transversal[pos]]))
+
+    def _transport(self, sub: Subgroup, u) -> Subgroup:
+        """sub ** u, members and generators."""
+        r = self.rep
+        if u == r.identity:
+            return sub
+        mul, uinv = r.mul, r.inv(u)
+        return Subgroup(r, frozenset(mul(mul(uinv, z), u) for z in sub.members),
+                        tuple(mul(mul(uinv, z), u) for z in sub.gens))
 
     def _centralizer_of_seed(self, cls_idx: int) -> Subgroup:
         """Centralizer of the orbit seed via Schreier generators."""
-        cached = self._rep_centralizers.get(cls_idx)
-        if cached is not None:
-            return cached
         cls = self._classes[cls_idx]
+        if cls.size == 1:
+            return Subgroup(self.rep, frozenset(self.elements()), self.generators)
         target = self.order() // cls.size
         rep = self.rep
         mul, inv = rep.mul, rep.inv
-        if cls.size == 1:
-            sub = Subgroup(self.rep, frozenset(self.elements()), self.generators)
-        else:
-            transversal = self._transversal
-            tinv = {}
-            moves = self._moves()
-            found = []
-            closure = {rep.identity: 0}
-            members = self._order_like(cls.members)
-            for m in members:
-                if len(closure) >= target:
-                    break
-                um = transversal[m]
-                for g, gi in moves:
-                    m2 = mul(mul(gi, m), g)
-                    if m2 not in tinv:
-                        tinv[m2] = inv(transversal[m2])
-                    s = mul(mul(um, g), tinv[m2])
-                    if s not in closure:
-                        found.append(s)
-                        self._closure(found, closure)
-                        if len(closure) >= target:
-                            break
-            if len(closure) != target:
-                raise InternalCheckError(
-                    f"Schreier centralizer has order {len(closure)}, expected {target}")
-            sub = Subgroup(self.rep, frozenset(closure), tuple(found))
-        self._rep_centralizers[cls_idx] = sub
-        return sub
+        elements, index, transversal = self._elements, self._index, self._transversal
+        tinv = {}
+        found = []
+        closure = {rep.identity: 0}
+        for m in self._order_like(cls.members):
+            if len(closure) >= target:
+                break
+            um = elements[transversal[index[m]]]
+            for g, gi in self._moves():
+                m2 = mul(mul(gi, m), g)
+                if m2 not in tinv:
+                    tinv[m2] = inv(elements[transversal[index[m2]]])
+                s = mul(mul(um, g), tinv[m2])
+                if s not in closure:
+                    found.append(s)
+                    self._closure(found, closure)
+                    if len(closure) >= target:
+                        break
+        if len(closure) != target:
+            raise InternalCheckError(
+                f"Schreier centralizer has order {len(closure)}, expected {target}")
+        return Subgroup(self.rep, frozenset(closure), tuple(found))
 
     def center(self) -> Subgroup:
         """The size-1 classes, in element order."""
@@ -593,7 +626,7 @@ class FiniteGroup:
         # order |A||B|/|A & B| (Hulpke, "Computing normal subgroups", 1998).
         mul, ident = self.rep.mul, self.rep.identity
         classes = self.conjugacy_classes()
-        class_of = self._class_of
+        class_of, index = self._class_of, self._index
         sizes = [c.size for c in classes]
         pool: dict[int, Subgroup] = {}
         by_order: dict[int, list[int]] = {}
@@ -616,7 +649,8 @@ class FiniteGroup:
             while powers[-1] != ident:
                 powers.append(mul(powers[-1], x))
             m = len(powers)
-            covered.update(class_of[y] for k, y in enumerate(powers, 1) if gcd(k, m) == 1)
+            covered.update(class_of[index[y]]
+                           for k, y in enumerate(powers, 1) if gcd(k, m) == 1)
             add(self.subgroup_from_elements(self._order_like(cls.members)))
         # Join pairs round by round, each pair once: a round examines only
         # the pairs with a member found in the round before.

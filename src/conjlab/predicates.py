@@ -104,10 +104,8 @@ def is_f(g: FiniteGroup):
     if n > F_SCAN_CAP:
         raise CapExceeded(f"F-scan on group of order {n}", F_SCAN_CAP)
     elements = g.elements()
-    g.conjugacy_classes()
-    class_of = g._class_of
     classes = g.conjugacy_classes()
-    size_by_idx = [classes[class_of[e]].size for e in elements]
+    size_by_idx = [classes[i].size for i in g._class_of]
     mul = g.rep.mul
     for cls in _noncentral_reps(g):
         x = cls.representative

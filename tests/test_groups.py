@@ -413,3 +413,67 @@ def test_adjugate_inverse_matches_gauss():
         assert rep.inv(a) == expected
         assert rep.mul(a, rep.inv(a)) == rep.identity
         checked += 1
+
+
+@pytest.mark.parametrize("p,n", [(5, 1), (7, 1), (2, 3), (3, 2), (11, 1)])
+def test_adjugate_inverse_3x3_matches_gauss(p, n):
+    """The 3x3 adjugate inverse against Gauss-Jordan on 300 seeded random
+    nonsingular matrices over GF(p^n); singular ones raise."""
+    rep = MatrixRep(cj.make_field(p, n), 3)
+    q = p ** n
+    rng = random.Random(q)
+    checked = singular = 0
+    while checked < 300:
+        a = tuple(rng.randrange(q) for _ in range(9))
+        expected = rep._gauss_invert(a)
+        if expected is None:
+            with pytest.raises(ValueError, match="singular"):
+                rep.inv(a)
+            singular += 1
+            continue
+        assert rep.inv(a) == expected
+        assert rep.mul(a, rep.inv(a)) == rep.identity
+        checked += 1
+    assert singular > 0
+
+
+NAIVE_CLASS_ORDER_CAP = 2_000  # naive_class_sizes over the 4 larger corpus groups takes 7 s
+
+
+def _index_space_cases(corpus, group_of):
+    for entry in corpus:
+        g = group_of(entry.name)
+        yield entry.name, g
+        yield f"{entry.name}/Z", g.quotient(g.center())
+        # the smallest centralizer, as a group whose elements are given
+        yield f"{entry.name} C(x)", g.centralizer(g.conjugacy_classes()[-1].representative).as_group()
+
+
+def test_index_space_classes_match_oracle(corpus, group_of):
+    """Every class is one conjugation orbit: each member x is seed ** t_x,
+    with t_x read off the position transversal, and conjugation by each
+    generator keeps the class; the sizes match the naive oracle."""
+    for name, g in _index_space_cases(corpus, group_of):
+        elements, index = g.elements(), g._index
+        classes = g.conjugacy_classes()
+        assert sum(c.size for c in classes) == g.order(), name
+        for cls in classes:
+            for x in cls.members:
+                assert g.conj(cls.seed, elements[g._transversal[index[x]]]) == x, name
+                assert all(g.conj(x, h) in cls.members for h in g.generators), name
+        if g.order() <= NAIVE_CLASS_ORDER_CAP:
+            assert g.class_sizes() == naive_class_sizes(g), name
+
+
+@pytest.mark.parametrize("build", [lambda: cj.symmetric_group(5), lambda: cj.gl2(5)])
+def test_classes_make_one_product_per_element_and_generator(build):
+    """The enumeration's left table and one right table per generator are
+    all the products conjugacy_classes needs: k * |G| of them."""
+    g = build()
+    g.elements()
+    calls = []
+    kernel = g.rep.mul
+    g.rep.mul = lambda a, b: calls.append(1) or kernel(a, b)
+    g.conjugacy_classes()
+    k = len([h for h in g.generators if h != g.identity])
+    assert len(calls) == k * g.order()

@@ -1,6 +1,9 @@
 import io
 import json
+import os
 import shlex
+import subprocess
+import sys
 import time
 import tracemalloc
 from pathlib import Path
@@ -183,6 +186,25 @@ def test_cli_analyze_sl29(tmp_path):
     assert "order      : 720" in out
     assert "[40, 72, 90]" in out
     assert "TypeIV" in out
+
+
+def test_cli_runs_verify_code_only_for_verify(tmp_path):
+    """conjlab.cli binds conjlab.verify lazily: importing the CLI and running
+    analyze in a fresh interpreter never runs (or compiles) verify.py, and
+    the first attribute read does."""
+    spec = tmp_path / "s3.json"
+    spec.write_text(json.dumps(S3_SPEC))
+    script = (
+        "import sys, types, conjlab.cli\n"
+        "def ran():\n"
+        "    return type(sys.modules['conjlab.verify']) is types.ModuleType\n"
+        f"assert conjlab.cli.run_command(['analyze', {str(spec)!r}]) == 0\n"
+        "assert not ran()\n"
+        "assert conjlab.cli.verify.DEFAULT_SEED and ran()\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(cj.__file__).parents[1]))
+    result = subprocess.run([sys.executable, "-c", script], env=env,
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
 
 
 def test_cli_analyze_json_bytes_stable(tmp_path):
