@@ -1,5 +1,7 @@
-"""Byte-stability gate: the stable analysis JSON of every corpus group must
-hash to the digest recorded in tests/data/analysis_digests.json.
+"""Byte-stability gates: the stable analysis JSON of every corpus group must
+hash to the digest recorded in tests/data/analysis_digests.json, and the
+class representatives' centralizers (members and generators, in order) to
+the one in tests/data/centralizer_digest.sha256.
 
 A change meant to keep results identical (a refactor, a faster algorithm)
 must leave every digest as it is.  A change that alters results on purpose
@@ -13,6 +15,8 @@ from pathlib import Path
 from conjlab import specio
 
 DIGESTS = Path(__file__).parent / "data" / "analysis_digests.json"
+CENTRALIZER_DIGEST = Path(__file__).parent / "data" / "centralizer_digest.sha256"
+CENTRALIZER_ORDER_CAP = 3_000
 
 
 def test_analysis_digests_unchanged(corpus, group_of):
@@ -21,3 +25,19 @@ def test_analysis_digests_unchanged(corpus, group_of):
         specio.analysis_report(group_of(entry.name)))).hexdigest() for entry in corpus}
     assert sorted(actual) == sorted(expected)
     assert [name for name in expected if actual[name] != expected[name]] == []
+
+
+def test_centralizer_digest_unchanged(corpus, group_of):
+    """(name, representative, sorted members, generators in order) of every
+    class representative's centralizer, over each corpus group of order at
+    most CENTRALIZER_ORDER_CAP and its G/Z, in corpus and class order."""
+    h = hashlib.sha256()
+    for entry in corpus:
+        g = group_of(entry.name)
+        if g.order() > CENTRALIZER_ORDER_CAP:
+            continue
+        for name, grp in ((entry.name, g), (f"{entry.name}/Z", g.quotient(g.center()))):
+            for cls in grp.conjugacy_classes():
+                c = grp.centralizer(cls.representative)
+                h.update(repr((name, cls.representative, c.sorted_members(), c.gens)).encode())
+    assert h.hexdigest() == CENTRALIZER_DIGEST.read_text().strip()
