@@ -20,11 +20,13 @@ subgroup) never re-close what they already hold.
 
 Conjugacy classes are conjugation orbits over element positions.  The
 enumeration keeps the position of g * x for each element x and generator g
-(the left table); the classes add one product per element and generator,
-x * g (the right table), so conjugation by g is two integer lookups and the
-transversal is positions too (t_z = t_y * g is a lookup).  The tables are
-dropped once the classes exist.  Each class representative's centralizer
-comes from the transversal via Schreier generators, once per class.
+(the left table).  The right table, x * g, follows from it with no product:
+x = a * y gives x * g = a * (y * g), so one breadth-first pass over the left
+Cayley graph from the identity fills it.  Conjugation by g is then two
+integer lookups and the transversal is positions too (t_z = t_y * g is a
+lookup).  The tables are dropped once the classes exist.  Each class
+representative's centralizer is built there from Schreier generators once
+per class, each generator conjugated over from the orbit seed.
 
 A question is settled by a count over the classes before anything is
 closed, and closed only when the count cannot settle it:
@@ -445,20 +447,37 @@ class FiniteGroup:
 
     def _compute_classes(self):
         # Orbits over positions: x ** g = g^-1 * (x * g) is Linv_g[R_g[x]], with
-        # R_g[x] = x * g by one product and Linv_g the inverse of L_g[x] = g * x
-        # (the enumeration's, or by products when the elements were given).
+        # Linv_g the inverse of the left table L_g[x] = g * x (the
+        # enumeration's, or by products when the elements were given) and the
+        # right table R_g[x] = x * g read off it: x = a * y gives
+        # R_g[L_a[y]] = L_a[R_g[y]], so one breadth-first pass over the left
+        # Cayley graph from R_g[e] = g fills every R_g with no product (it
+        # reaches every element: g^-1 is a positive power of g).
         elements = self.elements()
         index, mul = self._index, self.rep.mul
         n = len(elements)
         moves = self._moves()
+        k = len(moves)
         left = self._left or [index[mul(g, x)] for x in elements for g, _ in moves]
         self._left = None
+        e = index[self.rep.identity]
+        rights = [[index[g]] * n for g, _ in moves]  # R_g[e] = g; the rest is overwritten
+        seen = bytearray(n)
+        seen[e] = 1
+        queue = [e]
+        for y in queue:
+            for j, x in enumerate(left[y * k:(y + 1) * k]):
+                if not seen[x]:
+                    seen[x] = 1
+                    queue.append(x)
+                    for right in rights:
+                        right[x] = left[right[y] * k + j]
         steps = []
-        for j, (g, _) in enumerate(moves):
+        for j, right in enumerate(rights):
             linv = [0] * n
-            for i, p in enumerate(left[j::len(moves)]):
+            for i, p in enumerate(left[j::k]):
                 linv[p] = i
-            steps.append(([index[mul(x, g)] for x in elements], linv))
+            steps.append((right, linv))
         transversal = [0] * n
         assigned = bytearray(n)
         found = []
@@ -466,7 +485,7 @@ class FiniteGroup:
             if assigned[s]:
                 continue
             assigned[s] = 1
-            transversal[s] = index[self.rep.identity]
+            transversal[s] = e
             orbit = [s]
             for y in orbit:
                 ty = transversal[y]
@@ -502,7 +521,8 @@ class FiniteGroup:
     # -- centralizers ----------------------------------------------------
 
     def centralizer(self, x) -> Subgroup:
-        """Elements of G commuting with x, moved from its class representative's."""
+        """Elements of G commuting with x: built at its class representative,
+        and moved from there for any other member."""
         self.conjugacy_classes()
         index, elements, transversal = self._index, self._elements, self._transversal
         pos = index[x]
@@ -511,7 +531,7 @@ class FiniteGroup:
         t_rep = elements[transversal[index[cls_rep]]]
         base = self._rep_centralizers.get(cls_idx)
         if base is None:
-            base = self._transport(self._centralizer_of_seed(cls_idx), t_rep)
+            base = self._schreier_centralizer(cls_idx, t_rep)
             self._rep_centralizers[cls_idx] = base
         if x == cls_rep:
             return base
@@ -527,14 +547,18 @@ class FiniteGroup:
         return Subgroup(r, frozenset(mul(mul(uinv, z), u) for z in sub.members),
                         tuple(mul(mul(uinv, z), u) for z in sub.gens))
 
-    def _centralizer_of_seed(self, cls_idx: int) -> Subgroup:
-        """Centralizer of the orbit seed via Schreier generators."""
+    def _schreier_centralizer(self, cls_idx: int, u) -> Subgroup:
+        """Centralizer of seed ** u by Schreier generators of the seed's, each
+        conjugated by u before it is tested and closed.  Conjugation by u is
+        a bijection, so the greedy scan keeps the seed's generators ** u, in
+        order, for two products per candidate, not two per member."""
         cls = self._classes[cls_idx]
         if cls.size == 1:
             return Subgroup(self.rep, frozenset(self.elements()), self.generators)
         target = self.order() // cls.size
         rep = self.rep
         mul, inv = rep.mul, rep.inv
+        uinv = None if u == rep.identity else inv(u)
         elements, index, transversal = self._elements, self._index, self._transversal
         tinv = {}
         found = []
@@ -548,6 +572,8 @@ class FiniteGroup:
                 if m2 not in tinv:
                     tinv[m2] = inv(elements[transversal[index[m2]]])
                 s = mul(mul(um, g), tinv[m2])
+                if uinv is not None:
+                    s = mul(mul(uinv, s), u)
                 if s not in closure:
                     found.append(s)
                     self._closure(found, closure)

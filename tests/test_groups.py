@@ -465,15 +465,76 @@ def test_index_space_classes_match_oracle(corpus, group_of):
             assert g.class_sizes() == naive_class_sizes(g), name
 
 
-@pytest.mark.parametrize("build", [lambda: cj.symmetric_group(5), lambda: cj.gl2(5)])
-def test_classes_make_one_product_per_element_and_generator(build):
-    """The enumeration's left table and one right table per generator are
-    all the products conjugacy_classes needs: k * |G| of them."""
-    g = build()
-    g.elements()
+def _count_products(g) -> list:
+    """Count rep.mul calls on g's representation from now on."""
     calls = []
     kernel = g.rep.mul
     g.rep.mul = lambda a, b: calls.append(1) or kernel(a, b)
+    return calls
+
+
+@pytest.mark.parametrize("build", [lambda: cj.symmetric_group(5), lambda: cj.gl2(5)])
+def test_classes_make_no_product_once_enumerated(build):
+    """The right tables are read off the enumeration's left table, so once
+    the group is enumerated conjugacy_classes makes no product."""
+    g = build()
+    g.elements()
+    calls = _count_products(g)
     g.conjugacy_classes()
-    k = len([h for h in g.generators if h != g.identity])
-    assert len(calls) == k * g.order()
+    assert len(calls) == 0
+
+
+def test_as_group_classes_make_only_the_left_table_products():
+    """A group whose elements are given has no left table: its classes make
+    k * |G| products for it, and none for the right tables."""
+    g = cj.gl2(5)
+    c = g.centralizer(g.conjugacy_classes()[-1].representative).as_group()
+    calls = _count_products(c)
+    c.conjugacy_classes()
+    k = len([h for h in c.generators if h != c.identity])
+    assert k >= 1 and len(calls) == k * c.order()
+
+
+def test_representative_centralizers_are_built_where_they_are(monkeypatch):
+    """A class representative's centralizer is built at the representative,
+    never transported from the orbit seed's."""
+    def no_transport(self, sub, u):
+        raise AssertionError("_transport called for a class representative")
+
+    monkeypatch.setattr(FiniteGroup, "_transport", no_transport)
+    for g in (cj.gl2(5), cj.symmetric_group(5), cj.agl1(9)):
+        for cls in g.conjugacy_classes():
+            c = g.centralizer(cls.representative)
+            assert c.members == frozenset(naive_centralizer(g, cls.representative))
+            assert len(c) == g.order() // cls.size
+
+
+def _s4_mod_v4():
+    s4 = cj.symmetric_group(4)
+    return s4.quotient(next(n for n in s4.normal_subgroups() if len(n) == 4))
+
+
+C4, T = (1, 2, 3, 0), (1, 0, 2, 3)
+CAYLEY_EDGE_CASES = {
+    "identity among the generators": lambda: FiniteGroup(PermutationRep(4), ((0, 1, 2, 3), C4, T)),
+    "a repeated generator": lambda: FiniteGroup(PermutationRep(4), (C4, T, C4)),
+    "a power of another generator": lambda: FiniteGroup(PermutationRep(4), (C4, (2, 3, 0, 1), T)),
+    "trivial": lambda: FiniteGroup(PermutationRep(3), ()),
+    "cyclic": lambda: FiniteGroup(PermutationRep(5), ((1, 2, 3, 4, 0),)),
+    "quotient": _s4_mod_v4,
+}
+
+
+@pytest.mark.parametrize("case", list(CAYLEY_EDGE_CASES))
+def test_cayley_graph_pass_edge_cases(case):
+    """Generating sets the breadth-first right-table pass must survive: each
+    class is the orbit the oracle finds, every member is seed ** t_x, and
+    each representative's centralizer is the oracle's."""
+    g = CAYLEY_EDGE_CASES[case]()
+    elements, index = g.elements(), g._index
+    assert g.class_sizes() == naive_class_sizes(g)
+    for cls in g.conjugacy_classes():
+        for x in cls.members:
+            assert g.conj(cls.seed, elements[g._transversal[index[x]]]) == x
+        c = g.centralizer(cls.representative)
+        assert c.members == frozenset(naive_centralizer(g, cls.representative))
