@@ -14,16 +14,17 @@ A fingerprint is weaker than an isomorphism test and the evidence
 records it.
 
 Counts come before closures.  When Z(G) = 1, G itself serves as G/Z and
-the Type II/III preimages are the subgroups themselves.  Type I skips a
-prime p unless the normal_sylow count finds P normal and the p'-elements
-number |G|/|P|; only then are they closed and tested.
+the Type II/III preimages are the subgroups themselves.  The Frobenius
+kernel of G/Z, the normal Sylow subgroups and Type I's normal p-complement
+are all normal Hall subgroups, found by FiniteGroup.normal_hall: a count of
+the elements whose order divides the Hall order, closed only when it
+matches.  Classification never builds the normal-subgroup lattice.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from math import gcd
 
 from . import families
 from .classgraph import n_set
@@ -77,17 +78,22 @@ class SPClassification:
 
 
 def find_frobenius_structure(q: FiniteGroup) -> FrobeniusStructure | None:
-    """Scan the normal subgroups of a nonabelian group for the unique
-    proper nontrivial N with centralizers of its nonidentity elements
-    inside N and |N| coprime to the index."""
+    """The unique proper nontrivial normal N of a nonabelian group with
+    centralizers of its nonidentity elements inside N and |N| coprime to
+    the index, or None.  Such an N is a normal Hall subgroup, so the
+    candidates are normal_hall(m) for the unitary divisors m of |G|, in
+    increasing order; the normal-subgroup lattice is never built."""
     if q.is_abelian():
         raise ValueError("Frobenius detection needs a nonabelian group")
     n = q.order()
+    parts = [1]
+    for p, e in factor(n):
+        parts += [m * p ** e for m in parts]
     candidates = []
     classes = q.conjugacy_classes()
-    for sub in q.normal_subgroups():
-        m = len(sub)
-        if m == 1 or m == n or gcd(m, n // m) != 1:
+    for m in sorted(parts)[1:-1]:
+        sub = q.normal_hall(m)
+        if sub is None:
             continue
         ok = True
         for cls in classes:
@@ -189,17 +195,13 @@ def _derived_n_set(g: FiniteGroup, derived: Subgroup) -> frozenset:
 
 def _try_type_i(g: FiniteGroup) -> dict | None:
     n = g.order()
-    orders = g.element_orders()
     for p, _ in factor(n):
         sylow = g.normal_sylow(p)
         if sylow is None:
             continue
-        # a normal p-complement has |G|/|P| elements, all of them p'-elements
-        t_elems = [x for x in g.elements() if orders[x] % p]
-        if len(t_elems) * len(sylow) != n:
-            continue
-        t_sub = g.subgroup_from_elements(t_elems)
-        if len(t_sub) != len(t_elems) or not t_sub.is_abelian():
+        # a normal p-complement is the normal Hall subgroup of order |G|/|P|
+        t_sub = g.normal_hall(n // len(sylow))
+        if t_sub is None or not t_sub.is_abelian():
             continue
         mul = g.rep.mul
         if not all(mul(a, b) == mul(b, a) for a in t_sub.gens for b in sylow.gens):

@@ -24,23 +24,25 @@ enumeration keeps the position of g * x for each element x and generator g
 x = a * y gives x * g = a * (y * g), so one breadth-first pass over the left
 Cayley graph from the identity fills it.  Conjugation by g is then two
 integer lookups and the transversal is positions too (t_z = t_y * g is a
-lookup).  The tables are dropped once the classes exist.  Each class
-representative's centralizer is built there from Schreier generators once
-per class, each generator conjugated over from the orbit seed.
+lookup).  Each class representative's centralizer is built there from
+Schreier generators once per class, each conjugated over from the orbit
+seed.  The left table is kept: G/N is read off it with no product, since
+g * xN = (g * x)N.  A closure inside an enumerated group stores G's own
+element objects.
 
 A question is settled by a count over the classes before anything is
 closed, and closed only when the count cannot settle it:
 
-- the Sylow p-subgroup is normal exactly when the p-elements number the
-  p-part of |G|, so only a normal one is closed;
+- a normal Hall subgroup (a normal Sylow subgroup or p-complement, a
+  Frobenius kernel) is the set of elements whose order divides its order,
+  so it is closed only when those elements number that order;
 - the center is the size-1 classes, with no products;
 - the derived subgroup grows its basis only by commutators and conjugates
   outside its closure, and is G itself, with G's generators, once the
   closure reaches |G|;
-- normal subgroups are the normal closures of one class per rational class
-  (x and x^k, k prime to |x|, share one), joined pairwise.  Each is keyed by
-  the bitmask of its classes, so |AB| = |A||B|/|A & B| is known before a
-  join is closed, and a join already in the pool is never closed again.
+- normal subgroups, which only verify's lemma suites use, are the normal
+  closures of one class per rational class, joined pairwise, each keyed by
+  the bitmask of its classes so that |AB| = |A||B|/|A & B| is known first.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ from operator import itemgetter
 
 from .errors import CapExceeded, InternalCheckError
 from .gf import Field
-from .intmath import is_power_of, p_part
+from .intmath import p_part
 
 DEFAULT_MAX_ORDER = 200_000
 
@@ -308,7 +310,7 @@ class FiniteGroup:
         self._elements: list | None = None
         self._index: dict | None = None
         self._over_cap = False  # enumeration hit max_order: never retried
-        self._left: list | None = None  # positions of g * x, until the classes exist
+        self._left: list | None = None  # positions of g * x, by x then generator
         self._classes: list[ConjugacyClass] | None = None
         self._class_of: list | None = None  # class index by element position
         self._transversal: list | None = None  # position of t_x by position of x
@@ -316,6 +318,7 @@ class FiniteGroup:
         self._derived: Subgroup | None = None
         self._normals: list[Subgroup] | None = None
         self._orders: dict | None = None
+        self._halls: dict = {}  # order -> closure of the elements of order dividing it
         self._rep_centralizers: dict = {}
         self._gen_moves: list | None = None
 
@@ -388,9 +391,12 @@ class FiniteGroup:
         so they are multiplied only by the others; each new element is
         multiplied by every generator, breadth first.  left (the closure from
         the identity only) receives the position of each product g * x in turn.
+        Inside an enumerated group each new member is stored as G's own
+        element object, so a subgroup holds no copies of G's encodings.
         """
         rep, cap = self.rep, self.max_order
         mul = rep.mul
+        own, index = self._elements, self._index
         if members is None:
             members = {rep.identity: 0}
         fresh = [g for g in gens if g not in members]
@@ -407,6 +413,8 @@ class FiniteGroup:
                 if p is None:
                     if n >= cap:
                         raise CapExceeded("subgroup closure size", cap)
+                    if own is not None:
+                        y = own[index[y]]
                     members[y] = p = n
                     n += 1
                     queue.append(y)
@@ -458,8 +466,9 @@ class FiniteGroup:
         n = len(elements)
         moves = self._moves()
         k = len(moves)
-        left = self._left or [index[mul(g, x)] for x in elements for g, _ in moves]
-        self._left = None
+        if self._left is None:
+            self._left = [index[mul(g, x)] for x in elements for g, _ in moves]
+        left = self._left
         e = index[self.rep.identity]
         rights = [[index[g]] * n for g, _ in moves]  # R_g[e] = g; the rest is overwritten
         seen = bytearray(n)
@@ -544,7 +553,8 @@ class FiniteGroup:
         if u == r.identity:
             return sub
         mul, uinv = r.mul, r.inv(u)
-        return Subgroup(r, frozenset(mul(mul(uinv, z), u) for z in sub.members),
+        elements, index = self._elements, self._index
+        return Subgroup(r, frozenset(elements[index[mul(mul(uinv, z), u)]] for z in sub.members),
                         tuple(mul(mul(uinv, z), u) for z in sub.gens))
 
     def _schreier_centralizer(self, cls_idx: int, u) -> Subgroup:
@@ -704,52 +714,80 @@ class FiniteGroup:
         return sorted(pool.values(), key=lambda s: (len(s), tuple(s.sorted_members())))
 
     def is_normal(self, sub: Subgroup) -> bool:
-        mul = self.rep.mul
-        return all(mul(mul(gi, t), g) in sub.members
-                   for g, gi in self._moves() for t in sub.gens)
+        """sub is a union of conjugacy classes (its members must be in G)."""
+        classes, class_of, index = self.conjugacy_classes(), self._class_of, self._index
+        return all(classes[c].members <= sub.members
+                   for c in {class_of[index[x]] for x in sub.members})
+
+    def normal_hall(self, part: int):
+        """The normal Hall subgroup of order part, a unitary divisor of |G|
+        (part prime to |G|/part), or None.
+
+        A normal Hall subgroup N holds every element whose order divides
+        |N| (its image in G/N has order prime to |G/N|), so it is the set of
+        those elements: a count over the classes settles it, and they are
+        closed only when they number part.  The closure is kept per part and
+        returned only when it has order part."""
+        if part not in self._halls:
+            orders = self.element_orders()
+            count = sum(c.size for c in self.conjugacy_classes()
+                        if part % orders[c.representative] == 0)
+            self._halls[part] = None if count != part else self.subgroup_from_elements(
+                [x for x in self.elements() if part % orders[x] == 0])
+        hall = self._halls[part]
+        return hall if hall is not None and len(hall) == part else None
 
     def normal_sylow(self, p: int):
         """The unique Sylow p-subgroup when it is normal, else None.
 
         By Sylow's theorems the p-elements number the p-part of |G| exactly
-        when the Sylow p-subgroup is normal, and more otherwise, so a count
-        over the classes settles it; only a normal one is closed."""
+        when the Sylow p-subgroup is normal, and more otherwise, so the
+        normal Hall count settles it, and those p-elements must close to it."""
         n = self.order()
         if n % p:
             raise ValueError(f"{p} does not divide the group order {n}")
-        orders = self.element_orders()
-        if sum(c.size for c in self.conjugacy_classes()
-               if is_power_of(orders[c.representative], p)) != p_part(n, p):
-            return None
-        pelems = [x for x in self.elements() if is_power_of(orders[x], p)]
-        sub = self.subgroup_from_elements(pelems)
-        if len(sub) != len(pelems):
+        part = p_part(n, p)
+        sylow = self.normal_hall(part)
+        closed = self._halls[part]
+        if sylow is None and closed is not None:
             raise InternalCheckError(
-                f"the {len(pelems)} {p}-elements close to a subgroup of order {len(sub)}")
-        return sub
+                f"the {part} {p}-elements close to a subgroup of order {len(closed)}")
+        return sylow
 
     # -- quotients -------------------------------------------------------
 
     def quotient(self, normal: Subgroup) -> "FiniteGroup":
-        """G / N with cosets encoded by their minimal member."""
+        """G / N with cosets encoded by their minimal member, read off G's
+        left table with no product.  g * xN = (g * x)N, so L_g maps the
+        positions of one coset onto another: a breadth-first pass from N over
+        the generators lists the cosets, and G/N's left table, in the order
+        G/N's own closure would (a generator in N, or in the coset of an
+        earlier one, finds no new coset)."""
         if any(x not in self for x in normal.members):
             raise ValueError("subgroup has members outside this group")
         if not self.is_normal(normal):
             raise ValueError("subgroup is not normal")
-        mul = self.rep.mul
-        nmembers = list(normal.members)
-        coset_rep: dict = {}
-        for g in self.elements():
-            if g in coset_rep:
-                continue
-            coset = [mul(g, n) for n in nmembers]
-            r = min(coset)
-            for c in coset:
-                coset_rep[c] = r
+        elements, index, left = self._elements, self._index, self._left
+        k = len(self._moves())
+        cosets = [[index[x] for x in normal.members]]  # positions, N first
+        coset = dict.fromkeys(cosets[0], 0)  # coset number by position
+        for c in cosets:
+            for j in range(k):
+                if left[c[0] * k + j] not in coset:
+                    image = [left[p * k + j] for p in c]
+                    coset.update(dict.fromkeys(image, len(cosets)))
+                    cosets.append(image)
+        reps = [min(elements[p] for p in c) for c in cosets]
+        coset_rep = {elements[p]: reps[c] for p, c in coset.items()}
         qrep = QuotientRep(self.rep, coset_rep)
         gens = tuple(dict.fromkeys(coset_rep[g] for g in self.generators))
         name = f"{self.name}/N{len(normal)}" if self.name else None
         q = FiniteGroup(qrep, gens, name=name, max_order=self.max_order)
+        # G's first generator in the coset of each of G/N's
+        cols = [next(j for j, (g, _) in enumerate(self._moves()) if coset_rep[g] == h)
+                for h in gens if h != qrep.identity]
+        q._elements, q._index = reps, {x: i for i, x in enumerate(reps)}
+        q._left = [coset[left[c[0] * k + j]] for c in cosets for j in cols]
         if q.order() * len(normal) != self.order():
             raise InternalCheckError("quotient order times subgroup order != group order")
         return q

@@ -1,9 +1,14 @@
+import hashlib
+import json
+from pathlib import Path
+
 import pytest
 
 import conjlab as cj
-from conjlab import classifier, families
+from conjlab import classifier, families, specio, verify
 from conjlab.classifier import Verdict, classify, check_corollary1, find_frobenius_structure
 from conjlab.groups import FiniteGroup
+from conjlab.predicates import rank
 
 
 def test_find_frobenius_agl15():
@@ -193,3 +198,32 @@ def test_check_corollary1_precondition():
         check_corollary1(cj.sl2(5))  # rank 3
     with pytest.raises(ValueError):
         check_corollary1(cj.symmetric_group(4))  # not SP
+
+
+def test_classification_builds_no_normal_subgroup_lattice(corpus, group_of, monkeypatch):
+    """classify, check_corollary1 and Lemma 9's Frobenius structure find
+    every normal subgroup they need by normal_hall: with
+    FiniteGroup.normal_subgroups refused, every corpus group's stable
+    analysis (verdict and evidence included) still hashes to its pinned
+    digest, Corollary 1 holds on every rank-2 SP group, and Lemma 9 passes
+    on every entry tagged for it."""
+    def refuse(self):
+        raise AssertionError("normal-subgroup lattice built")
+
+    monkeypatch.setattr(FiniteGroup, "normal_subgroups", refuse)
+    expected = json.loads((Path(__file__).parent / "data" / "analysis_digests.json").read_text())
+    lemma9 = corollary1 = 0
+    for entry in corpus:
+        g = group_of(entry.name)
+        report = specio.analysis_report(g)
+        digest = hashlib.sha256(specio.stable_report_json(report)).hexdigest()
+        assert digest == expected[entry.name], entry.name
+        if report["predicates"]["sp"] and rank(g) == 2:
+            assert check_corollary1(g), entry.name
+            corollary1 += 1
+        if entry.tags & {"frobenius_kernel", "frobenius_kernel_quotient"}:
+            h = g.quotient(g.center()) if "frobenius_kernel_quotient" in entry.tags else g
+            frob = find_frobenius_structure(h)
+            assert verify._check_lemma9(h, frob.kernel, frob.complement) is None, entry.name
+            lemma9 += 1
+    assert corollary1 > 0 and lemma9 >= 9

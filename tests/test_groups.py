@@ -5,7 +5,7 @@ import pytest
 import conjlab as cj
 from conjlab import specio, verify
 from conjlab.errors import CapExceeded
-from conjlab.groups import FiniteGroup, MatrixRep, PermutationRep
+from conjlab.groups import FiniteGroup, MatrixRep, PermutationRep, QuotientRep
 from conjlab.intmath import factor, is_power_of
 
 from oracles import (naive_centralizer, naive_class_sizes, naive_closure,
@@ -250,19 +250,46 @@ def test_permutation_kernel_matches_naive_composition(degree):
     assert cj.to_permutation(cj.cyclic_group(1)).order() == 1
 
 
-def _lattice_cases(corpus, group_of):
+@pytest.fixture(scope="module")
+def lattice_cases(corpus, group_of):
+    """(name, group, naive_normal_subgroups) for every corpus group, its G/Z
+    when Z(G) != 1, and agl1_9 over its trivial center."""
+    cases = []
     for entry in corpus:
-        yield entry.name, group_of(entry.name)
-    for name in ("agl1_9", "sl2_9"):
-        g = group_of(name)
-        yield f"{name}/Z", g.quotient(g.center())
+        g = group_of(entry.name)
+        cases.append((entry.name, g))
+        if len(g.center()) > 1 or entry.name == "agl1_9":
+            cases.append((f"{entry.name}/Z", g.quotient(g.center())))
+    return [(name, g, naive_normal_subgroups(g)) for name, g in cases]
 
 
-def test_normal_subgroups_match_oracle(corpus, group_of):
-    for name, g in _lattice_cases(corpus, group_of):
-        fast, slow = g.normal_subgroups(), naive_normal_subgroups(g)
+def test_normal_subgroups_match_oracle(lattice_cases):
+    for name, g, slow in lattice_cases:
+        fast = g.normal_subgroups()
         assert [(s.members, s.gens) for s in fast] == \
             [(s.members, s.gens) for s in slow], name
+
+
+def _unitary_divisors(n):
+    parts = [1]
+    for p, e in factor(n):
+        parts += [m * p ** e for m in parts]
+    return sorted(parts)
+
+
+def test_normal_hall_matches_lattice_oracle(lattice_cases):
+    """normal_hall(m) is the oracle lattice's member of order m, whose index
+    is then prime to m, or None when it has none, for every unitary divisor
+    m of |G|."""
+    halls = 0
+    for name, g, lattice in lattice_cases:
+        for m in _unitary_divisors(g.order()):
+            expected = [s.members for s in lattice if len(s) == m]
+            assert len(expected) <= 1, (name, m)
+            hall = g.normal_hall(m)
+            assert (hall and hall.members) == (expected[0] if expected else None), (name, m)
+            halls += 1 < m < g.order() and hall is not None
+    assert halls > 50
 
 
 def test_normal_subgroups_are_normal_class_unions():
@@ -538,3 +565,78 @@ def test_cayley_graph_pass_edge_cases(case):
             assert g.conj(cls.seed, elements[g._transversal[index[x]]]) == x
         c = g.centralizer(cls.representative)
         assert c.members == frozenset(naive_centralizer(g, cls.representative))
+
+
+def _closed_quotient(g, normal):
+    """G/N as the parent code built it: the coset map by products, and the
+    quotient enumerated by its own closure."""
+    mul, coset_rep = g.rep.mul, {}
+    for x in g.elements():
+        if x not in coset_rep:
+            coset = [mul(x, n) for n in normal.members]
+            coset_rep.update(dict.fromkeys(coset, min(coset)))
+    gens = tuple(dict.fromkeys(coset_rep[h] for h in g.generators))
+    return FiniteGroup(QuotientRep(g.rep, coset_rep), gens, max_order=g.max_order)
+
+
+def _table_quotient_cases(corpus, group_of):
+    for entry in corpus:
+        g = group_of(entry.name)
+        yield f"{entry.name}/Z", g, g.center()
+    for g in (cj.symmetric_group(4), cj.agl1(9)):
+        for n in g.normal_subgroups():
+            yield f"{g.name}/N{len(n)}", g, n
+
+
+def test_table_quotient_matches_closed_quotient(corpus, group_of):
+    """G/N read off G's left table has the coset map, elements, positions,
+    left table, classes (seeds included) and transversal of the quotient
+    that its own closure enumerates; the coset map's keys are G's own
+    element objects."""
+    for name, g, n in _table_quotient_cases(corpus, group_of):
+        q, ref = g.quotient(n), _closed_quotient(g, n)
+        assert q.rep.coset_rep == ref.rep.coset_rep, name
+        assert {id(x) for x in q.rep.coset_rep} == {id(x) for x in g.elements()}, name
+        assert q.generators == ref.generators, name
+        assert q.elements() == ref.elements() and q._index == ref._index, name
+        assert q._left == ref._left, name
+        assert [(c.representative, c.size, c.members, c.seed) for c in q.conjugacy_classes()] \
+            == [(c.representative, c.size, c.members, c.seed) for c in ref.conjugacy_classes()], name
+        assert q._transversal == ref._transversal, name
+
+
+def _count_kernel_calls(g) -> list:
+    """Count rep.mul and rep.inv calls on g's representation from now on."""
+    calls = []
+    mul, inv = g.rep.mul, g.rep.inv
+    g.rep.mul = lambda a, b: calls.append(1) or mul(a, b)
+    g.rep.inv = lambda a: calls.append(1) or inv(a)
+    return calls
+
+
+@pytest.mark.parametrize("build", [
+    lambda: cj.symmetric_group(4),
+    lambda: cj.sl2(5),
+    lambda: cj.agl1(9),
+    lambda: cj.gl2(5).centralizer(cj.gl2(5).generators[0]).as_group(),
+])
+def test_quotient_makes_no_product_once_classes_exist(build):
+    """Once G's classes exist, quotient makes no kernel product, for every
+    normal subgroup and for a subgroup-as-group too."""
+    g = build()
+    normals = g.normal_subgroups()
+    calls = _count_kernel_calls(g)
+    quotients = [g.quotient(n) for n in normals]
+    assert len(calls) == 0
+    assert [q.order() * len(n) for q, n in zip(quotients, normals)] == [g.order()] * len(normals)
+
+
+def test_centralizer_members_are_the_parents_objects():
+    """Centralizers hold G's own element objects, not copies: at a class
+    representative (Schreier closure) and at any other member (transport)."""
+    s4 = cj.symmetric_group(4)
+    for g in (cj.gl2(5), cj.symmetric_group(5), cj.agl1(9), s4.quotient(s4.normal_subgroups()[1])):
+        own = {id(x) for x in g.elements()}
+        for cls in g.conjugacy_classes():
+            for x in (cls.representative, max(cls.members)):
+                assert {id(y) for y in g.centralizer(x).members} <= own, (g, x)
