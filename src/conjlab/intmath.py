@@ -62,10 +62,3 @@ def p_part(n: int, p: int) -> int:
         n //= p
         out *= p
     return out
-
-
-def is_power_of(n: int, p: int) -> bool:
-    """True when n is p**k for some k >= 0."""
-    while n % p == 0:
-        n //= p
-    return n == 1
