@@ -4,7 +4,7 @@ classes, and classification of SP groups into structural types."""
 
 from .classgraph import (ClassSizeSet, CoverDigraph, build_gamma, class_size_set,
                          export, is_primitive, n_set)
-from .classifier import (FrobeniusStructure, SPClassification, Verdict,
+from .classifier import (Analysis, FrobeniusStructure, SPClassification, Verdict,
                          check_corollary1, classify, find_frobenius_structure)
 from .errors import (CapExceeded, ConjlabError, ConstructionError,
                      InternalCheckError, SpecFileError)
@@ -16,8 +16,7 @@ from .families import (agl1, alternating_group, build_family, cyclic_group,
 from .gf import Field, make_field
 from .groups import (DEFAULT_MAX_ORDER, ConjugacyClass, FiniteGroup, MatrixRep,
                      PermutationRep, QuotientRep, Subgroup)
-from .predicates import (PredicateReport, evaluate, is_ca, is_ch, is_f, is_sp,
-                         rank)
+from .predicates import PredicateReport, evaluate, is_ca, is_ch, is_f, is_sp
 from .specio import (analysis_report, group_spec_dict, load_group_spec,
                      parse_group_spec, write_group_spec)
 

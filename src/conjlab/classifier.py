@@ -13,25 +13,28 @@ the order-2160 cover of PSL(2, 9).  No SL2(q) or GL2(q) is enumerated.
 A fingerprint is weaker than an isomorphism test and the evidence
 records it.
 
-Counts come before closures.  When Z(G) = 1, G itself serves as G/Z and
-the Type II/III preimages are the subgroups themselves.  The Frobenius
-kernel of G/Z, the normal Sylow subgroups and Type I's normal p-complement
-are all normal Hall subgroups, found by FiniteGroup.normal_hall: a count of
-the elements whose order divides the Hall order, closed only when it
-matches.  Classification never builds the normal-subgroup lattice.
+One Analysis per group keeps its predicates, Z(G), G/Z (G itself when
+Z(G) = 1, so the Type II/III preimages are the subgroups themselves), the
+Frobenius structure of G/Z and the verdict, each made on first read.  Counts
+come before closures.  The Frobenius kernel of G/Z, the normal Sylow
+subgroups and Type I's normal p-complement are all normal Hall subgroups,
+found by FiniteGroup.normal_hall: a count of the elements whose order
+divides the Hall order, closed only when it matches.  Classification never
+builds the normal-subgroup lattice.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 from . import families
 from .classgraph import n_set
 from .errors import ConjlabError
 from .groups import FiniteGroup, Subgroup
 from .intmath import factor
-from .predicates import is_sp, rank
+from .predicates import PredicateReport, evaluate, is_sp
 
 # Class sizes of the exceptional 6-fold cover of PSL(2, 9), order 2160.
 SCHUR_COVER_PSL29_ORDER = 2160
@@ -221,11 +224,6 @@ def _preimage(g: FiniteGroup, quotient: FiniteGroup, sub: Subgroup) -> Subgroup:
     return g.subgroup_from_elements([x for x in g.elements() if project[x] in sub.members])
 
 
-def _central_quotient(g: FiniteGroup, center: Subgroup) -> FiniteGroup:
-    """G/Z, or G itself when Z = 1, with no coset copy."""
-    return g if len(center) == 1 else g.quotient(center)
-
-
 def _try_type_ii(frob: FrobeniusStructure, kernel_pre: Subgroup,
                  comp_pre: Subgroup) -> dict | None:
     if not (kernel_pre.is_abelian() and comp_pre.is_abelian()):
@@ -311,19 +309,45 @@ def _try_linear(g: FiniteGroup, quotient: FiniteGroup, expected_derived) -> dict
     return None
 
 
-def classify(g: FiniteGroup) -> SPClassification:
-    """Decide which type an SP group is, or report NotSP with a witness."""
+class Analysis:
+    """A group and its derived facts, each stage built on first read.  It
+    holds the group, and nothing the group holds refers back to it."""
+
+    def __init__(self, group: FiniteGroup):
+        self.group = group
+
+    @cached_property
+    def predicates(self) -> PredicateReport:
+        return evaluate(self.group)
+
+    @cached_property
+    def center(self) -> Subgroup:
+        return self.group.center()
+
+    @cached_property
+    def quotient(self) -> FiniteGroup:
+        return self.group if len(self.center) == 1 else self.group.quotient(self.center)
+
+    @cached_property
+    def frobenius(self) -> FrobeniusStructure | None:
+        return None if self.quotient.is_abelian() else find_frobenius_structure(self.quotient)
+
+    @cached_property
+    def classification(self) -> SPClassification:
+        return classify(self)
+
+
+def classify(g: FiniteGroup | Analysis) -> SPClassification:
+    """The type of an SP group or of its Analysis, or NotSP with a witness."""
+    a = g if isinstance(g, Analysis) else Analysis(g)
+    g = a.group
     sizes = n_set(g)
     if not sizes:
         return SPClassification(verdict=Verdict.ABELIAN)
     sp, witness = is_sp(g)
     if not sp:
         return SPClassification(verdict=Verdict.NOT_SP, witness=witness)
-    center = g.center()
-    quotient = _central_quotient(g, center)
-    frob = preimages = None
-    if not quotient.is_abelian():
-        frob = find_frobenius_structure(quotient)
+    center, quotient, frob, preimages = a.center, a.quotient, a.frobenius, None
     if frob is not None and frob.complement is not None:
         # the kernel and complement preimages in G, for Types II and III
         preimages = (_preimage(g, quotient, frob.kernel),
@@ -349,13 +373,10 @@ def classify(g: FiniteGroup) -> SPClassification:
                             all_matching=tuple(matching))
 
 
-def check_corollary1(g: FiniteGroup) -> bool:
+def check_corollary1(g: FiniteGroup | Analysis) -> bool:
     """Rank-2 SP groups: G/Z has a Frobenius structure and is solvable."""
-    sp, _ = is_sp(g)
-    if not sp or rank(g) != 2:
+    a = g if isinstance(g, Analysis) else Analysis(g)
+    sp, _ = is_sp(a.group)
+    if not sp or len(n_set(a.group)) != 2:
         raise ValueError("corollary-1 check applies to SP groups of rank 2")
-    quotient = _central_quotient(g, g.center())
-    if quotient.is_abelian():
-        return False
-    frob = find_frobenius_structure(quotient)
-    return frob is not None and quotient.is_solvable()
+    return a.frobenius is not None and a.quotient.is_solvable()

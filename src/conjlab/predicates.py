@@ -38,11 +38,6 @@ class PredicateReport:
     f_witness: tuple | None = None
 
 
-def rank(g: FiniteGroup) -> int:
-    """Conjugate rank |N(G)|."""
-    return len(n_set(g))
-
-
 def is_sp(g: FiniteGroup):
     """(flag, witness): N(G) primitive, cross-checked against the
     divides-implies-equal scan over centralizer orders."""
@@ -127,16 +122,13 @@ def is_f(g: FiniteGroup):
     return True, None
 
 
-def evaluate(g: FiniteGroup, skip_f_over_cap: bool = False) -> PredicateReport:
-    """All four predicates plus rank in one report; with skip_f_over_cap, F
+def evaluate(g: FiniteGroup) -> PredicateReport:
+    """All four predicates plus the conjugate rank |N(G)| in one report; F
     is None above F_SCAN_CAP (read at each call)."""
     sp, sp_w = is_sp(g)
     ch, ch_w = is_ch(g)
     ca, ca_w = is_ca(g)
-    if skip_f_over_cap and g.order() > F_SCAN_CAP:
-        f, f_w = None, None
-    else:
-        f, f_w = is_f(g)
-    return PredicateReport(sp=sp, ch=ch, ca=ca, f=f, rank=rank(g),
+    f, f_w = (None, None) if g.order() > F_SCAN_CAP else is_f(g)
+    return PredicateReport(sp=sp, ch=ch, ca=ca, f=f, rank=len(n_set(g)),
                            sp_witness=sp_w, ch_witness=ch_w,
                            ca_witness=ca_w, f_witness=f_w)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import time
 
-from . import classgraph, classifier, predicates
+from . import classgraph, classifier
 from .errors import CapExceeded, SpecFileError
 from .gf import Field, make_field
 from .groups import DEFAULT_MAX_ORDER, FiniteGroup, MatrixRep, PermutationRep
@@ -178,15 +178,16 @@ def analysis_report(group: FiniteGroup) -> dict:
     """Full analysis of one group: order, class data, Gamma, predicates,
     classification.  Everything except the 'timings' key is byte-stable."""
     timings = {}
+    analysis = classifier.Analysis(group)
     t0 = time.perf_counter()
     css = classgraph.class_size_set(group)
     timings["classes_s"] = round(time.perf_counter() - t0, 6)
     gamma = classgraph.build_gamma(css.N) if css.N else classgraph.CoverDigraph((), ())
     t0 = time.perf_counter()
-    report = predicates.evaluate(group, skip_f_over_cap=True)
+    report = analysis.predicates
     timings["predicates_s"] = round(time.perf_counter() - t0, 6)
     t0 = time.perf_counter()
-    cls = classifier.classify(group)
+    cls = analysis.classification
     timings["classification_s"] = round(time.perf_counter() - t0, 6)
     describe = group.rep.describe
     return {

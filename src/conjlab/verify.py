@@ -13,8 +13,8 @@ enumeration; the order-2160 cover of PSL(2, 9) is checked only from an
 externally supplied generator file and the check is skipped (not failed)
 when no file is present.
 
-The suites run entry by entry: an entry's group is built once, checked by
-every suite and then dropped with all its caches.
+The suites run entry by entry: one Analysis of an entry's group serves
+every suite and is then dropped with all its caches.
 """
 
 from __future__ import annotations
@@ -28,13 +28,12 @@ from pathlib import Path
 
 from . import families
 from .classgraph import n_set
-from .classifier import (SCHUR_COVER_PSL29_N, SCHUR_COVER_PSL29_ORDER,
-                         TYPE_VERDICTS, Verdict, classify, check_corollary1,
-                         expected_N_linear, find_frobenius_structure)
+from .classifier import (SCHUR_COVER_PSL29_N, SCHUR_COVER_PSL29_ORDER, TYPE_VERDICTS,
+                         Analysis, Verdict, check_corollary1, expected_N_linear)
 from .errors import ConjlabError, SpecFileError
 from .groups import FiniteGroup, Subgroup
 from .intmath import factor
-from .predicates import PredicateReport, evaluate, is_sp
+from .predicates import is_sp
 from .specio import _is_int, load_group_spec, parse_json
 
 DEFAULT_SEED = 20240810
@@ -226,9 +225,9 @@ class SuiteReport:
         return out
 
 
-class _Case:
-    """One corpus entry while its checks run: the group, built on first
-    use, and what the checks derive from it.  Only those checks, and Lemma-2
+class _Case(Analysis):
+    """One corpus entry while its checks run: the Analysis of its group, built
+    on first read, and the Lemma-2 splits.  Only those checks, and Lemma-2
     sampling until another entry samples, refer to it."""
 
     def __init__(self, entry: CorpusEntry):
@@ -240,24 +239,17 @@ class _Case:
         return self.entry.build()
 
     @cached_property
-    def predicates(self) -> PredicateReport:
-        return evaluate(self.group)
-
-    @cached_property
-    def classification(self):
-        return classify(self.group)
-
-    @cached_property
     def normals(self) -> list[Subgroup]:
         """The normal subgroups other than 1 and G."""
         g = self.group
         return [s for s in g.normal_subgroups() if 1 < len(s) < g.order()]
 
     def split(self, idx: int) -> tuple[FiniteGroup, FiniteGroup]:
-        """K and G/K for the idx-th of ``normals``, K."""
+        """K and G/K for the idx-th of ``normals``, K; G/Z is the analysis's."""
         if idx not in self._splits:
-            sub = self.normals[idx]
-            self._splits[idx] = (sub.as_group(), self.group.quotient(sub))
+            sub, g = self.normals[idx], self.group
+            quot = self.quotient if sub.members == self.center.members else g.quotient(sub)
+            self._splits[idx] = (sub.as_group(), quot)
         return self._splits[idx]
 
 
@@ -411,10 +403,9 @@ class _Theorem2(_Suite):
                 co = cls.evidence["complement_preimage_order"] // cls.evidence["center_order"]
             if gcd(ko, co) != 1:
                 return False, f"kernel/complement image orders {ko}, {co} not coprime"
-            g = case.group
-            if cls.verdict is Verdict.TYPE_II and len(g.center()) == 1:
-                if frozenset(n_set(g)) != {ko, co}:
-                    return False, (f"Z=1 TypeII N {sorted(n_set(g))} != "
+            if cls.verdict is Verdict.TYPE_II and len(case.center) == 1:
+                if frozenset(n_set(case.group)) != {ko, co}:
+                    return False, (f"Z=1 TypeII N {sorted(n_set(case.group))} != "
                                    f"{{kernel, complement}} = {sorted({ko, co})}")
             return True, ""
         self.timed(f"frobenius_sizes/{entry.name}", frobenius_sizes)
@@ -435,7 +426,7 @@ class _Corollaries(_Suite):
             rep = case.predicates
             if not (rep.sp and rep.rank == 2):
                 return True, "not a rank-2 SP group"
-            ok = check_corollary1(case.group)
+            ok = check_corollary1(case)
             return ok, "" if ok else "G/Z is not a solvable Frobenius group"
         self.timed(f"corollary1/{case.entry.name}", corollary1)
         def corollary2():
@@ -586,22 +577,18 @@ class _Lemmas(_Suite):
         # Lemma 3: nonabelian p-groups have noncyclic central quotient
         if "p_group" in entry.tags:
             def lemma3():
-                g = case.group
-                if g.is_abelian():
+                if case.group.is_abelian():
                     return False, "tagged p-group is abelian"
-                quot = g.quotient(g.center())
-                qorder = quot.order()
-                cyclic = any(quot.element_order(c.representative) == qorder
-                             for c in quot.conjugacy_classes())
+                qorder = case.quotient.order()
+                cyclic = any(case.quotient.element_order(c.representative) == qorder
+                             for c in case.quotient.conjugacy_classes())
                 return not cyclic, "P/Z(P) is cyclic" if cyclic else ""
             self.timed(f"lemma3/{entry.name}", lemma3)
-        # Lemma 9 on Frobenius kernels (AGL directly, type3 on G/Z)
+        # Lemma 9 on the Frobenius kernel of G/Z (type3) or of G (AGL; a Frobenius G is G/Z)
         if entry.tags & {"frobenius_kernel", "frobenius_kernel_quotient"}:
             def lemma9():
-                g = case.group
-                if "frobenius_kernel_quotient" in entry.tags:
-                    g = g.quotient(g.center())
-                frob = find_frobenius_structure(g)
+                g = case.quotient if "frobenius_kernel_quotient" in entry.tags else case.group
+                frob = case.frobenius if g is case.quotient else None
                 if frob is None or frob.complement is None:
                     return False, "no Frobenius structure with recoverable complement"
                 fail = _check_lemma9(g, frob.kernel, frob.complement)

@@ -3,15 +3,15 @@ import pytest
 import conjlab as cj
 from conjlab import predicates
 from conjlab.errors import CapExceeded
-from conjlab.predicates import evaluate, is_ca, is_ch, is_f, is_sp, rank
+from conjlab.predicates import evaluate, is_ca, is_ch, is_f, is_sp
 
 from oracles import naive_centralizer
 
 
 def test_rank_examples():
-    assert rank(cj.heisenberg(3)) == 1
-    assert rank(cj.cyclic_group(12)) == 0
-    assert rank(cj.sl2(5)) == 3
+    assert evaluate(cj.heisenberg(3)).rank == 1
+    assert evaluate(cj.cyclic_group(12)).rank == 0
+    assert evaluate(cj.sl2(5)).rank == 3
 
 
 def test_is_sp_examples():
@@ -147,7 +147,7 @@ def test_witnesses_deterministic():
     assert a == b
 
 
-def test_skip_f_over_cap_reports_none(monkeypatch):
+def test_evaluate_reports_f_none_over_cap(monkeypatch):
     monkeypatch.setattr(predicates, "F_SCAN_CAP", 10)
-    r = evaluate(cj.symmetric_group(4), skip_f_over_cap=True)
+    r = evaluate(cj.symmetric_group(4))
     assert r.f is None and r.f_witness is None

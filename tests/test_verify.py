@@ -6,12 +6,13 @@ import json
 import pickle
 import re
 import weakref
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import conjlab as cj
-from conjlab import verify
+from conjlab import classifier, predicates, verify
 from conjlab.cli import run_command
 from conjlab.groups import FiniteGroup
 from conjlab.specio import write_group_spec
@@ -323,6 +324,56 @@ def test_run_all_leaves_no_group_alive(monkeypatch):
     finally:
         if enabled:
             gc.enable()
+
+
+def test_run_all_builds_one_central_quotient_per_group(monkeypatch):
+    """classify, Corollary 1, Lemmas 3 and 9 and the Lemma-2 split by the
+    centre all read one Analysis per entry: no group has its G/Z built, or
+    the Frobenius structure of a group found, more than once."""
+    # keyed by the groups themselves: holding them keeps their ids from reuse
+    central, frobenius = Counter(), Counter()
+    quotient, find = FiniteGroup.quotient, classifier.find_frobenius_structure
+
+    def counted_quotient(self, normal):
+        if normal.members == self.center().members:
+            central[self] += 1
+        return quotient(self, normal)
+
+    def counted_find(q):
+        frobenius[q] += 1
+        return find(q)
+    monkeypatch.setattr(FiniteGroup, "quotient", counted_quotient)
+    monkeypatch.setattr(classifier, "find_frobenius_structure", counted_find)
+    names = {"type3_3_2", "heisenberg_3", "agl1_5", "dihedral_4", "sl2_5"}
+    corpus = [entry for entry in verify.default_corpus() if entry.name in names]
+    reports = verify.run_all(corpus, min_tuples=200)
+    assert all(r.ok for r in reports)
+    assert len(central) == 4 and max(central.values()) == 1
+    assert len(frobenius) == 3 and max(frobenius.values()) == 1
+
+
+def test_verify_reports_f_none_over_the_f_scan_cap(tmp_path, monkeypatch):
+    """Above F_SCAN_CAP the predicates report F as None, as analyze does:
+    the SP and CH checks still run and the chain check fails on F alone."""
+    monkeypatch.setattr(predicates, "F_SCAN_CAP", 10)
+    code, out = _verify_dir(tmp_path, {"a5": {"group": {"family": "agl1", "params": [5]}}})
+    assert code == 2
+    assert re.search(r"^\[PASS\] theorem1/sp_implies_ch/a5 ", out, re.M)
+    assert re.search(r"^\[FAIL\] theorem1/chain_ca_ch_f/a5 -- a5: ch holds but f is None ",
+                     out, re.M)
+    assert "CapExceeded" not in out
+
+
+def test_lemma9_on_an_abelian_entry_fails_only_that_check(tmp_path):
+    """An abelian group has no Frobenius structure: its Lemma-9 check fails
+    and every other check, and entry, still runs."""
+    code, out = _verify_dir(tmp_path, {"d5": D5, "c6": {
+        "group": {"family": "cyclic", "params": [6]}, "tags": ["frobenius_kernel"]}})
+    assert code == 2
+    failures = [re.sub(r" \(\d+ ms\)$", "", line) for line in out.splitlines()
+                if line.startswith("[FAIL]")]
+    assert failures == ["[FAIL] lemmas/lemma9/c6 -- no Frobenius structure with "
+                        "recoverable complement"]
 
 
 def test_failed_enumeration_is_not_retried(tmp_path, monkeypatch):
