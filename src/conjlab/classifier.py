@@ -13,14 +13,14 @@ the order-2160 cover of PSL(2, 9).  No SL2(q) or GL2(q) is enumerated.
 A fingerprint is weaker than an isomorphism test and the evidence
 records it.
 
-One Analysis per group keeps its predicates, Z(G), G/Z (G itself when
-Z(G) = 1, so the Type II/III preimages are the subgroups themselves), the
-Frobenius structure of G/Z and the verdict, each made on first read.  Counts
-come before closures.  The Frobenius kernel of G/Z, the normal Sylow
-subgroups and Type I's normal p-complement are all normal Hall subgroups,
-found by FiniteGroup.normal_hall: a count of the elements whose order
-divides the Hall order, closed only when it matches.  Classification never
-builds the normal-subgroup lattice.
+One Analysis per group keeps its predicates, G/Z (G itself when Z(G) = 1,
+so the Type II/III preimages are the subgroups themselves), the Frobenius
+structure of G/Z and the verdict, each made on first read; Z(G) is the
+group's own cache.  Counts come before closures.  The Frobenius kernel of
+G/Z, the normal Sylow subgroups and Type I's normal p-complement are all
+normal Hall subgroups, found by FiniteGroup.normal_hall: a count of the
+elements whose order divides the Hall order, closed only when it matches.
+Classification never builds the normal-subgroup lattice.
 """
 
 from __future__ import annotations
@@ -321,12 +321,9 @@ class Analysis:
         return evaluate(self.group)
 
     @cached_property
-    def center(self) -> Subgroup:
-        return self.group.center()
-
-    @cached_property
     def quotient(self) -> FiniteGroup:
-        return self.group if len(self.center) == 1 else self.group.quotient(self.center)
+        center = self.group.center()
+        return self.group if len(center) == 1 else self.group.quotient(center)
 
     @cached_property
     def frobenius(self) -> FrobeniusStructure | None:
@@ -347,7 +344,7 @@ def classify(g: FiniteGroup | Analysis) -> SPClassification:
     sp, witness = is_sp(g)
     if not sp:
         return SPClassification(verdict=Verdict.NOT_SP, witness=witness)
-    center, quotient, frob, preimages = a.center, a.quotient, a.frobenius, None
+    center, quotient, frob, preimages = g.center(), a.quotient, a.frobenius, None
     if frob is not None and frob.complement is not None:
         # the kernel and complement preimages in G, for Types II and III
         preimages = (_preimage(g, quotient, frob.kernel),

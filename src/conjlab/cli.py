@@ -163,10 +163,9 @@ def _cmd_verify(args, out) -> int:
     corpus = None
     if args.corpus_dir:
         corpus = verify.load_corpus_dir(args.corpus_dir)
-    schur = args.schur_cover or verify.default_schur_cover_path()
     seed = verify.DEFAULT_SEED if args.seed is None else args.seed
     min_tuples = verify.DEFAULT_MIN_TUPLES if args.min_tuples is None else args.min_tuples
-    reports = verify.run_all(corpus=corpus, schur_path=schur, seed=seed,
+    reports = verify.run_all(corpus=corpus, schur_path=args.schur_cover, seed=seed,
                              min_tuples=min_tuples)
     failed = 0
     for report in reports:

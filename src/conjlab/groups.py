@@ -375,12 +375,8 @@ class FiniteGroup:
         return enc in self._index
 
     def _order_like(self, members) -> list:
-        """Members sorted by parent insertion order (deterministic)."""
-        idx = self._index
-        if idx is None:
-            self.elements()
-            idx = self._index
-        return sorted(members, key=idx.__getitem__)
+        """Members sorted by G's element order (deterministic); G is enumerated."""
+        return sorted(members, key=self._index.__getitem__)
 
     def _closure(self, gens, members=None, left=None) -> dict:
         """Grow a closed subgroup in place to the subgroup it generates with
@@ -550,8 +546,6 @@ class FiniteGroup:
     def _transport(self, sub: Subgroup, u) -> Subgroup:
         """sub ** u, members and generators."""
         r = self.rep
-        if u == r.identity:
-            return sub
         mul, uinv = r.mul, r.inv(u)
         elements, index = self._elements, self._index
         return Subgroup(r, frozenset(elements[index[mul(mul(uinv, z), u)]] for z in sub.members),

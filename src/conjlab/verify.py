@@ -13,8 +13,8 @@ enumeration; the order-2160 cover of PSL(2, 9) is checked only from an
 externally supplied generator file and the check is skipped (not failed)
 when no file is present.
 
-The suites run entry by entry: one Analysis of an entry's group serves
-every suite and is then dropped with all its caches.
+The suites run entry by entry: one Analysis of an entry's group, and the
+group's own caches such as Z(G), serve every suite and are then dropped.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ DEFAULT_SEED = 20240810
 DEFAULT_MIN_TUPLES = 10_000
 EXHAUSTIVE_ORDER_BOUND = 500
 SAMPLED_ORDER_BOUND = 2500
+DRAWS = 4  # tuples of each kind a Lemma-2 sampling round draws
 
 DATA_DIR = Path(__file__).parent / "data"
 CORPUS_FILENAME = "corpus.json"
@@ -66,10 +67,7 @@ class CorpusEntry:
     recipe: dict
     expected_order: int | None = None
     expected_N: frozenset | None = None
-    n_provenance: str | None = None  # "formula" or "derived"
     expected_verdict: str | None = None
-    family: str | None = None
-    params: tuple = ()
     tags: frozenset = frozenset()
     allow_unrecognized: bool = False
 
@@ -144,9 +142,7 @@ def _load_entries(raw, root: Path) -> list[CorpusEntry]:
         entries.append(CorpusEntry(
             name=name, recipe=recipe, expected_order=item.get("order"),
             expected_N=frozenset(nset) if nset is not None else None,
-            n_provenance=item.get("provenance"), expected_verdict=item.get("verdict"),
-            family=recipe.get("family"), params=tuple(recipe.get("params", ())),
-            tags=frozenset(item.get("tags") or ()),
+            expected_verdict=item.get("verdict"), tags=frozenset(item.get("tags") or ()),
             allow_unrecognized=bool(item.get("allow_unrecognized"))))
     return entries
 
@@ -248,7 +244,7 @@ class _Case(Analysis):
         """K and G/K for the idx-th of ``normals``, K; G/Z is the analysis's."""
         if idx not in self._splits:
             sub, g = self.normals[idx], self.group
-            quot = self.quotient if sub.members == self.center.members else g.quotient(sub)
+            quot = self.quotient if sub.members == g.center().members else g.quotient(sub)
             self._splits[idx] = (sub.as_group(), quot)
         return self._splits[idx]
 
@@ -366,9 +362,9 @@ class _Theorem2(_Suite):
         self.timed(f"classify/{entry.name}", classified)
         # formula checks: stored expectation, formula value and enumeration
         # must all agree
-        if entry.family in ("sl2", "gl2") and entry.params[0] >= 4:
+        if entry.recipe.get("family") in ("sl2", "gl2") and entry.recipe["params"][0] >= 4:
             def by_formula():
-                formula = expected_N_linear(entry.family, entry.params[0])
+                formula = expected_N_linear(entry.recipe["family"], entry.recipe["params"][0])
                 enumerated = frozenset(n_set(case.group))
                 if enumerated != formula.values:
                     return False, (f"enumerated {sorted(enumerated)} != formula "
@@ -403,7 +399,7 @@ class _Theorem2(_Suite):
                 co = cls.evidence["complement_preimage_order"] // cls.evidence["center_order"]
             if gcd(ko, co) != 1:
                 return False, f"kernel/complement image orders {ko}, {co} not coprime"
-            if cls.verdict is Verdict.TYPE_II and len(case.center) == 1:
+            if cls.verdict is Verdict.TYPE_II and len(case.group.center()) == 1:
                 if frozenset(n_set(case.group)) != {ko, co}:
                     return False, (f"Z=1 TypeII N {sorted(n_set(case.group))} != "
                                    f"{{kernel, complement}} = {sorted({ko, co})}")
@@ -446,26 +442,16 @@ def run_corollary_suite(corpus: list[CorpusEntry]) -> SuiteReport:
 # -- lemma-level invariants ----------------------------------------------------
 
 
-def _check_lemma2_for_normal(case: _Case, idx: int, exhaustive: bool,
-                             rng: random.Random | None, budget: int):
-    """Lemma 2 parts (i), (iv), (v) for one normal subgroup.  Returns
-    (tuples_checked, first_failure_or_None)."""
+def _check_lemma2_for_normal(case: _Case, idx: int, k_elems, g_reps):
+    """Lemma 2 parts (i), (iv), (v) for the idx-th normal subgroup K: (i) on
+    each element of K in k_elems, all three on each element of G in g_reps.
+    Returns (tuples_checked, first_failure_or_None)."""
     g = case.group
     kgroup, quot = case.split(idx)
     project = quot.rep.coset_rep
     orders = g.element_orders()
     checked = 0
-
-    if exhaustive:
-        k_reps = [c.representative for c in kgroup.conjugacy_classes()]
-        g_reps = [c.representative for c in g.conjugacy_classes()]
-    else:
-        all_k = kgroup.elements()
-        g_classes = g.conjugacy_classes()
-        k_reps = [rng.choice(all_k) for _ in range(budget)]
-        g_reps = [rng.choice(g_classes).representative for _ in range(budget)]
-
-    for x in k_reps:
+    for x in k_elems:
         # (i): |x^K| divides |x^G|
         checked += 1
         if g.class_size(x) % kgroup.class_size(x):
@@ -490,37 +476,34 @@ def _check_lemma2_for_normal(case: _Case, idx: int, exhaustive: bool,
     return checked, None
 
 
-def _check_lemma2_iii(g: FiniteGroup, exhaustive: bool,
-                      rng: random.Random | None, budget: int):
-    """Lemma 2 (iii): commuting x, y of coprime orders have
-    C(xy) = C(x) & C(y).  Central x or y make the identity trivially
-    true, so only noncentral pairs are informative."""
+def _lemma2_iii_pairs(g: FiniteGroup, rng: random.Random | None = None):
+    """The pairs Lemma 2 (iii) is checked on: x a noncentral class
+    representative and y in C(x), noncentral (else the identity is trivial)
+    and of order coprime to |x|.  Without rng, every pair, y in G's element
+    order; with it, those among DRAWS draws of x and then y.  An abelian G
+    has none and makes no draw."""
     if g.is_abelian():
-        return 1, None
-    orders = g.element_orders()
-    center = g.center().members
+        return []
+    orders, center = g.element_orders(), g.center().members
     reps = [c.representative for c in g.conjugacy_classes() if c.size > 1]
+    def commuting(x):
+        return g._order_like(g.centralizer(x).members)
+    if rng is None:
+        tried = ((x, y) for x in reps for y in commuting(x))
+    else:  # each x is drawn just before its y
+        tried = ((x, rng.choice(commuting(x))) for x in (rng.choice(reps) for _ in range(DRAWS)))
+    return [(x, y) for x, y in tried if y not in center and gcd(orders[x], orders[y]) == 1]
+
+
+def _check_lemma2_iii(g: FiniteGroup, pairs):
+    """Lemma 2 (iii) on the given pairs: commuting x, y of coprime orders
+    have C(xy) = C(x) & C(y).  Returns (tuples_checked, first_failure_or_None),
+    the count at least 1, which overstates a call that checked no pair;
+    ROADMAP's "Lemma 2 reports only what it checked" removes that floor."""
     checked = 0
-    pairs = []
-    if exhaustive:
-        for x in reps:
-            for y in g._order_like(g.centralizer(x).members):
-                if y in center or gcd(orders[x], orders[y]) != 1:
-                    continue
-                pairs.append((x, y))
-    else:
-        for _ in range(budget):
-            x = rng.choice(reps)
-            y = rng.choice(g._order_like(g.centralizer(x).members))
-            if y in center or gcd(orders[x], orders[y]) != 1:
-                continue
-            pairs.append((x, y))
-    for x, y in pairs:
-        checked += 1
-        xy = g.mul(x, y)
-        cxy = g.centralizer(xy).members
-        both = g.centralizer(x).members & g.centralizer(y).members
-        if cxy != both:
+    for checked, (x, y) in enumerate(pairs, 1):
+        cxy = g.centralizer(g.mul(x, y)).members
+        if cxy != g.centralizer(x).members & g.centralizer(y).members:
             return checked, f"(iii) C(xy) != C(x) & C(y) for x={x}, y={y}"
     return max(checked, 1), None
 
@@ -557,7 +540,9 @@ def _check_lemma9(g: FiniteGroup, kernel: Subgroup, complement: Subgroup):
 
 class _Lemmas(_Suite):
     """Lemmas 3, 9 and 1 on tagged entries; Lemma 2 exhaustively on small
-    groups and by sampling up to SAMPLED_ORDER_BOUND.  Each entry samples
+    groups and by sampling up to SAMPLED_ORDER_BOUND, its checkers given
+    every tuple or a round's draws: a normal index, then DRAWS each of K's
+    elements, G's class representatives and (iii) pairs.  Each entry samples
     its share, the tuples still missing over the entries left, with an RNG
     seeded by the seed and its name; an entry that cannot passes its share
     on.  The last entry that sampled is kept until another does, and at the
@@ -626,9 +611,13 @@ class _Lemmas(_Suite):
             order = None
         if order is None or order <= EXHAUSTIVE_ORDER_BOUND:
             def lemma2():
-                results = [_check_lemma2_for_normal(case, idx, True, None, 0)
-                           for idx in range(len(case.normals))]
-                results.append(_check_lemma2_iii(case.group, True, None, 0))
+                g = case.group
+                g_reps = [c.representative for c in g.conjugacy_classes()]
+                results = []
+                for idx in range(len(case.normals)):
+                    k_reps = [c.representative for c in case.split(idx)[0].conjugacy_classes()]
+                    results.append(_check_lemma2_for_normal(case, idx, k_reps, g_reps))
+                results.append(_check_lemma2_iii(g, _lemma2_iii_pairs(g)))
                 fail = next((f for _, f in results if f), None)
                 return not fail, fail or f"{sum(n for n, _ in results)} tuples"
             self.timed(f"lemma2_exhaustive/{entry.name}", lemma2)
@@ -641,13 +630,17 @@ class _Lemmas(_Suite):
 
     def _sample(self, target: int) -> None:
         case, rng = self.last
+        g = case.group
         t0 = time.perf_counter()
         while self.sampled < target and self.failure is None:
             results = []
             if case.normals:
                 idx = rng.randrange(len(case.normals))
-                results.append(_check_lemma2_for_normal(case, idx, False, rng, 4))
-            results.append(_check_lemma2_iii(case.group, False, rng, 4))
+                k_elems, g_classes = case.split(idx)[0].elements(), g.conjugacy_classes()
+                results.append(_check_lemma2_for_normal(
+                    case, idx, [rng.choice(k_elems) for _ in range(DRAWS)],
+                    [rng.choice(g_classes).representative for _ in range(DRAWS)]))
+            results.append(_check_lemma2_iii(g, _lemma2_iii_pairs(g, rng)))
             self.sampled += sum(n for n, _ in results)
             fail = next((f for _, f in results if f), None)
             self.failure = fail and f"{case.entry.name}: {fail}"
@@ -680,8 +673,7 @@ def run_schur_cover_check(path=None) -> SuiteReport:
     """Data-driven check of the order-2160 cover of PSL(2, 9): the file is
     externally sourced, and the check is SKIPPED when it is absent."""
     suite = _SchurCover()
-    if path is None:
-        path = default_schur_cover_path()
+    path = path or default_schur_cover_path()
     if path is None or not Path(path).exists():
         suite.record("cover_class_sizes", None, "no generator file supplied")
         return suite.finish()

@@ -4,9 +4,11 @@ import hashlib
 import io
 import json
 import pickle
+import random
 import re
 import weakref
 from collections import Counter
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -16,6 +18,7 @@ from conjlab import classifier, predicates, verify
 from conjlab.cli import run_command
 from conjlab.groups import FiniteGroup
 from conjlab.specio import write_group_spec
+from oracles import naive_centralizer, naive_element_order
 
 REPORT_DIGEST = Path(__file__).parent / "data" / "verify_report.sha256"
 
@@ -75,6 +78,29 @@ def test_lemma_suite_green(verify_reports):
     assert report.ok, [f"{c.name}: {c.detail}" for c in report.failures]
     budget = next(c for c in report.checks if c.name == "lemma2_sampled_budget")
     assert budget.status == "pass"
+
+
+def test_lemma2_iii_pairs_are_every_eligible_pair():
+    """The (iii) pair source lists what an independent scan finds: x a
+    noncentral class representative, y in C(x) \\ Z(G) in element order,
+    gcd(|x|, |y|) = 1.  Of these groups only sym 5 has such pairs."""
+    total = 0
+    for g in (cj.symmetric_group(4), cj.agl1(5), cj.type3_frobenius(7, 3),
+              cj.symmetric_group(5)):
+        center = {z for z in g.elements() if len(naive_centralizer(g, z)) == g.order()}
+        expected = [(x, y) for x in (c.representative for c in g.conjugacy_classes())
+                    if x not in center for y in naive_centralizer(g, x) if y not in center
+                    and gcd(naive_element_order(g, x), naive_element_order(g, y)) == 1]
+        assert verify._lemma2_iii_pairs(g) == expected
+        total += len(expected)
+    assert total == 3
+
+
+def test_lemma2_iii_pairs_of_an_abelian_group_draw_nothing():
+    g, rng = cj.cyclic_group(6), random.Random(7)
+    state = rng.getstate()
+    assert verify._lemma2_iii_pairs(g) == verify._lemma2_iii_pairs(g, rng) == []
+    assert rng.getstate() == state
 
 
 def _outcomes(report):
@@ -150,7 +176,7 @@ def test_corpus_dir_recipes_without_spec_files(tmp_path):
 
     entries = verify.load_corpus_dir(tmp_path)
     assert [e.name for e in entries] == ["mini_agl15_x_c3", "mini_d5", "mini_d5_spec"]
-    assert (entries[1].family, entries[1].params) == ("dihedral", (5,))
+    assert entries[1].recipe == {"family": "dihedral", "params": [5], "regular": False}
     suites = [verify.run_theorem1_suite(entries), verify.run_theorem2_suite(entries),
               verify.run_corollary_suite(entries),
               verify.run_lemma_invariants(entries, min_tuples=50)]
