@@ -13,10 +13,10 @@ alone frees a group with everything built from it.
 
 Everything is desk scale by design.  One routine, FiniteGroup._closure,
 grows every element set: it extends a closed subgroup in place by new
-generators (Dimino's idea), so the group itself is a breadth-first closure
-of the generators from the identity, and the subgroups built one generator
-at a time (greedy generating sets, Schreier centralizers, the derived
-subgroup) never re-close what they already hold.
+generators (Dimino's idea).  Every group, a subgroup taken as a group too,
+is the breadth-first closure of its generators from the identity, and the
+subgroups built one generator at a time (greedy generating sets, Schreier
+centralizers, the derived subgroup) never re-close what they already hold.
 
 Conjugacy classes are conjugation orbits over element positions.  The
 enumeration keeps the position of g * x for each element x and generator g
@@ -279,12 +279,10 @@ class Subgroup:
         return _generators_commute(self.rep.mul, self.gens)
 
     def as_group(self) -> "FiniteGroup":
-        """The subgroup as a group, its elements in encoding order; nothing
-        closed inside it can outgrow it, so its order is its cap."""
-        sub = FiniteGroup(self.rep, self.gens, max_order=len(self.members))
-        sub._elements = sorted(self.members)
-        sub._index = {e: i for i, e in enumerate(sub._elements)}
-        return sub
+        """The subgroup as a group on its generators, enumerated by its own
+        closure like any other; nothing closed inside it can outgrow it, so
+        its order is its cap."""
+        return FiniteGroup(self.rep, self.gens, max_order=len(self.members))
 
     def __repr__(self):
         return f"Subgroup(order={len(self.members)} in {self.rep!r})"
@@ -451,20 +449,16 @@ class FiniteGroup:
 
     def _compute_classes(self):
         # Orbits over positions: x ** g = g^-1 * (x * g) is Linv_g[R_g[x]], with
-        # Linv_g the inverse of the left table L_g[x] = g * x (the
-        # enumeration's, or by products when the elements were given) and the
-        # right table R_g[x] = x * g read off it: x = a * y gives
+        # Linv_g the inverse of the enumeration's left table L_g[x] = g * x
+        # and the right table R_g[x] = x * g read off it: x = a * y gives
         # R_g[L_a[y]] = L_a[R_g[y]], so one breadth-first pass over the left
         # Cayley graph from R_g[e] = g fills every R_g with no product (it
         # reaches every element: g^-1 is a positive power of g).
         elements = self.elements()
-        index, mul = self._index, self.rep.mul
+        index, left = self._index, self._left
         n = len(elements)
         moves = self._moves()
         k = len(moves)
-        if self._left is None:
-            self._left = [index[mul(g, x)] for x in elements for g, _ in moves]
-        left = self._left
         e = index[self.rep.identity]
         rights = [[index[g]] * n for g, _ in moves]  # R_g[e] = g; the rest is overwritten
         seen = bytearray(n)

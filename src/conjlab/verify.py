@@ -69,7 +69,6 @@ class CorpusEntry:
     expected_N: frozenset | None = None
     expected_verdict: str | None = None
     tags: frozenset = frozenset()
-    allow_unrecognized: bool = False
 
     def build(self) -> FiniteGroup:
         return _build(self.recipe)
@@ -113,7 +112,6 @@ _ENTRY_FIELDS = {
     "verdict": (f"one of {list(_VERDICTS)}", lambda v: v in _VERDICTS),
     "tags": ("a string array",
              lambda v: isinstance(v, list) and all(isinstance(t, str) for t in v)),
-    "allow_unrecognized": ("a boolean", lambda v: isinstance(v, bool)),
 }
 _RECIPE_KEYS = {"family": {"family", "params", "regular"},
                 "product": {"product"}, "spec": {"spec"}}
@@ -142,8 +140,7 @@ def _load_entries(raw, root: Path) -> list[CorpusEntry]:
         entries.append(CorpusEntry(
             name=name, recipe=recipe, expected_order=item.get("order"),
             expected_N=frozenset(nset) if nset is not None else None,
-            expected_verdict=item.get("verdict"), tags=frozenset(item.get("tags") or ()),
-            allow_unrecognized=bool(item.get("allow_unrecognized"))))
+            expected_verdict=item.get("verdict"), tags=frozenset(item.get("tags") or ())))
     return entries
 
 
@@ -223,8 +220,8 @@ class SuiteReport:
 
 class _Case(Analysis):
     """One corpus entry while its checks run: the Analysis of its group, built
-    on first read, and the Lemma-2 splits.  Only those checks, and Lemma-2
-    sampling until another entry samples, refer to it."""
+    on first read, and the Lemma-2 splits.  Only those checks refer to it:
+    Lemma-2 sampling keeps an unbuilt copy for its last round."""
 
     def __init__(self, entry: CorpusEntry):
         self.entry = entry
@@ -351,7 +348,7 @@ class _Theorem2(_Suite):
                     return False, f"bad NotSP witness {cls.witness}"
             if rep.sp:
                 recognized = cls.verdict is Verdict.ABELIAN or cls.verdict in TYPE_VERDICTS
-                if not recognized and not entry.allow_unrecognized:
+                if not recognized:
                     return False, f"SP entry is {cls.verdict.value}"
             if cls.verdict in TYPE_VERDICTS and not rep.sp:
                 return False, f"{cls.verdict.value} verdict on a non-SP group"
@@ -545,8 +542,8 @@ class _Lemmas(_Suite):
     elements, G's class representatives and (iii) pairs.  Each entry samples
     its share, the tuples still missing over the entries left, with an RNG
     seeded by the seed and its name; an entry that cannot passes its share
-    on.  The last entry that sampled is kept until another does, and at the
-    end samples what the entries after it could not."""
+    on.  The last entry that sampled keeps its RNG and an unbuilt case, and
+    at the end samples what the entries after it could not."""
 
     name, kinds = "lemmas", ("lemma3", "lemma9", "lemma1", "lemma2_exhaustive",
                              "lemma2_sampled", "lemma2_sampled_budget")
@@ -555,7 +552,7 @@ class _Lemmas(_Suite):
         super().__init__()
         self.seed, self.min_tuples, self.entries_left = seed, min_tuples, entries
         self.sampled, self.failure, self.seconds = 0, None, 0.0
-        self.last = None  # (case, rng) of the last entry that sampled
+        self.last = None  # (unbuilt case, rng) of the last entry that sampled
 
     def check(self, case: _Case) -> None:
         entry = case.entry
@@ -625,11 +622,12 @@ class _Lemmas(_Suite):
         share = -(-(self.min_tuples - self.sampled) // self.entries_left)
         self.entries_left -= 1
         if order is not None and order <= SAMPLED_ORDER_BOUND:
-            self.last = (case, random.Random(f"{self.seed}:{entry.name}"))
-            self._sample(self.sampled + share)
+            rng = random.Random(f"{self.seed}:{entry.name}")
+            self._sample(case, rng, self.sampled + share)
+            # an unbuilt case: the group is rebuilt only if finish() samples
+            self.last = (_Case(entry), rng)
 
-    def _sample(self, target: int) -> None:
-        case, rng = self.last
+    def _sample(self, case: _Case, rng: random.Random, target: int) -> None:
         g = case.group
         t0 = time.perf_counter()
         while self.sampled < target and self.failure is None:
@@ -648,7 +646,7 @@ class _Lemmas(_Suite):
 
     def finish(self) -> SuiteReport:
         if self.last is not None:
-            self._sample(self.min_tuples)
+            self._sample(*self.last, self.min_tuples)
         self.record("lemma2_sampled", self.failure is None,
                     self.failure or f"{self.sampled} sampled tuples, seed {self.seed}",
                     self.seconds)

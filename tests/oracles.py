@@ -72,6 +72,26 @@ def naive_element_order(group, x):
     return k
 
 
+def whole_group_f_scan(group):
+    """F's (flag, witness) by a scan of all of G: x over noncentral class
+    representatives, y over G in element order, kept when |y^G| properly
+    divides |x^G| and y commutes with every member of C(x)."""
+    mul = group.rep.mul
+    sizes_present = set(group.class_sizes()) - {1}
+    for cls in group.conjugacy_classes():
+        if cls.size == 1:
+            continue
+        x = cls.representative
+        sizes = {s for s in sizes_present if s < cls.size and cls.size % s == 0}
+        if not sizes:
+            continue
+        cx_members = group.centralizer(x).members
+        for y in group.elements():
+            if group.class_size(y) in sizes and all(mul(z, y) == mul(y, z) for z in cx_members):
+                return False, (x, y)
+    return True, None
+
+
 def naive_normal_subgroups(group):
     """Normal subgroups as join-closed unions of classes: one closure per
     conjugacy class, then pairwise joins until nothing new appears, sorted

@@ -5,7 +5,7 @@ from conjlab import predicates
 from conjlab.errors import CapExceeded
 from conjlab.predicates import evaluate, is_ca, is_ch, is_f, is_sp
 
-from oracles import naive_centralizer
+from oracles import naive_centralizer, whole_group_f_scan
 
 
 def test_rank_examples():
@@ -82,10 +82,10 @@ def test_is_f_examples():
 
 @pytest.mark.parametrize("n", [4, 5, 6])
 def test_is_f_witness_matches_naive_scan(n):
-    """is_f skips a representative whose class size lets no y pass its
-    filter; the witness is still the first (x, y) of the unfiltered scan,
-    x over noncentral class representatives, y over all elements, with
-    C(x) properly inside C(y)."""
+    """is_f scans only C(x), and skips a representative x when no class
+    size properly divides |x^G|; the witness is still the first (x, y) of
+    the unfiltered scan, x over noncentral class representatives, y over
+    all elements, with C(x) properly inside C(y)."""
     g = cj.symmetric_group(n)
     cent = {}
 
@@ -105,6 +105,18 @@ def test_is_f_witness_matches_naive_scan(n):
             break
     assert naive is not None
     assert is_f(g) == (False, naive)
+
+
+def test_is_f_matches_whole_group_scan_above_the_cap(monkeypatch, corpus, group_of):
+    """With the cap lifted, the scan of C(x) gives the whole-group scan's
+    flag and witness on every corpus group and on two groups above
+    F_SCAN_CAP."""
+    monkeypatch.setattr(predicates, "F_SCAN_CAP", 10**6)
+    cases = [(e.name, group_of(e.name)) for e in corpus]
+    cases += [("sym 8", cj.symmetric_group(8)), ("gl2 11", cj.gl2(11))]
+    for name, g in cases:
+        assert is_f(g) == whole_group_f_scan(g), name
+    assert [is_f(g)[0] for _, g in cases[-2:]] == [False, True]
 
 
 def test_is_f_cap(monkeypatch):

@@ -203,6 +203,7 @@ HOSTILE_EXPECTATIONS = {
     "spec_not_string": '{"x": {"group": {"spec": 5}}}',
     "unknown_key": '{"x": {"verdit": "TypeII"}}',
     "bad_verdict": '{"x": {"verdict": ["TypeII"]}}',
+    "allow_unrecognized": '{"x": {"allow_unrecognized": true}}',
     "deep_nesting": "[" * 200_000,
 }
 
