@@ -628,9 +628,9 @@ class _Lemmas(_Suite):
             self.last = (_Case(entry), rng)
 
     def _sample(self, case: _Case, rng: random.Random, target: int) -> None:
-        g = case.group
         t0 = time.perf_counter()
         while self.sampled < target and self.failure is None:
+            g = case.group  # an unbuilt case is built only to sample
             results = []
             if case.normals:
                 idx = rng.randrange(len(case.normals))
