@@ -624,7 +624,6 @@ class _Lemmas(_Suite):
         if order is not None and order <= SAMPLED_ORDER_BOUND:
             rng = random.Random(f"{self.seed}:{entry.name}")
             self._sample(case, rng, self.sampled + share)
-            # an unbuilt case: the group is rebuilt only if finish() samples
             self.last = (_Case(entry), rng)
 
     def _sample(self, case: _Case, rng: random.Random, target: int) -> None:

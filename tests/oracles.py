@@ -74,15 +74,16 @@ def naive_element_order(group, x):
 
 def whole_group_f_scan(group):
     """F's (flag, witness) by a scan of all of G: x over noncentral class
-    representatives, y over G in element order, kept when |y^G| properly
-    divides |x^G| and y commutes with every member of C(x)."""
-    mul = group.rep.mul
-    sizes_present = set(group.class_sizes()) - {1}
+    representatives, y over G in element order, kept when |C(y)| is a
+    proper multiple of |C(x)|, |y^G| > 1, and y commutes with every member
+    of C(x)."""
+    mul, n = group.rep.mul, group.order()
     for cls in group.conjugacy_classes():
         if cls.size == 1:
             continue
         x = cls.representative
-        sizes = {s for s in sizes_present if s < cls.size and cls.size % s == 0}
+        sizes = {s for s in group.class_sizes()
+                 if s != 1 and s != cls.size and (n // s) % (n // cls.size) == 0}
         if not sizes:
             continue
         cx_members = group.centralizer(x).members
