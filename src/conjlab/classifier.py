@@ -242,7 +242,7 @@ def _try_type_iii(g: FiniteGroup, frob: FrobeniusStructure, kernel_pre: Subgroup
         return None
     kernel = kernel_pre.members
     for p, _ in factor(len(frob.kernel)):
-        sylow = g.normal_sylow(p) if g.order() % p == 0 else None
+        sylow = g.normal_sylow(p)  # p divides |K/Z|, which divides |G|
         if sylow is None:
             continue
         # Z is central: PZ = K_pre iff P, Z <= K_pre and |P||Z| = |K_pre||P & Z|

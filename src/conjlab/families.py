@@ -43,9 +43,7 @@ def _check_field_cap(q: int) -> None:
         raise CapExceeded(f"field size {q}", FIELD_CAP)
 
 
-def _as_field(q) -> Field:
-    if isinstance(q, Field):
-        return q
+def _as_field(q: int) -> Field:
     _check_field_cap(q)
     pn = prime_power(q)
     if pn is None:

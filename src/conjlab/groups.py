@@ -24,11 +24,14 @@ enumeration keeps the position of g * x for each element x and generator g
 x = a * y gives x * g = a * (y * g), so one breadth-first pass over the left
 Cayley graph from the identity fills it.  Conjugation by g is then two
 integer lookups and the transversal is positions too (t_z = t_y * g is a
-lookup).  Each class representative's centralizer is built there from
-Schreier generators once per class, each conjugated over from the orbit
-seed.  The left table is kept: G/N is read off it with no product, since
-g * xN = (g * x)N.  A closure inside an enumerated group stores G's own
-element objects.
+lookup).  Each orbit, once found, is searched again from its least member,
+the class representative, whose transversal element is then the identity:
+by Schreier's lemma the representative's centralizer, its stabilizer, is
+generated by Schreier generators read straight off that transversal, once
+per class.  The left table is kept: G/N is read off it with no product,
+since g * xN = (g * x)N.  A closure inside an enumerated group stores G's
+own element objects, and G itself is one Subgroup value, shared by every
+central element's centralizer and a perfect G's G'.
 
 A question is settled by a count over the classes before anything is
 closed, and closed only when the count cannot settle it:
@@ -39,7 +42,8 @@ closed, and closed only when the count cannot settle it:
 - the center is the size-1 classes, with no products;
 - the derived subgroup grows its basis only by commutators and conjugates
   outside its closure, and is G itself, with G's generators, once the
-  closure reaches |G|;
+  closure reaches |G|; each later term of the derived series is closed
+  inside G the same way from the generators of the one before;
 - normal subgroups, which only verify's lemma suites use, are the normal
   closures of one class per rational class, joined pairwise, each keyed by
   the bitmask of its classes so that |AB| = |A||B|/|A & B| is known first.
@@ -47,7 +51,7 @@ closed, and closed only when the count cannot settle it:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import gcd
 from operator import itemgetter
 
@@ -60,8 +64,6 @@ DEFAULT_MAX_ORDER = 200_000
 
 class PermutationRep:
     """Permutations of [0, degree) encoded as image tuples."""
-
-    kind = "permutation"
 
     def __init__(self, degree: int):
         if degree < 1:
@@ -93,8 +95,6 @@ class PermutationRep:
 
 class MatrixRep:
     """Invertible dim x dim matrices over a Field, flat row-major encodings."""
-
-    kind = "matrix"
 
     def __init__(self, field: Field, dim: int):
         if dim < 1:
@@ -219,8 +219,6 @@ class QuotientRep:
     representation followed by coset lookup.
     """
 
-    kind = "quotient"
-
     def __init__(self, parent_rep, coset_rep: dict):
         self.parent_rep = parent_rep
         self.coset_rep = coset_rep
@@ -254,7 +252,6 @@ class ConjugacyClass:
     representative: tuple
     size: int
     members: frozenset
-    seed: tuple = field(repr=False, compare=False, default=None)
 
 
 @dataclass(frozen=True)
@@ -312,6 +309,7 @@ class FiniteGroup:
         self._classes: list[ConjugacyClass] | None = None
         self._class_of: list | None = None  # class index by element position
         self._transversal: list | None = None  # position of t_x by position of x
+        self._whole_group: Subgroup | None = None
         self._center: Subgroup | None = None
         self._derived: Subgroup | None = None
         self._normals: list[Subgroup] | None = None
@@ -477,28 +475,30 @@ class FiniteGroup:
             for i, p in enumerate(left[j::k]):
                 linv[p] = i
             steps.append((right, linv))
-        transversal = [0] * n
-        assigned = bytearray(n)
-        found = []
-        for s in range(n):
-            if assigned[s]:
-                continue
-            assigned[s] = 1
-            transversal[s] = e
-            orbit = [s]
+
+        def search(root, t) -> list:
+            # the orbit of root, t[z] the position of t_z with root ** t_z = z
+            t[root] = e
+            orbit = [root]
             for y in orbit:
-                ty = transversal[y]
+                ty = t[y]
                 for right, linv in steps:
                     z = linv[right[y]]
-                    if not assigned[z]:
-                        assigned[z] = 1
-                        transversal[z] = right[ty]
+                    if t[z] < 0:
+                        t[z] = right[ty]
                         orbit.append(z)
-            members = [elements[p] for p in orbit]
-            found.append((ConjugacyClass(min(members), len(orbit), frozenset(members),
-                                         seed=elements[s]), orbit))
+            return orbit
+
+        # each orbit is searched once to find it (class_of marks it, -1 until
+        # then), then again from its least member, the representative: t_rep = e
+        class_of, transversal = [-1] * n, [-1] * n
+        found = []
+        for s in range(n):
+            if class_of[s] < 0:
+                orbit = search(min(search(s, class_of), key=elements.__getitem__), transversal)
+                found.append((ConjugacyClass(elements[orbit[0]], len(orbit),
+                                             frozenset(elements[p] for p in orbit)), orbit))
         found.sort(key=lambda co: (co[0].size, co[0].representative))
-        class_of = [0] * n
         for i, (_, orbit) in enumerate(found):
             for p in orbit:
                 class_of[p] = i
@@ -521,21 +521,17 @@ class FiniteGroup:
 
     def centralizer(self, x) -> Subgroup:
         """Elements of G commuting with x: built at its class representative,
-        and moved from there for any other member."""
+        and moved from there for any other member, C(rep ** t_x) = C(rep) ** t_x."""
         self.conjugacy_classes()
-        index, elements, transversal = self._index, self._elements, self._transversal
-        pos = index[x]
+        pos = self._index[x]
         cls_idx = self._class_of[pos]
-        cls_rep = self._classes[cls_idx].representative
-        t_rep = elements[transversal[index[cls_rep]]]
         base = self._rep_centralizers.get(cls_idx)
         if base is None:
-            base = self._schreier_centralizer(cls_idx, t_rep)
+            base = self._schreier_centralizer(cls_idx)
             self._rep_centralizers[cls_idx] = base
-        if x == cls_rep:
+        if x == self._classes[cls_idx].representative:
             return base
-        r = self.rep
-        return self._transport(base, r.mul(r.inv(t_rep), elements[transversal[pos]]))
+        return self._transport(base, self._elements[self._transversal[pos]])
 
     def _transport(self, sub: Subgroup, u) -> Subgroup:
         """sub ** u, members and generators."""
@@ -545,18 +541,17 @@ class FiniteGroup:
         return Subgroup(r, frozenset(elements[index[mul(mul(uinv, z), u)]] for z in sub.members),
                         tuple(mul(mul(uinv, z), u) for z in sub.gens))
 
-    def _schreier_centralizer(self, cls_idx: int, u) -> Subgroup:
-        """Centralizer of seed ** u by Schreier generators of the seed's, each
-        conjugated by u before it is tested and closed.  Conjugation by u is
-        a bijection, so the greedy scan keeps the seed's generators ** u, in
-        order, for two products per candidate, not two per member."""
+    def _schreier_centralizer(self, cls_idx: int) -> Subgroup:
+        """Centralizer of the class representative, the stabilizer of the
+        orbit's root: by Schreier's lemma it is generated by t_m * g * t_m2^-1
+        over members m and generators g with m ** g = m2, closed greedily
+        until it has order |G| / |class|."""
         cls = self._classes[cls_idx]
         if cls.size == 1:
-            return Subgroup(self.rep, frozenset(self.elements()), self.generators)
+            return self._whole()
         target = self.order() // cls.size
         rep = self.rep
         mul, inv = rep.mul, rep.inv
-        uinv = None if u == rep.identity else inv(u)
         elements, index, transversal = self._elements, self._index, self._transversal
         tinv = {}
         found = []
@@ -570,8 +565,6 @@ class FiniteGroup:
                 if m2 not in tinv:
                     tinv[m2] = inv(elements[transversal[index[m2]]])
                 s = mul(mul(um, g), tinv[m2])
-                if uinv is not None:
-                    s = mul(mul(uinv, s), u)
                 if s not in closure:
                     found.append(s)
                     self._closure(found, closure)
@@ -581,6 +574,12 @@ class FiniteGroup:
             raise InternalCheckError(
                 f"Schreier centralizer has order {len(closure)}, expected {target}")
         return Subgroup(self.rep, frozenset(closure), tuple(found))
+
+    def _whole(self) -> Subgroup:
+        """G as a Subgroup of itself, built once."""
+        if self._whole_group is None:
+            self._whole_group = Subgroup(self.rep, frozenset(self.elements()), self.generators)
+        return self._whole_group
 
     def center(self) -> Subgroup:
         """The size-1 classes, in element order."""
@@ -605,15 +604,18 @@ class FiniteGroup:
         return Subgroup(self.rep, frozenset(closure), tuple(gens))
 
     def derived_subgroup(self) -> Subgroup:
-        """Normal closure of the generator commutators."""
+        """Normal closure of the generator commutators; G itself, with G's
+        generators, when G is perfect."""
         if self._derived is None:
-            self._derived = self._compute_derived()
+            n = self.order()
+            derived = self._derived_of(self._moves(), n)
+            self._derived = self._whole() if len(derived) == n else derived
         return self._derived
 
-    def _compute_derived(self) -> Subgroup:
+    def _derived_of(self, moves, n: int) -> Subgroup:
+        """[H, H] for the subgroup H of order n generated by moves, the
+        (h, h^-1) pairs of its generators, closed inside G."""
         mul = self.rep.mul
-        moves = self._moves()
-        n = self.order()
         closure = {self.rep.identity: 0}
         basis = []
 
@@ -626,15 +628,13 @@ class FiniteGroup:
             for b, bi in moves:
                 grow(mul(mul(mul(ai, bi), a), b))
         # the basis grows while it is read: every basis element's conjugates
-        # by the generators end up in the closure, which is then normal
+        # by the generators end up in the closure, which is then normal in H
         i = 0
         while i < len(basis) and len(closure) < n:
             t = basis[i]
             i += 1
             for g, gi in moves:
                 grow(mul(mul(gi, t), g))
-        if len(closure) == n:
-            return Subgroup(self.rep, frozenset(self.elements()), self.generators)
         return Subgroup(self.rep, frozenset(closure), tuple(basis))
 
     def normal_subgroups(self) -> list[Subgroup]:
@@ -786,18 +786,14 @@ class FiniteGroup:
         return _generators_commute(self.rep.mul, self.generators)
 
     def is_solvable(self) -> bool:
-        """Derived series reaches the trivial subgroup."""
-        current = self
-        size = self.order()
-        while True:
-            derived = current.derived_subgroup()
-            dsize = len(derived)
-            if dsize == 1:
-                return True
-            if dsize == size:
-                return False
-            size = dsize
-            current = derived.as_group()
+        """Derived series reaches the trivial subgroup; each term is closed
+        inside G from the generators of the one before."""
+        inv = self.rep.inv
+        size, term = self.order(), self.derived_subgroup()
+        while 1 < len(term) < size:
+            size = len(term)
+            term = self._derived_of([(h, inv(h)) for h in term.gens], size)
+        return len(term) == 1
 
     def __repr__(self):
         label = self.name or "group"

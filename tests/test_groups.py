@@ -5,7 +5,7 @@ import pytest
 import conjlab as cj
 from conjlab import specio, verify
 from conjlab.errors import CapExceeded
-from conjlab.groups import FiniteGroup, MatrixRep, PermutationRep, QuotientRep
+from conjlab.groups import FiniteGroup, MatrixRep, PermutationRep, QuotientRep, Subgroup
 from conjlab.intmath import factor
 
 from oracles import (naive_centralizer, naive_class_sizes, naive_closure,
@@ -390,6 +390,31 @@ def test_is_solvable():
     assert cj.heisenberg(3).is_solvable()
 
 
+def test_is_solvable_builds_no_group(monkeypatch):
+    """Each term of the derived series is closed inside G: no subgroup is
+    taken as a group of its own."""
+    def no_group(self):
+        raise AssertionError("as_group called")
+
+    sl25 = cj.sl2(5)
+    cases = [(cj.symmetric_group(4), True), (cj.alternating_group(5), False),
+             (cj.heisenberg(3), True), (sl25.quotient(sl25.center()), False),
+             (cj.gl2(3), True)]
+    monkeypatch.setattr(Subgroup, "as_group", no_group)
+    assert [g.is_solvable() for g, _ in cases] == [solvable for _, solvable in cases]
+
+
+def test_whole_group_is_one_value():
+    """Every central element's centralizer and a perfect G's G' are one
+    cached Subgroup holding all of G."""
+    g = cj.cyclic_group(6)
+    cents = {id(g.centralizer(x)) for x in g.elements()}
+    assert len(cents) == 1 and g.centralizer(g.identity).members == frozenset(g.elements())
+    a5 = cj.alternating_group(5)
+    assert a5.derived_subgroup() is a5.centralizer(a5.identity)
+    assert a5.derived_subgroup().gens == a5.generators
+
+
 def test_is_abelian():
     assert cj.cyclic_group(6).is_abelian()
     assert not cj.quaternion_group().is_abelian()
@@ -478,16 +503,17 @@ def _index_space_cases(corpus, group_of):
 
 
 def test_index_space_classes_match_oracle(corpus, group_of):
-    """Every class is one conjugation orbit: each member x is seed ** t_x,
-    with t_x read off the position transversal, and conjugation by each
-    generator keeps the class; the sizes match the naive oracle."""
+    """Every class is one conjugation orbit: each member x is
+    representative ** t_x, with t_x read off the position transversal, and
+    conjugation by each generator keeps the class; the sizes match the naive
+    oracle."""
     for name, g in _index_space_cases(corpus, group_of):
         elements, index = g.elements(), g._index
         classes = g.conjugacy_classes()
         assert sum(c.size for c in classes) == g.order(), name
         for cls in classes:
             for x in cls.members:
-                assert g.conj(cls.seed, elements[g._transversal[index[x]]]) == x, name
+                assert g.conj(cls.representative, elements[g._transversal[index[x]]]) == x, name
                 assert all(g.conj(x, h) in cls.members for h in g.generators), name
         if g.order() <= NAIVE_CLASS_ORDER_CAP:
             assert g.class_sizes() == naive_class_sizes(g), name
@@ -530,9 +556,21 @@ def test_classes_make_no_product_once_enumerated(build):
     assert len(calls) == 0
 
 
+@pytest.mark.parametrize("build", [lambda: cj.gl2(5), _quotient_by_center,
+                                   _centralizer_as_group])
+def test_transversal_is_rooted_at_each_representative(build):
+    """Each orbit is searched from its representative, so the transversal
+    maps every representative to the identity's position: for a group, a
+    quotient and a subgroup taken as a group alike."""
+    g = build()
+    e = g._index[g.identity]
+    assert [g._transversal[g._index[c.representative]] for c in g.conjugacy_classes()] \
+        == [e] * len(g.conjugacy_classes())
+
+
 def test_representative_centralizers_are_built_where_they_are(monkeypatch):
     """A class representative's centralizer is built at the representative,
-    never transported from the orbit seed's."""
+    never transported from another member's."""
     def no_transport(self, sub, u):
         raise AssertionError("_transport called for a class representative")
 
@@ -563,14 +601,14 @@ CAYLEY_EDGE_CASES = {
 @pytest.mark.parametrize("case", list(CAYLEY_EDGE_CASES))
 def test_cayley_graph_pass_edge_cases(case):
     """Generating sets the breadth-first right-table pass must survive: each
-    class is the orbit the oracle finds, every member is seed ** t_x, and
-    each representative's centralizer is the oracle's."""
+    class is the orbit the oracle finds, every member is representative **
+    t_x, and each representative's centralizer is the oracle's."""
     g = CAYLEY_EDGE_CASES[case]()
     elements, index = g.elements(), g._index
     assert g.class_sizes() == naive_class_sizes(g)
     for cls in g.conjugacy_classes():
         for x in cls.members:
-            assert g.conj(cls.seed, elements[g._transversal[index[x]]]) == x
+            assert g.conj(cls.representative, elements[g._transversal[index[x]]]) == x
         c = g.centralizer(cls.representative)
         assert c.members == frozenset(naive_centralizer(g, cls.representative))
 
@@ -598,9 +636,8 @@ def _table_quotient_cases(corpus, group_of):
 
 def test_table_quotient_matches_closed_quotient(corpus, group_of):
     """G/N read off G's left table has the coset map, elements, positions,
-    left table, classes (seeds included) and transversal of the quotient
-    that its own closure enumerates; the coset map's keys are G's own
-    element objects."""
+    left table, classes and transversal of the quotient that its own
+    closure enumerates; the coset map's keys are G's own element objects."""
     for name, g, n in _table_quotient_cases(corpus, group_of):
         q, ref = g.quotient(n), _closed_quotient(g, n)
         assert q.rep.coset_rep == ref.rep.coset_rep, name
@@ -608,8 +645,8 @@ def test_table_quotient_matches_closed_quotient(corpus, group_of):
         assert q.generators == ref.generators, name
         assert q.elements() == ref.elements() and q._index == ref._index, name
         assert q._left == ref._left, name
-        assert [(c.representative, c.size, c.members, c.seed) for c in q.conjugacy_classes()] \
-            == [(c.representative, c.size, c.members, c.seed) for c in ref.conjugacy_classes()], name
+        assert [(c.representative, c.size, c.members) for c in q.conjugacy_classes()] \
+            == [(c.representative, c.size, c.members) for c in ref.conjugacy_classes()], name
         assert q._transversal == ref._transversal, name
 
 
