@@ -12,11 +12,12 @@ group: nothing refers back up the group hierarchy, so reference counting
 alone frees a group with everything built from it.
 
 Everything is desk scale by design.  One routine, FiniteGroup._closure,
-grows every element set: it extends a closed subgroup in place by new
-generators (Dimino's idea).  Every group, a subgroup taken as a group too,
-is the breadth-first closure of its generators from the identity, and the
-subgroups built one generator at a time (greedy generating sets, Schreier
-centralizers, the derived subgroup) never re-close what they already hold.
+grows every element set outside the normal-subgroup lattice: it extends a
+closed subgroup in place by new generators (Dimino's idea).  Every group,
+a subgroup taken as a group too, is the breadth-first closure of its
+generators from the identity, and the subgroups built one generator at a
+time (greedy generating sets, Schreier centralizers, the derived subgroup)
+never re-close what they already hold.
 
 Conjugacy classes are conjugation orbits over element positions.  The
 enumeration keeps the position of g * x for each element x and generator g
@@ -47,6 +48,10 @@ closed, and closed only when the count cannot settle it:
 - normal subgroups, which only verify's lemma suites use, are the normal
   closures of one class per rational class, joined pairwise, each keyed by
   the bitmask of its classes so that |AB| = |A||B|/|A & B| is known first.
+  A closure or a join is a search over classes by class products, and its
+  greedy generators are closed the same way, all on positions, as are the
+  powers of x: the left table of any element is composed from the
+  generators' along its breadth-first word, so the lattice makes no product.
 """
 
 from __future__ import annotations
@@ -648,57 +653,113 @@ class FiniteGroup:
         # A normal subgroup is a union of classes: key it by the bitmask of
         # its classes.  Then A & B is the intersection, and the join AB has
         # order |A||B|/|A & B| (Hulpke, "Computing normal subgroups", 1998).
-        mul, ident = self.rep.mul, self.rep.identity
+        # The classes meeting C * A are those of c * a for one fixed c in C
+        # and every a in A, so the normal subgroup that some classes generate
+        # is a breadth-first search over classes.  It runs on positions:
+        # L_x[a] is the position of x * a, and x = g * y, the product that
+        # first reached x in the enumeration, gives L_x = L_g o L_y.
         classes = self.conjugacy_classes()
-        class_of, index = self._class_of, self._index
-        sizes = [c.size for c in classes]
-        pool: dict[int, Subgroup] = {}
-        by_order: dict[int, list[int]] = {}
+        elements, class_of, left = self._elements, self._class_of, self._left
+        n, k = len(elements), len(self._moves())
+        cols = [left[j::k] for j in range(k)]
+        # position -> index in left of the product that first reached it
+        first = {p: i for i, p in reversed(list(enumerate(left)))}
+        e = self._index[self.rep.identity]
+        tables = {e: range(n)}  # L_x by position of x, for this call only
 
-        def add(sub: Subgroup) -> None:
-            mask = sum(1 << i for i, c in enumerate(classes)
-                       if c.representative in sub.members)
-            if mask not in pool:
-                pool[mask] = sub
-                by_order.setdefault(len(sub), []).append(mask)
+        def table(p):
+            down = []
+            while p not in tables:
+                down.append(p)
+                p = first[p] // k
+            t = tables[p]
+            for p in reversed(down):
+                t = tables[p] = list(map(cols[first[p] % k].__getitem__, t))
+            return t
+
+        def bits(mask):
+            while mask:
+                low = mask & -mask
+                yield low.bit_length() - 1
+                mask ^= low
+
+        sizes = [c.size for c in classes]
+        where = [sorted(map(self._index.__getitem__, c.members)) for c in classes]
+        # by mask: the member, its order, and the classes that generate it;
+        # and the masks of each order
+        pool, orders, spans, by_order = {}, {}, {}, {}
+
+        def add(start: int, span: int, expected: int | None = None) -> None:
+            # close the classes of start under products by one member of each
+            # class of span; a new normal subgroup gets the greedy generators
+            # of subgroup_from_elements over start's members in G's order
+            reached = set(bits(start))
+            queue = list(reached)
+            mults = [table(where[c][0]) for c in bits(span)]
+            for a in queue:
+                for t in mults:
+                    new = set(map(class_of.__getitem__, map(t.__getitem__, where[a]))) - reached
+                    reached |= new
+                    queue += new
+            size = sum(sizes[c] for c in reached)
+            if expected is not None and size != expected:
+                raise InternalCheckError(
+                    f"join has order {size}, expected |A||B|/|A & B| = {expected}")
+            mask = sum(1 << c for c in reached)
+            if mask in pool:
+                return
+            inside = bytearray(n)
+            inside[e] = 1
+            members, gens, mults = [e], [], []
+            for x in sorted(p for c in bits(start) for p in where[c]):
+                if len(members) == size:
+                    break
+                if not inside[x]:  # the closure so far, times every generator
+                    gens.append(x)
+                    mults.append(table(x))
+                    for y in members:
+                        for z in map(itemgetter(y), mults):
+                            if not inside[z]:
+                                inside[z] = 1
+                                members.append(z)
+            if len(members) != size:
+                raise InternalCheckError(
+                    f"greedy closure has order {len(members)}, its classes {size}")
+            pool[mask] = Subgroup(self.rep, frozenset(map(elements.__getitem__, members)),
+                                  tuple(map(elements.__getitem__, gens)))
+            orders[mask], spans[mask] = size, span
+            by_order.setdefault(size, []).append(mask)
 
         # x and x^k (k prime to |x|) have one normal closure: close the first
-        # class of each rational class and mark the classes of those powers
-        covered = set()
-        for i, cls in enumerate(classes):
-            if i in covered:
-                continue
-            x = cls.representative
-            powers = [x]
-            while powers[-1] != ident:
-                powers.append(mul(powers[-1], x))
-            m = len(powers)
-            covered.update(class_of[index[y]]
-                           for k, y in enumerate(powers, 1) if gcd(k, m) == 1)
-            add(self.subgroup_from_elements(self._order_like(cls.members)))
+        # class of each rational class, the powers read off x's table
+        one, covered = 1 << class_of[e], set()
+        for i in range(len(classes)):
+            if i not in covered:
+                x = where[i][0]
+                t, powers = table(x), [x]
+                while powers[-1] != e:
+                    powers.append(t[powers[-1]])
+                covered.update(class_of[p] for j, p in enumerate(powers, 1)
+                               if gcd(j, len(powers)) == 1)
+                add(one | 1 << i, 1 << i)
         # Join pairs round by round, each pair once: a round examines only
         # the pairs with a member found in the round before.
         done = 0
         while done < len(pool):
-            subs = list(pool.items())
-            for i, (am, a) in enumerate(subs):
-                for bm, b in subs[max(i + 1, done):]:
+            masks = list(pool)
+            for i, am in enumerate(masks):
+                for bm in masks[max(i + 1, done):]:
                     both = am | bm
                     if both == am or both == bm:
                         continue
                     meet = am & bm
-                    order = len(a) * len(b) // sum(
-                        s for j, s in enumerate(sizes) if meet >> j & 1)
+                    order = orders[am] * orders[bm] // (
+                        orders.get(meet) or sum(sizes[c] for c in bits(meet)))
                     # a pool member of that order holding A and B is AB
                     if any(m & both == both for m in by_order.get(order, ())):
                         continue
-                    join = self.subgroup_from_elements(
-                        self._order_like(a.members | b.members))
-                    if len(join) != order:
-                        raise InternalCheckError(
-                            f"join has order {len(join)}, expected |A||B|/|A & B| = {order}")
-                    add(join)
-            done = len(subs)
+                    add(both, spans[am] | spans[bm], order)
+            done = len(masks)
         return sorted(pool.values(), key=lambda s: (len(s), tuple(s.sorted_members())))
 
     def is_normal(self, sub: Subgroup) -> bool:

@@ -459,18 +459,33 @@ def _check_lemma2_for_normal(case: _Case, idx: int, k_elems, g_reps):
         # (i) image half: |xbar^{G/K}| divides |x^G|
         if g.class_size(x) % quot.class_size(xbar):
             return checked, f"(i) quotient class size does not divide |x^G| for x={x}"
-        # (v): image of C_G(x) inside C_{G/K}(xbar)
+        # (v), and (iv) when (|x|, |K|) = 1
         checked += 1
-        cq = quot.centralizer(xbar).members
-        image = {project[c] for c in g.centralizer(x).members}
-        if not image <= cq:
+        coprime = gcd(orders[x], kgroup.order()) == 1
+        part = _centralizer_image(g, quot, case.normals[idx], x, coprime)
+        if part == "(v)":
             return checked, f"(v) centralizer image escapes C(xbar) for x={x}"
-        # (iv): with (|x|, |K|) = 1 the image equals C_{G/K}(xbar)
-        if gcd(orders[x], kgroup.order()) == 1:
+        if coprime:
             checked += 1
-            if image != cq:
+            if part:
                 return checked, f"(iv) centralizer image != C(xbar) for x={x}"
     return checked, None
+
+
+def _centralizer_image(g: FiniteGroup, quot: FiniteGroup, kernel: Subgroup, x,
+                       coprime: bool):
+    """"(v)" when the image of C_G(x) in G/K escapes C_{G/K}(xbar), else
+    "(iv)" when coprime and the image is not all of C_{G/K}(xbar), else None.
+    No image is built: it lies in C_{G/K}(xbar) exactly when the images of
+    C_G(x)'s generators do, and then it is all of it exactly when
+    |C_G(x)| = |C_{G/K}(xbar)| |C_G(x) & K|."""
+    project = quot.rep.coset_rep
+    cg, cq = g.centralizer(x), quot.centralizer(project[x]).members
+    if not all(project[c] in cq for c in cg.gens):
+        return "(v)"
+    if coprime and len(cg) != len(cq) * len(cg.members & kernel.members):
+        return "(iv)"
+    return None
 
 
 def _lemma2_iii_pairs(g: FiniteGroup, rng: random.Random | None = None):

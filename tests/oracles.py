@@ -122,6 +122,15 @@ def naive_normal_subgroups(group):
     return sorted(pool.values(), key=lambda s: (len(s), tuple(s.sorted_members())))
 
 
+def image_set_centralizer_image(group, quot, x):
+    """(inside, equal) for the image of C_G(x) in G/K = quot, built member by
+    member: whether it lies in C_{G/K}(xbar), and whether it is all of it."""
+    project = quot.rep.coset_rep
+    cq = quot.centralizer(project[x]).members
+    image = {project[c] for c in group.centralizer(x).members}
+    return image <= cq, image == cq
+
+
 def full_divisibility_digraph(members):
     members = sorted(set(members))
     return members, {(a, b) for a in members for b in members

@@ -653,12 +653,15 @@ def _count_kernel_calls(g) -> list:
     return calls
 
 
-@pytest.mark.parametrize("build", [
+TABLE_BUILDS = [
     lambda: cj.symmetric_group(4),
     lambda: cj.sl2(5),
     lambda: cj.agl1(9),
     lambda: cj.gl2(5).centralizer(cj.gl2(5).generators[0]).as_group(),
-])
+]
+
+
+@pytest.mark.parametrize("build", TABLE_BUILDS)
 def test_quotient_makes_no_product_once_classes_exist(build):
     """Once G's classes exist, quotient makes no kernel product, for every
     normal subgroup and for a subgroup-as-group too."""
@@ -668,6 +671,23 @@ def test_quotient_makes_no_product_once_classes_exist(build):
     quotients = [g.quotient(n) for n in normals]
     assert len(calls) == 0
     assert [q.order() * len(n) for q, n in zip(quotients, normals)] == [g.order()] * len(normals)
+
+
+def _mod_center(g):
+    return g.quotient(g.center())
+
+
+@pytest.mark.parametrize("build", TABLE_BUILDS + [lambda: _mod_center(cj.gl2(3))])
+def test_normal_subgroups_make_no_product_once_classes_exist(build):
+    """Once G's classes exist, the normal-subgroup lattice makes no kernel
+    product: class closures, joins and greedy generators all run on the
+    positions of G's left table, here for a G/Z (PGL2(3), that is S4) too."""
+    g = build()
+    g.conjugacy_classes()
+    calls = _count_kernel_calls(g)
+    normals = g.normal_subgroups()
+    assert len(calls) == 0
+    assert len(normals) > 2 and all(g.is_normal(n) for n in normals)
 
 
 def test_centralizer_members_are_the_parents_objects():

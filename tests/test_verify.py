@@ -6,6 +6,7 @@ import json
 import pickle
 import random
 import re
+import time
 import weakref
 from collections import Counter
 from math import gcd
@@ -18,7 +19,7 @@ from conjlab import classifier, predicates, verify
 from conjlab.cli import run_command
 from conjlab.groups import FiniteGroup
 from conjlab.specio import write_group_spec
-from oracles import naive_centralizer, naive_element_order
+from oracles import image_set_centralizer_image, naive_centralizer, naive_element_order
 
 REPORT_DIGEST = Path(__file__).parent / "data" / "verify_report.sha256"
 
@@ -101,6 +102,62 @@ def test_lemma2_iii_pairs_of_an_abelian_group_draw_nothing():
     state = rng.getstate()
     assert verify._lemma2_iii_pairs(g) == verify._lemma2_iii_pairs(g, rng) == []
     assert rng.getstate() == state
+
+
+def test_centralizer_image_matches_image_set_oracle(corpus, group_of):
+    """Lemma 2 (v) and (iv) read off C_G(x)'s generators and orders give the
+    verdicts of the image of C_G(x) in G/K built member by member, for every
+    normal K and class representative x of each corpus group of order <= 500."""
+    parts = Counter()
+    for entry in corpus:
+        g = group_of(entry.name)
+        if g.order() > verify.EXHAUSTIVE_ORDER_BOUND:
+            continue
+        for k in g.normal_subgroups():
+            quot = g.quotient(k)
+            for cls in g.conjugacy_classes():
+                x = cls.representative
+                inside, equal = image_set_centralizer_image(g, quot, x)
+                part = verify._centralizer_image(g, quot, k, x, True)
+                assert part == (None if equal else "(iv)" if inside else "(v)"), \
+                    (entry.name, len(k), x)
+                parts[part] += 1
+    assert parts[None] > 1000 and parts["(iv)"] > 100
+
+
+def test_lemma2_v_and_iv_catch_a_wrong_quotient_centralizer(monkeypatch):
+    """S4 over V4: a C_{G/K}(xbar) that misses part of the image of C_G(x)
+    fails (v), and one strictly larger than the image fails (iv) at the
+    3-cycle, whose order is prime to |V4|."""
+    case = verify._Case(verify.CorpusEntry(
+        "sym_4", {"family": "sym", "params": [4], "regular": False}))
+    g = case.group
+    idx = next(i for i, k in enumerate(case.normals) if len(k) == 4)
+    quot = case.split(idx)[1]
+    reps = [c.representative for c in g.conjugacy_classes()]
+    assert verify._check_lemma2_for_normal(case, idx, [], reps)[1] is None
+    trivial = quot.subgroup_from_elements([])
+    monkeypatch.setattr(quot, "centralizer", lambda xbar: trivial)
+    assert verify._check_lemma2_for_normal(case, idx, [], reps)[1].startswith(
+        "(v) centralizer image escapes C(xbar) for x=")
+    monkeypatch.setattr(quot, "centralizer", lambda xbar: quot._whole())
+    three_cycle = next(x for x in reps if naive_element_order(g, x) == 3)
+    assert verify._check_lemma2_for_normal(case, idx, [], reps)[1] == \
+        f"(iv) centralizer image != C(xbar) for x={three_cycle}"
+
+
+def test_verify_cyclic_500_corpus_within_seconds(tmp_path):
+    """A one-entry corpus of the cyclic group of order 500 passes within a
+    few seconds of CPU: Lemma 2's (v) and (iv) build no image of C_G(x) in
+    G/K, which for this group took about 20 s."""
+    (tmp_path / "expectations.json").write_text(json.dumps({"cyclic_500": {
+        "group": {"family": "cyclic", "params": [500]}, "order": 500, "N": [],
+        "verdict": "Abelian", "provenance": "derived"}}))
+    entries = verify.load_corpus_dir(tmp_path)
+    start = time.process_time()
+    reports = verify.run_all(entries, schur_path=None)
+    assert all(r.ok for r in reports)
+    assert time.process_time() - start < 8
 
 
 def _outcomes(report):
