@@ -11,28 +11,28 @@ quotient's representation holds the parent's representation, not the parent
 group: nothing refers back up the group hierarchy, so reference counting
 alone frees a group with everything built from it.
 
-Everything is desk scale by design.  One routine, FiniteGroup._closure,
-grows every element set outside the normal-subgroup lattice: it extends a
-closed subgroup in place by new generators (Dimino's idea).  Every group,
-a subgroup taken as a group too, is the breadth-first closure of its
-generators from the identity, and the subgroups built one generator at a
-time (greedy generating sets, Schreier centralizers, the derived subgroup)
-never re-close what they already hold.
+Everything is desk scale by design.  A group, a subgroup taken as a group
+too, is enumerated once by products, as the breadth-first closure of its
+generators from the identity (FiniteGroup._closure).  It keeps the left
+table, the position of g * x for each element x and generator g, and every
+later closure runs on positions.  Each x is first reached as
+g * y with y found before it, so the left table spells x's breadth-first
+word, and x * z is a walk from z along x's word (x^-1 * z a walk back along
+the inverted tables).  One routine, FiniteGroup._span, closes every subgroup
+inside G on positions (Dimino's method): a candidate outside the closure so
+far becomes the next greedy generator, the old members are multiplied by it
+only and the new members by every generator.  Subgroups from elements,
+centers, Schreier centralizers, the derived series, normal Hall subgroups
+and the lattice's generating sets all come from it.
 
-Conjugacy classes are conjugation orbits over element positions.  The
-enumeration keeps the position of g * x for each element x and generator g
-(the left table).  The right table, x * g, follows from it with no product:
-x = a * y gives x * g = a * (y * g), so one breadth-first pass over the left
-Cayley graph from the identity fills it.  Conjugation by g is then two
-integer lookups and the transversal is positions too (t_z = t_y * g is a
-lookup).  Each orbit, once found, is searched again from its least member,
-the class representative, whose transversal element is then the identity:
-by Schreier's lemma the representative's centralizer, its stabilizer, is
-generated by Schreier generators read straight off that transversal, once
-per class.  The left table is kept: G/N is read off it with no product,
-since g * xN = (g * x)N.  A closure inside an enumerated group stores G's
-own element objects, and G itself is one Subgroup value, shared by every
-central element's centralizer and a perfect G's G'.
+Conjugacy classes are conjugation orbits over positions, read off the left
+table with no product, as are the transversal (see _compute_classes) and G/N,
+since g * xN = (g * x)N.  Each orbit is searched from its least member, the
+class representative, whose transversal element is then the identity: by
+Schreier's lemma its centralizer is generated by the t_m * g * t_m2^-1 read
+off the transversal as walks.  A subgroup holds G's own element objects, and
+G itself is one Subgroup value, shared by every central element's
+centralizer and a perfect G's G'.
 
 A question is settled by a count over the classes before anything is
 closed, and closed only when the count cannot settle it:
@@ -40,7 +40,7 @@ closed, and closed only when the count cannot settle it:
 - a normal Hall subgroup (a normal Sylow subgroup or p-complement, a
   Frobenius kernel) is the set of elements whose order divides its order,
   so it is closed only when those elements number that order;
-- the center is the size-1 classes, with no products;
+- the center is the size-1 classes;
 - the derived subgroup grows its basis only by commutators and conjugates
   outside its closure, and is G itself, with G's generators, once the
   closure reaches |G|; each later term of the derived series is closed
@@ -48,14 +48,14 @@ closed, and closed only when the count cannot settle it:
 - normal subgroups, which only verify's lemma suites use, are the normal
   closures of one class per rational class, joined pairwise, each keyed by
   the bitmask of its classes so that |AB| = |A||B|/|A & B| is known first.
-  A closure or a join is a search over classes by class products, and its
-  greedy generators are closed the same way, all on positions, as are the
-  powers of x: the left table of any element is composed from the
-  generators' along its breadth-first word, so the lattice makes no product.
+  A closure or a join is a search over classes by class products, on left
+  tables composed along the words of class members, which also give the
+  powers of x.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from math import gcd
 from operator import itemgetter
@@ -246,6 +246,13 @@ class QuotientRep:
         return f"QuotientRep(of {self.parent_rep!r})"
 
 
+def _walk(word, p: int) -> int:
+    """The end of the walk from position p along a word's tables."""
+    for col in word:
+        p = col[p]
+    return p
+
+
 def _generators_commute(mul, gens) -> bool:
     return all(mul(a, b) == mul(b, a) for i, a in enumerate(gens) for b in gens[i + 1:])
 
@@ -310,10 +317,13 @@ class FiniteGroup:
         self._elements: list | None = None
         self._index: dict | None = None
         self._over_cap = False  # enumeration hit max_order: never retried
-        self._left: list | None = None  # positions of g * x, by x then generator
+        self._left: list | None = None  # by generator, the positions of g * x by x's
         self._classes: list[ConjugacyClass] | None = None
         self._class_of: list | None = None  # class index by element position
         self._transversal: list | None = None  # position of t_x by position of x
+        self._via: array | None = None  # by position: y * k + j when x = g_j * x_y first
+        self._linv: list | None = None  # by generator g, the positions of g^-1 * x by x's
+        self._conj: list | None = None  # by generator g, the positions of x ** g by x's
         self._whole_group: Subgroup | None = None
         self._center: Subgroup | None = None
         self._derived: Subgroup | None = None
@@ -321,7 +331,6 @@ class FiniteGroup:
         self._orders: dict | None = None
         self._halls: dict = {}  # order -> closure of the elements of order dividing it
         self._rep_centralizers: dict = {}
-        self._gen_moves: list | None = None
 
     # -- raw operations ------------------------------------------------
 
@@ -340,13 +349,6 @@ class FiniteGroup:
     def identity(self):
         return self.rep.identity
 
-    def _moves(self) -> list:
-        """(g, g^-1) for each non-identity generator, inverted once."""
-        if self._gen_moves is None:
-            rep = self.rep
-            self._gen_moves = [(g, rep.inv(g)) for g in self.generators if g != rep.identity]
-        return self._gen_moves
-
     # -- enumeration -----------------------------------------------------
 
     def elements(self) -> list:
@@ -354,15 +356,11 @@ class FiniteGroup:
         if self._elements is None:
             if self._over_cap:
                 raise CapExceeded("group order", self.max_order)
-            left = []
             try:
-                index = self._closure(self.generators, left=left)
+                self._elements, self._index, self._left = self._closure()
             except CapExceeded:
                 self._over_cap = True
-                raise CapExceeded("group order", self.max_order) from None
-            self._index = index
-            self._elements = list(index)
-            self._left = left
+                raise
         return self._elements
 
     def order(self) -> int:
@@ -379,45 +377,41 @@ class FiniteGroup:
         """Members sorted by G's element order (deterministic); G is enumerated."""
         return sorted(members, key=self._index.__getitem__)
 
-    def _closure(self, gens, members=None, left=None) -> dict:
-        """Grow a closed subgroup in place to the subgroup it generates with
-        gens, and return it.
-
-        members maps each element to its insertion position (None: the
-        trivial subgroup).  They are closed under the generators they hold,
-        so they are multiplied only by the others; each new element is
-        multiplied by every generator, breadth first.  left (the closure from
-        the identity only) receives the position of each product g * x in turn.
-        Inside an enumerated group each new member is stored as G's own
-        element object, so a subgroup holds no copies of G's encodings.
-        """
+    def _closure(self) -> tuple[list, dict, list]:
+        """The breadth-first closure of the generators from the identity: the
+        elements, their positions, and the left table (see _left)."""
         rep, cap = self.rep, self.max_order
         mul = rep.mul
-        own, index = self._elements, self._index
-        if members is None:
-            members = {rep.identity: 0}
-        fresh = [g for g in gens if g not in members]
-        if not fresh:
-            return members
-        gens = [g for g in gens if g != rep.identity]
-        queue = list(members)
-        known = len(queue)
-        n = known
-        for i, x in enumerate(queue):
-            for g in fresh if i < known else gens:
+        gens = [g for g in self.generators if g != rep.identity]
+        index, queue, left = {rep.identity: 0}, [rep.identity], [[] for _ in gens]
+        for x in queue:
+            for g, col in zip(gens, left):
                 y = mul(g, x)
-                p = members.get(y)
+                p = index.get(y)
                 if p is None:
-                    if n >= cap:
-                        raise CapExceeded("subgroup closure size", cap)
-                    if own is not None:
-                        y = own[index[y]]
-                    members[y] = p = n
-                    n += 1
+                    if len(queue) >= cap:
+                        raise CapExceeded("group order", cap)
+                    index[y] = p = len(queue)
                     queue.append(y)
-                if left is not None:
-                    left.append(p)
-        return members
+                col.append(p)
+        return queue, index, left
+
+    # -- words: products on positions ------------------------------------
+
+    def _word(self, p, inverse=False) -> list:
+        """The tables whose walk from z's position reaches x_p * z (x_p^-1 * z
+        when inverse), innermost first: left-table columns along p's
+        breadth-first word, or the inverted columns in reverse.  The class
+        stage records the words, so it must have run."""
+        via, k = self._via, len(self._left)
+        letters = []  # outermost first
+        v = via[p]
+        while v >= 0:
+            letters.append(v % k)
+            v = via[v // k]
+        if inverse:
+            return list(map(self._linv.__getitem__, letters))
+        return [self._left[j] for j in reversed(letters)]
 
     # -- element facts -----------------------------------------------------
 
@@ -456,30 +450,35 @@ class FiniteGroup:
         # and the right table R_g[x] = x * g read off it: x = a * y gives
         # R_g[L_a[y]] = L_a[R_g[y]], so one breadth-first pass over the left
         # Cayley graph from R_g[e] = g fills every R_g with no product (it
-        # reaches every element: g^-1 is a positive power of g).
+        # reaches every element: g^-1 is a positive power of g).  The pass
+        # also records each element's breadth-first word: the edge reaching it.
         elements = self.elements()
-        index, left = self._index, self._left
-        n = len(elements)
-        moves = self._moves()
-        k = len(moves)
-        e = index[self.rep.identity]
-        rights = [[index[g]] * n for g, _ in moves]  # R_g[e] = g; the rest is overwritten
-        seen = bytearray(n)
-        seen[e] = 1
-        queue = [e]
+        left, n = self._left, len(elements)
+        e = self._index[self.rep.identity]
+        self._linv = []
+        for col in left:
+            linv = array("i", [0]) * n
+            for x, p in enumerate(col):
+                linv[p] = x
+            self._linv.append(linv)
+        # by generator: R_g with R_g[e] = g, and x ** g with e ** g = e, each
+        # allocated whole and overwritten (buffers outgrown by appends are
+        # left high in the heap, where they keep a freed group's memory)
+        steps = [([col[e]] * n, array("i", [e]) * n, linv)
+                 for col, linv in zip(left, self._linv)]
+        via = array("i", [-2]) * n  # not reached yet
+        via[e] = -1
+        queue, k, cols = [e], len(left), list(enumerate(left))
         for y in queue:
-            for j, x in enumerate(left[y * k:(y + 1) * k]):
-                if not seen[x]:
-                    seen[x] = 1
+            for j, col in cols:
+                x = col[y]
+                if via[x] == -2:
                     queue.append(x)
-                    for right in rights:
-                        right[x] = left[right[y] * k + j]
-        steps = []
-        for j, right in enumerate(rights):
-            linv = [0] * n
-            for i, p in enumerate(left[j::k]):
-                linv[p] = i
-            steps.append((right, linv))
+                    via[x] = y * k + j
+                    for right, conj, linv in steps:
+                        right[x] = z = col[right[y]]
+                        conj[x] = linv[z]
+        self._via, self._conj = via, [conj for _, conj, _ in steps]
 
         def search(root, t) -> list:
             # the orbit of root, t[z] the position of t_z with root ** t_z = z
@@ -487,8 +486,8 @@ class FiniteGroup:
             orbit = [root]
             for y in orbit:
                 ty = t[y]
-                for right, linv in steps:
-                    z = linv[right[y]]
+                for right, conj, _ in steps:
+                    z = conj[y]
                     if t[z] < 0:
                         t[z] = right[ty]
                         orbit.append(z)
@@ -555,30 +554,24 @@ class FiniteGroup:
         if cls.size == 1:
             return self._whole()
         target = self.order() // cls.size
-        rep = self.rep
-        mul, inv = rep.mul, rep.inv
-        elements, index, transversal = self._elements, self._index, self._transversal
-        tinv = {}
-        found = []
-        closure = {rep.identity: 0}
-        for m in self._order_like(cls.members):
-            if len(closure) >= target:
-                break
-            um = elements[transversal[index[m]]]
-            for g, gi in self._moves():
-                m2 = mul(mul(gi, m), g)
-                if m2 not in tinv:
-                    tinv[m2] = inv(elements[transversal[index[m2]]])
-                s = mul(mul(um, g), tinv[m2])
-                if s not in closure:
-                    found.append(s)
-                    self._closure(found, closure)
-                    if len(closure) >= target:
-                        break
-        if len(closure) != target:
+        index, transversal, word = self._index, self._transversal, self._word
+        e = index[self.rep.identity]
+        tinv = {}  # position of t_m2^-1 by m2's
+
+        def candidates():
+            for m in sorted(map(index.__getitem__, cls.members)):
+                tm = word(transversal[m])
+                for col, conj in zip(self._left, self._conj):
+                    m2 = conj[m]
+                    if m2 not in tinv:
+                        tinv[m2] = _walk(word(transversal[m2], inverse=True), e)
+                    yield _walk(tm, col[tinv[m2]])
+
+        sub = self._span(candidates(), target)
+        if len(sub) != target:
             raise InternalCheckError(
-                f"Schreier centralizer has order {len(closure)}, expected {target}")
-        return Subgroup(self.rep, frozenset(closure), tuple(found))
+                f"Schreier centralizer has order {len(sub)}, expected {target}")
+        return sub
 
     def _whole(self) -> Subgroup:
         """G as a Subgroup of itself, built once."""
@@ -595,52 +588,73 @@ class FiniteGroup:
 
     # -- subgroups -------------------------------------------------------
 
+    def _span(self, candidates, target: int = 0, gens=None) -> Subgroup:
+        """The subgroup of G generated by the candidate positions, closed
+        greedily on positions (Dimino): a candidate outside the closure so
+        far becomes the next generator, appended to gens; the old members are
+        multiplied by it only, and the new members by every generator, each
+        product a walk along the generator's word.  Stops at target members.
+        G's classes must exist: their stage records the words."""
+        elements, e = self._elements, self._index[self.rep.identity]
+        inside = bytearray(len(elements))
+        inside[e] = 1
+        members, words = [e], []
+        gens = [] if gens is None else gens
+        for c in candidates:
+            if len(members) == target:
+                break
+            if inside[c]:
+                continue
+            gens.append(c)
+            words.append(self._word(c))
+            known = len(members)
+            for i, y in enumerate(members):
+                for word in words[-1:] if i < known else words:
+                    z = _walk(word, y)
+                    if not inside[z]:
+                        inside[z] = 1
+                        members.append(z)
+        # a frozenset built from a dict is sized for it; one grown by adds is not
+        return Subgroup(self.rep, frozenset(dict.fromkeys(map(elements.__getitem__, members))),
+                        tuple(map(elements.__getitem__, gens)))
+
     def subgroup_from_elements(self, members) -> Subgroup:
-        """Least subgroup containing the members, with a small greedy
+        """Least subgroup of G containing the members, with a small greedy
         generating set (members must already form a subgroup for the
         generating set to reproduce them exactly; otherwise this is the
         generated closure)."""
-        gens = []
-        closure = {self.rep.identity: 0}
-        for x in members:
-            if x not in closure:
-                gens.append(x)
-                self._closure(gens, closure)
-        return Subgroup(self.rep, frozenset(closure), tuple(gens))
+        self.conjugacy_classes()
+        return self._span(map(self._index.__getitem__, members))
 
     def derived_subgroup(self) -> Subgroup:
         """Normal closure of the generator commutators; G itself, with G's
         generators, when G is perfect."""
         if self._derived is None:
-            n = self.order()
-            derived = self._derived_of(self._moves(), n)
+            n, e = self.order(), self._index[self.rep.identity]
+            derived = self._derived_of([col[e] for col in self._left], n)
             self._derived = self._whole() if len(derived) == n else derived
         return self._derived
 
-    def _derived_of(self, moves, n: int) -> Subgroup:
-        """[H, H] for the subgroup H of order n generated by moves, the
-        (h, h^-1) pairs of its generators, closed inside G."""
-        mul = self.rep.mul
-        closure = {self.rep.identity: 0}
+    def _derived_of(self, gens, n: int) -> Subgroup:
+        """[H, H] for the subgroup H of order n generated by the positions
+        gens, closed inside G."""
+        self.conjugacy_classes()
+        word = self._word
+        moves = [(h, word(h), word(h, inverse=True)) for h in gens]
         basis = []
 
-        def grow(c) -> None:
-            if c not in closure:
-                basis.append(c)
-                self._closure(basis, closure)
+        def candidates():
+            for _, a, ai in moves:
+                for b, _, bi in moves:
+                    yield _walk(ai, _walk(bi, _walk(a, b)))  # a^-1 * b^-1 * a * b
+            # the basis grows while it is read: every basis element's conjugates
+            # by the generators end up in the closure, which is then normal in H
+            for t in basis:
+                tw = word(t)
+                for h, _, hi in moves:
+                    yield _walk(hi, _walk(tw, h))  # h^-1 * t * h
 
-        for a, ai in moves:
-            for b, bi in moves:
-                grow(mul(mul(mul(ai, bi), a), b))
-        # the basis grows while it is read: every basis element's conjugates
-        # by the generators end up in the closure, which is then normal in H
-        i = 0
-        while i < len(basis) and len(closure) < n:
-            t = basis[i]
-            i += 1
-            for g, gi in moves:
-                grow(mul(mul(gi, t), g))
-        return Subgroup(self.rep, frozenset(closure), tuple(basis))
+        return self._span(candidates(), n, basis)
 
     def normal_subgroups(self) -> list[Subgroup]:
         """All normal subgroups, as join-closed unions of conjugacy classes,
@@ -656,26 +670,19 @@ class FiniteGroup:
         # The classes meeting C * A are those of c * a for one fixed c in C
         # and every a in A, so the normal subgroup that some classes generate
         # is a breadth-first search over classes.  It runs on positions:
-        # L_x[a] is the position of x * a, and x = g * y, the product that
-        # first reached x in the enumeration, gives L_x = L_g o L_y.
+        # L_x[a] is the position of x * a, composed along x's word.
         classes = self.conjugacy_classes()
-        elements, class_of, left = self._elements, self._class_of, self._left
-        n, k = len(elements), len(self._moves())
-        cols = [left[j::k] for j in range(k)]
-        # position -> index in left of the product that first reached it
-        first = {p: i for i, p in reversed(list(enumerate(left)))}
+        class_of, n = self._class_of, len(self._elements)
         e = self._index[self.rep.identity]
-        tables = {e: range(n)}  # L_x by position of x, for this call only
+        tables = {}  # L_x of each class's first member, by class, for this call only
 
-        def table(p):
-            down = []
-            while p not in tables:
-                down.append(p)
-                p = first[p] // k
-            t = tables[p]
-            for p in reversed(down):
-                t = tables[p] = list(map(cols[first[p] % k].__getitem__, t))
-            return t
+        def table(c):
+            if c not in tables:
+                t = range(n)
+                for col in self._word(where[c][0]):
+                    t = list(map(col.__getitem__, t))
+                tables[c] = t
+            return tables[c]
 
         def bits(mask):
             while mask:
@@ -695,7 +702,7 @@ class FiniteGroup:
             # of subgroup_from_elements over start's members in G's order
             reached = set(bits(start))
             queue = list(reached)
-            mults = [table(where[c][0]) for c in bits(span)]
+            mults = [table(c) for c in bits(span)]
             for a in queue:
                 for t in mults:
                     new = set(map(class_of.__getitem__, map(t.__getitem__, where[a]))) - reached
@@ -708,25 +715,11 @@ class FiniteGroup:
             mask = sum(1 << c for c in reached)
             if mask in pool:
                 return
-            inside = bytearray(n)
-            inside[e] = 1
-            members, gens, mults = [e], [], []
-            for x in sorted(p for c in bits(start) for p in where[c]):
-                if len(members) == size:
-                    break
-                if not inside[x]:  # the closure so far, times every generator
-                    gens.append(x)
-                    mults.append(table(x))
-                    for y in members:
-                        for z in map(itemgetter(y), mults):
-                            if not inside[z]:
-                                inside[z] = 1
-                                members.append(z)
-            if len(members) != size:
+            sub = self._span(sorted(p for c in bits(start) for p in where[c]), size)
+            if len(sub) != size:
                 raise InternalCheckError(
-                    f"greedy closure has order {len(members)}, its classes {size}")
-            pool[mask] = Subgroup(self.rep, frozenset(map(elements.__getitem__, members)),
-                                  tuple(map(elements.__getitem__, gens)))
+                    f"greedy closure has order {len(sub)}, its classes {size}")
+            pool[mask] = sub
             orders[mask], spans[mask] = size, span
             by_order.setdefault(size, []).append(mask)
 
@@ -736,7 +729,7 @@ class FiniteGroup:
         for i in range(len(classes)):
             if i not in covered:
                 x = where[i][0]
-                t, powers = table(x), [x]
+                t, powers = table(i), [x]
                 while powers[-1] != e:
                     powers.append(t[powers[-1]])
                 covered.update(class_of[p] for j, p in enumerate(powers, 1)
@@ -817,13 +810,12 @@ class FiniteGroup:
         if not self.is_normal(normal):
             raise ValueError("subgroup is not normal")
         elements, index, left = self._elements, self._index, self._left
-        k = len(self._moves())
         cosets = [[index[x] for x in normal.members]]  # positions, N first
         coset = dict.fromkeys(cosets[0], 0)  # coset number by position
         for c in cosets:
-            for j in range(k):
-                if left[c[0] * k + j] not in coset:
-                    image = [left[p * k + j] for p in c]
+            for col in left:
+                if col[c[0]] not in coset:
+                    image = [col[p] for p in c]
                     coset.update(dict.fromkeys(image, len(cosets)))
                     cosets.append(image)
         reps = [min(elements[p] for p in c) for c in cosets]
@@ -832,11 +824,12 @@ class FiniteGroup:
         gens = tuple(dict.fromkeys(coset_rep[g] for g in self.generators))
         name = f"{self.name}/N{len(normal)}" if self.name else None
         q = FiniteGroup(qrep, gens, name=name, max_order=self.max_order)
-        # G's first generator in the coset of each of G/N's
-        cols = [next(j for j, (g, _) in enumerate(self._moves()) if coset_rep[g] == h)
+        # the column of G's first generator in the coset of each of G/N's
+        e = index[self.rep.identity]
+        cols = [next(col for col in left if coset_rep[elements[col[e]]] == h)
                 for h in gens if h != qrep.identity]
         q._elements, q._index = reps, {x: i for i, x in enumerate(reps)}
-        q._left = [coset[left[c[0] * k + j]] for c in cosets for j in cols]
+        q._left = [[coset[col[c[0]]] for c in cosets] for col in cols]
         if q.order() * len(normal) != self.order():
             raise InternalCheckError("quotient order times subgroup order != group order")
         return q
@@ -849,11 +842,10 @@ class FiniteGroup:
     def is_solvable(self) -> bool:
         """Derived series reaches the trivial subgroup; each term is closed
         inside G from the generators of the one before."""
-        inv = self.rep.inv
         size, term = self.order(), self.derived_subgroup()
         while 1 < len(term) < size:
             size = len(term)
-            term = self._derived_of([(h, inv(h)) for h in term.gens], size)
+            term = self._derived_of(list(map(self._index.__getitem__, term.gens)), size)
         return len(term) == 1
 
     def __repr__(self):

@@ -30,7 +30,7 @@ from . import families
 from .classgraph import n_set
 from .classifier import (SCHUR_COVER_PSL29_N, SCHUR_COVER_PSL29_ORDER, TYPE_VERDICTS,
                          Analysis, Verdict, check_corollary1, expected_N_linear)
-from .errors import ConjlabError, SpecFileError
+from .errors import CapExceeded, ConjlabError, SpecFileError
 from .groups import FiniteGroup, Subgroup
 from .intmath import factor
 from .predicates import is_sp
@@ -38,6 +38,7 @@ from .specio import _is_int, load_group_spec, parse_json
 
 DEFAULT_SEED = 20240810
 DEFAULT_MIN_TUPLES = 10_000
+MAX_MIN_TUPLES = 1_000_000  # refused before any group is built
 EXHAUSTIVE_ORDER_BOUND = 500
 SAMPLED_ORDER_BOUND = 2500
 DRAWS = 4  # tuples of each kind a Lemma-2 sampling round draws
@@ -564,6 +565,10 @@ class _Lemmas(_Suite):
                              "lemma2_sampled", "lemma2_sampled_budget")
 
     def __init__(self, seed: int, min_tuples: int, entries: int):
+        if min_tuples < 0:
+            raise ValueError(f"min_tuples must be >= 0, got {min_tuples}")
+        if min_tuples > MAX_MIN_TUPLES:
+            raise CapExceeded(f"min_tuples {min_tuples}", MAX_MIN_TUPLES)
         super().__init__()
         self.seed, self.min_tuples, self.entries_left = seed, min_tuples, entries
         self.sampled, self.failure, self.seconds = 0, None, 0.0
@@ -718,8 +723,8 @@ def run_all(corpus: list[CorpusEntry] | None = None, schur_path=None,
     """The four corpus suites, run entry by entry, then the Schur cover."""
     if corpus is None:
         corpus = default_corpus()
+    suites = [_Theorem1(), _Theorem2(), _Corollaries(), _Lemmas(seed, min_tuples, len(corpus))]
     # The cover is the largest group built here.  Checked first, its memory
     # is reused by the entries; checked last, it would add to their heap.
     cover = run_schur_cover_check(schur_path)
-    return _check_entries(corpus, [_Theorem1(), _Theorem2(), _Corollaries(),
-                                   _Lemmas(seed, min_tuples, len(corpus))]) + [cover]
+    return _check_entries(corpus, suites) + [cover]

@@ -1,4 +1,6 @@
 import random
+import tracemalloc
+from collections import Counter
 
 import pytest
 
@@ -49,12 +51,12 @@ def test_enumerate_cap_error_names_cap():
 
 
 def test_subgroup_closure_cap_error_names_cap():
+    """A subgroup is closed inside its enumerated group, so a group over its
+    cap fails at the enumeration, naming max_order."""
     g = FiniteGroup(PermutationRep(5), ((1, 2, 3, 4, 0), (1, 0, 2, 3, 4)), max_order=10)
-    assert len(g.subgroup_from_elements([(1, 2, 3, 4, 0)])) == 5
     with pytest.raises(CapExceeded) as exc:
-        g.subgroup_from_elements(g.generators)
-    assert "subgroup closure size" in str(exc.value)
-    assert "10" in str(exc.value)
+        g.subgroup_from_elements([(1, 2, 3, 4, 0)])
+    assert "group order exceeds the configured cap of 10" in str(exc.value)
     assert exc.value.cap == 10
 
 
@@ -513,11 +515,18 @@ def test_index_space_classes_match_oracle(corpus, group_of):
             assert g.class_sizes() == naive_class_sizes(g), name
 
 
-def _count_products(g) -> list:
-    """Count rep.mul calls on g's representation from now on."""
-    calls = []
-    kernel = g.rep.mul
-    g.rep.mul = lambda a, b: calls.append(1) or kernel(a, b)
+def _count_kernel_calls(g) -> Counter:
+    """Count rep.mul and rep.inv calls on g's representation from now on,
+    keyed "mul" and "inv"."""
+    calls = Counter()
+
+    def counted(name, kernel):
+        def call(*args):
+            calls[name] += 1
+            return kernel(*args)
+        return call
+
+    g.rep.mul, g.rep.inv = counted("mul", g.rep.mul), counted("inv", g.rep.inv)
     return calls
 
 
@@ -541,13 +550,13 @@ def _centralizer_as_group():
                                    _quotient_by_center, _centralizer_as_group])
 def test_classes_make_no_product_once_enumerated(build):
     """The right tables are read off the enumeration's left table, so once
-    the group is enumerated conjugacy_classes makes no product: for a group,
-    a quotient and a subgroup taken as a group alike."""
+    the group is enumerated conjugacy_classes makes no product and inverts
+    nothing: for a group, a quotient and a subgroup taken as a group alike."""
     g = build()
     g.elements()
-    calls = _count_products(g)
+    calls = _count_kernel_calls(g)
     g.conjugacy_classes()
-    assert len(calls) == 0
+    assert calls == Counter()
 
 
 @pytest.mark.parametrize("build", [lambda: cj.gl2(5), _quotient_by_center,
@@ -644,15 +653,6 @@ def test_table_quotient_matches_closed_quotient(corpus, group_of):
         assert q._transversal == ref._transversal, name
 
 
-def _count_kernel_calls(g) -> list:
-    """Count rep.mul and rep.inv calls on g's representation from now on."""
-    calls = []
-    mul, inv = g.rep.mul, g.rep.inv
-    g.rep.mul = lambda a, b: calls.append(1) or mul(a, b)
-    g.rep.inv = lambda a: calls.append(1) or inv(a)
-    return calls
-
-
 TABLE_BUILDS = [
     lambda: cj.symmetric_group(4),
     lambda: cj.sl2(5),
@@ -669,7 +669,7 @@ def test_quotient_makes_no_product_once_classes_exist(build):
     normals = g.normal_subgroups()
     calls = _count_kernel_calls(g)
     quotients = [g.quotient(n) for n in normals]
-    assert len(calls) == 0
+    assert calls == Counter()
     assert [q.order() * len(n) for q, n in zip(quotients, normals)] == [g.order()] * len(normals)
 
 
@@ -686,8 +686,47 @@ def test_normal_subgroups_make_no_product_once_classes_exist(build):
     g.conjugacy_classes()
     calls = _count_kernel_calls(g)
     normals = g.normal_subgroups()
-    assert len(calls) == 0
+    assert calls == Counter()
     assert len(normals) > 2 and all(g.is_normal(n) for n in normals)
+
+
+@pytest.mark.parametrize("build", TABLE_BUILDS + [lambda: _mod_center(cj.gl2(3))])
+def test_closures_make_no_product_once_classes_exist(build):
+    """Once G's classes exist, every closure inside G runs on positions and
+    makes no kernel product: the centralizer of each class representative,
+    a subgroup from elements, the center, the derived series and each
+    normal Hall subgroup.  Element orders are read first: element_order
+    still multiplies."""
+    g = build()
+    classes, elements = g.conjugacy_classes(), g.elements()
+    g.element_orders()
+    picks = [elements[1], elements[-1], elements[len(elements) // 2]]
+    calls = _count_kernel_calls(g)
+    cents = [g.centralizer(c.representative) for c in classes]
+    sub = g.subgroup_from_elements(picks)
+    center, derived, solvable = g.center(), g.derived_subgroup(), g.is_solvable()
+    halls = [g.normal_hall(m) for m in _unitary_divisors(g.order())]
+    assert calls == Counter()
+    assert [len(c) for c in cents] == [g.order() // c.size for c in classes]
+    assert set(sub.members) == set(naive_closure(g, picks))
+    assert center.members == frozenset(c.representative for c in classes if c.size == 1)
+    assert g.is_normal(derived) and solvable == (g.order() != 120)  # only SL2(5) is not
+    assert halls[0].members == {g.identity} and len(halls[-1]) == g.order()
+
+
+def test_lattice_keeps_only_class_tables():
+    """The lattice composes the left table of one member per class, for the
+    one call, and no table of every word prefix: on cyclic 2000, whose one
+    generator spells words of up to 1999 letters, it peaks under 4 MB."""
+    g = cj.cyclic_group(2000)
+    g.conjugacy_classes()
+    tracemalloc.start()
+    try:
+        normals = g.normal_subgroups()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(normals) == 20 and peak < 4_000_000
 
 
 def test_centralizer_members_are_the_parents_objects():

@@ -16,6 +16,7 @@ import conjlab as cj
 from conjlab import classgraph, families
 from conjlab.cli import _build_parser, run_command
 from conjlab.errors import SpecFileError
+from conjlab.groups import FiniteGroup
 from conjlab.specio import (analysis_report, parse_group_spec, report_json,
                             stable_report_json, write_group_spec)
 
@@ -274,6 +275,23 @@ def test_cli_exit_codes(tmp_path, monkeypatch):
     assert code == 1 and "not a prime power" in err
     code, _, err = run_cli("verify", "--threads", "2")
     assert code == 1 and "error:" in err
+
+
+@pytest.mark.parametrize("value, exit_code, message", [
+    ("-5", 1, "min_tuples must be >= 0, got -5"),
+    ("100000000", 3, "min_tuples 100000000 exceeds the configured cap of 1000000"),
+])
+def test_verify_min_tuples_checked_before_any_group(monkeypatch, value, exit_code, message):
+    """A negative --min-tuples is invalid input and one above
+    verify.MAX_MIN_TUPLES a cap: both end before any group is enumerated."""
+    def no_enumeration(self):
+        raise AssertionError("a group was enumerated before --min-tuples was checked")
+
+    monkeypatch.setattr(FiniteGroup, "_closure", no_enumeration)
+    start = time.process_time()
+    code, out, err = run_cli("verify", "--min-tuples", value)
+    assert (code, out) == (exit_code, "") and err == f"error: {message}\n"
+    assert time.process_time() - start < 1.0
 
 
 def test_field_caps_checked_before_primality(tmp_path, monkeypatch):
