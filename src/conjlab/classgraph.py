@@ -9,28 +9,28 @@ independently and cross-checked on every call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import CapExceeded, InternalCheckError
-from .groups import FiniteGroup
+from .groups import FiniteGroup, Frozen
 
 # build_gamma's pair scan grows about quadratically: 1,200 members take
 # about 1.3 s of CPU and 4,800 about 26 s.
 MAX_GAMMA_MEMBERS = 1000
 
 
-@dataclass(frozen=True)
-class ClassSizeSet:
+class ClassSizeSet(Frozen):
     """Sorted class-size multiset and the set N (sizes > 1)."""
 
-    sizes: tuple[int, ...]
-    N: tuple[int, ...]
+    __slots__ = ("sizes", "N")
+
+    def __init__(self, sizes: tuple[int, ...], N: tuple[int, ...]):
+        self._fill(sizes, N)
 
 
-@dataclass(frozen=True)
-class CoverDigraph:
-    vertices: tuple[int, ...]
-    edges: tuple[tuple[int, int], ...]
+class CoverDigraph(Frozen):
+    __slots__ = ("vertices", "edges")
+
+    def __init__(self, vertices: tuple[int, ...], edges: tuple[tuple[int, int], ...]):
+        self._fill(vertices, edges)
 
 
 def class_size_set(g: FiniteGroup) -> ClassSizeSet:

@@ -25,14 +25,13 @@ Classification never builds the normal-subgroup lattice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 
 from . import families
 from .classgraph import n_set
 from .errors import ConjlabError
-from .groups import FiniteGroup, Subgroup
+from .groups import FiniteGroup, Frozen, Subgroup
 from .intmath import factor
 from .predicates import PredicateReport, evaluate, is_sp
 
@@ -62,22 +61,22 @@ TYPE_VERDICTS = (Verdict.TYPE_I, Verdict.TYPE_II, Verdict.TYPE_III,
                  Verdict.TYPE_IV, Verdict.TYPE_V)
 
 
-@dataclass(frozen=True)
-class FrobeniusStructure:
+class FrobeniusStructure(Frozen):
     """Kernel (a normal subgroup of the quotient), complement order, and
     the complement itself when one is recoverable as a centralizer."""
 
-    kernel: Subgroup
-    complement_order: int
-    complement: Subgroup | None
+    __slots__ = ("kernel", "complement_order", "complement")
+
+    def __init__(self, kernel: Subgroup, complement_order: int, complement: Subgroup | None):
+        self._fill(kernel, complement_order, complement)
 
 
-@dataclass(frozen=True)
-class SPClassification:
-    verdict: Verdict
-    evidence: dict = field(default_factory=dict)
-    witness: tuple[int, int] | None = None
-    all_matching: tuple[str, ...] = ()
+class SPClassification(Frozen):
+    __slots__ = ("verdict", "evidence", "witness", "all_matching")
+
+    def __init__(self, verdict: Verdict, evidence: dict | None = None,
+                 witness: tuple[int, int] | None = None, all_matching: tuple[str, ...] = ()):
+        self._fill(verdict, {} if evidence is None else evidence, witness, all_matching)
 
 
 def find_frobenius_structure(q: FiniteGroup) -> FrobeniusStructure | None:
@@ -133,10 +132,11 @@ def find_frobenius_structure(q: FiniteGroup) -> FrobeniusStructure | None:
 # -- types IV / V: N(SL2(q)) by formula, PSL2/PGL2 candidates --------------
 
 
-@dataclass(frozen=True)
-class FormulaExpectation:
-    values: frozenset[int]
-    provenance: str  # "formula" or "derived-even-q"
+class FormulaExpectation(Frozen):
+    __slots__ = ("values", "provenance")
+
+    def __init__(self, values: frozenset[int], provenance: str):  # "formula" or "derived-even-q"
+        self._fill(values, provenance)
 
 
 def expected_N_linear(kind: str, q: int) -> FormulaExpectation:

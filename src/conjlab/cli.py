@@ -23,12 +23,15 @@ from .errors import CapExceeded, ConjlabError, SpecFileError
 from .groups import DEFAULT_MAX_ORDER
 
 # conjlab.verify is bound now and run at its first attribute read (importlib's
-# LazyLoader): only the verify command reads it, so no other compiles it
-_spec = importlib.util.find_spec(f"{__package__}.verify")
-_spec.loader = importlib.util.LazyLoader(_spec.loader)
-verify = sys.modules[_spec.name] = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(verify)
-setattr(sys.modules[__package__], "verify", verify)
+# LazyLoader): only the verify command reads it, so no other compiles it.  One
+# imported already is kept, or its classes would exist twice and not pickle.
+verify = sys.modules.get(f"{__package__}.verify")
+if verify is None:
+    _spec = importlib.util.find_spec(f"{__package__}.verify")
+    _spec.loader = importlib.util.LazyLoader(_spec.loader)
+    verify = sys.modules[_spec.name] = importlib.util.module_from_spec(_spec)
+    _spec.loader.exec_module(verify)
+    setattr(sys.modules[__package__], "verify", verify)
 
 EXIT_OK = 0
 EXIT_INVALID = 1

@@ -56,9 +56,8 @@ closed, and closed only when the count cannot settle it:
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
 from math import gcd
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 
 from .errors import CapExceeded, InternalCheckError
 from .gf import Field
@@ -257,23 +256,92 @@ def _generators_commute(mul, gens) -> bool:
     return all(mul(a, b) == mul(b, a) for i, a in enumerate(gens) for b in gens[i + 1:])
 
 
-@dataclass(frozen=True)
-class ConjugacyClass:
+class Record:
+    """A value class with its fields in ``__slots__``, in order: equal to a
+    record of its class with equal fields, unhashable, shown as
+    ``Name(field=value, ...)`` and pickled by its fields (README, "Cold start")."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        if cls.__slots__:
+            cls._get = attrgetter(*cls.__slots__)
+            # the slots' own setters, which Frozen.__setattr__ does not stop
+            cls._put = tuple(getattr(cls, f).__set__ for f in cls.__slots__)
+
+    def _fill(self, *values):
+        for put, value in zip(self._put, values):
+            put(self, value)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._get(self) == other._get(other)
+        return NotImplemented
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._get(self)
+
+
+class Frozen(Record):
+    """A hashable Record whose fields are set once, by ``__init__``."""
+
+    __slots__ = ()
+
+    def __hash__(self):
+        return hash(self._get(self))
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is frozen: {name!r} cannot change")
+
+    __delattr__ = __setattr__
+
+
+class ConjugacyClass(Frozen):
     """One conjugation orbit: minimal-encoding representative, size, members."""
 
-    representative: tuple
-    size: int
-    members: frozenset
+    __slots__ = ("representative", "size", "members")
+
+    # made by the thousand, like Subgroup: __init__, == and hash are written
+    # out, faster than Record's
+    def __init__(self, representative: tuple, size: int, members: frozenset):
+        put_rep, put_size, put_members = self._put
+        put_rep(self, representative)
+        put_size(self, size)
+        put_members(self, members)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.representative, self.size, self.members)
+                    == (other.representative, other.size, other.members))
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.representative, self.size, self.members))
 
 
-@dataclass(frozen=True)
-class Subgroup:
+class Subgroup(Frozen):
     """A subgroup as a value: the representation its members are encoded
     in, the member set, and a generating subset; no group."""
 
-    rep: object
-    members: frozenset
-    gens: tuple
+    __slots__ = ("rep", "members", "gens")
+
+    def __init__(self, rep, members: frozenset, gens: tuple):
+        put_rep, put_members, put_gens = self._put
+        put_rep(self, rep)
+        put_members(self, members)
+        put_gens(self, gens)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.rep, self.members, self.gens) == (other.rep, other.members, other.gens)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.rep, self.members, self.gens))
 
     def __len__(self) -> int:
         return len(self.members)

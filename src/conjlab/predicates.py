@@ -9,17 +9,14 @@ centralizer-order pair scan) and the two must agree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .classgraph import is_primitive, n_set
 from .errors import CapExceeded, InternalCheckError
-from .groups import FiniteGroup
+from .groups import FiniteGroup, Frozen
 
 F_SCAN_CAP = 10_000
 
 
-@dataclass(frozen=True)
-class PredicateReport:
+class PredicateReport(Frozen):
     """Flags plus a falsifying witness for each flag that is False.
 
     sp_witness is a pair of class sizes; ch/f witnesses are element
@@ -28,15 +25,13 @@ class PredicateReport:
     than CH's, and the cap stays only so that reports keep their values.
     """
 
-    sp: bool
-    ch: bool
-    ca: bool
-    f: bool | None
-    rank: int
-    sp_witness: tuple[int, int] | None = None
-    ch_witness: tuple | None = None
-    ca_witness: tuple | None = None
-    f_witness: tuple | None = None
+    __slots__ = ("sp", "ch", "ca", "f", "rank",
+                 "sp_witness", "ch_witness", "ca_witness", "f_witness")
+
+    def __init__(self, sp: bool, ch: bool, ca: bool, f: bool | None, rank: int,
+                 sp_witness: tuple[int, int] | None = None, ch_witness: tuple | None = None,
+                 ca_witness: tuple | None = None, f_witness: tuple | None = None):
+        self._fill(sp, ch, ca, f, rank, sp_witness, ch_witness, ca_witness, f_witness)
 
 
 def is_sp(g: FiniteGroup):

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
 from functools import cached_property
 from math import gcd
 from pathlib import Path
@@ -31,7 +30,7 @@ from .classgraph import n_set
 from .classifier import (SCHUR_COVER_PSL29_N, SCHUR_COVER_PSL29_ORDER, TYPE_VERDICTS,
                          Analysis, Verdict, check_corollary1, expected_N_linear)
 from .errors import CapExceeded, ConjlabError, SpecFileError
-from .groups import FiniteGroup, Subgroup
+from .groups import FiniteGroup, Frozen, Record, Subgroup
 from .intmath import factor
 from .predicates import is_sp
 from .specio import _is_int, load_group_spec, parse_json
@@ -56,20 +55,19 @@ def default_schur_cover_path() -> Path | None:
 # -- corpus -------------------------------------------------------------------
 
 
-@dataclass
-class CorpusEntry:
+class CorpusEntry(Record):
     """One corpus group: its validated recipe plus tagged expectations.
     Plain data: ``build`` makes a new group on every call.
 
     A recipe is {"family", "params", "regular"}, {"product": [family
     recipe, family recipe]} or {"spec": resolved path}."""
 
-    name: str
-    recipe: dict
-    expected_order: int | None = None
-    expected_N: frozenset | None = None
-    expected_verdict: str | None = None
-    tags: frozenset = frozenset()
+    __slots__ = ("name", "recipe", "expected_order", "expected_N", "expected_verdict", "tags")
+
+    def __init__(self, name: str, recipe: dict, expected_order: int | None = None,
+                 expected_N: frozenset | None = None, expected_verdict: str | None = None,
+                 tags: frozenset = frozenset()):
+        self._fill(name, recipe, expected_order, expected_N, expected_verdict, tags)
 
     def build(self) -> FiniteGroup:
         return _build(self.recipe)
@@ -180,18 +178,18 @@ def _recipe(raw, root: Path, where: str, factor: bool = False) -> dict:
 # -- suite plumbing -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    status: str  # "pass" | "fail" | "skip"
-    detail: str = ""
-    seconds: float = 0.0
+class CheckResult(Frozen):
+    __slots__ = ("name", "status", "detail", "seconds")
+
+    def __init__(self, name: str, status: str, detail: str = "", seconds: float = 0.0):
+        self._fill(name, status, detail, seconds)  # status: "pass" | "fail" | "skip"
 
 
-@dataclass
-class SuiteReport:
-    name: str
-    checks: list[CheckResult] = field(default_factory=list)
+class SuiteReport(Record):
+    __slots__ = ("name", "checks")
+
+    def __init__(self, name: str, checks: list[CheckResult] | None = None):
+        self._fill(name, [] if checks is None else checks)
 
     @property
     def failures(self) -> list[CheckResult]:
