@@ -30,9 +30,10 @@ table with no product, as are the transversal (see _compute_classes) and G/N,
 since g * xN = (g * x)N.  Each orbit is searched from its least member, the
 class representative, whose transversal element is then the identity: by
 Schreier's lemma its centralizer is generated by the t_m * g * t_m2^-1 read
-off the transversal as walks.  A subgroup holds G's own element objects, and
-G itself is one Subgroup value, shared by every central element's
-centralizer and a perfect G's G'.
+off the transversal as walks, and C(x) = C(rep) ** t_x is a walk of the
+conjugation tables.  A subgroup holds G's own element objects, and G itself
+is one Subgroup value, shared by every central element's centralizer and a
+perfect G's G'.
 
 A question is settled by a count over the classes before anything is
 closed, and closed only when the count cannot settle it:
@@ -144,31 +145,10 @@ class MatrixRep:
         return tuple(out)
 
     def inv(self, a):
-        # the adjugate over the determinant by the field tables up to d = 3
-        f, d = self.field, self.dim
-        mul, add, neg = f._mul, f._add, f._neg
-        if d == 2:
-            a0, a1, a2, a3 = a
-            adj = (a3, neg[a1], neg[a2], a0)
-            det = add[mul[a0][a3]][neg[mul[a1][a2]]]
-        elif d == 3:
-            a0, a1, a2, a3, a4, a5, a6, a7, a8 = a
-
-            def minor(p, q, r, s):  # p*q - r*s
-                return add[mul[p][q]][neg[mul[r][s]]]
-
-            adj = (minor(a4, a8, a5, a7), minor(a2, a7, a1, a8), minor(a1, a5, a2, a4),
-                   minor(a5, a6, a3, a8), minor(a0, a8, a2, a6), minor(a2, a3, a0, a5),
-                   minor(a3, a7, a4, a6), minor(a1, a6, a0, a7), minor(a0, a4, a1, a3))
-            det = add[add[mul[a0][adj[0]]][mul[a1][adj[3]]]][mul[a2][adj[6]]]
-        else:
-            inv = self._gauss_invert(a)
-            if inv is None:
-                raise ValueError("matrix is singular")
-            return inv
-        if det == 0:
+        inv = self._gauss_invert(a)
+        if inv is None:
             raise ValueError("matrix is singular")
-        return tuple(map(mul[f._inv[det]].__getitem__, adj))
+        return inv
 
     def _gauss_invert(self, a):
         """Gauss-Jordan inverse over the field; None when singular."""
@@ -305,22 +285,13 @@ class ConjugacyClass(Frozen):
 
     __slots__ = ("representative", "size", "members")
 
-    # made by the thousand, like Subgroup: __init__, == and hash are written
-    # out, faster than Record's
+    # made by the thousand, like Subgroup: __init__ is written out, faster
+    # than Record's
     def __init__(self, representative: tuple, size: int, members: frozenset):
         put_rep, put_size, put_members = self._put
         put_rep(self, representative)
         put_size(self, size)
         put_members(self, members)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return ((self.representative, self.size, self.members)
-                    == (other.representative, other.size, other.members))
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.representative, self.size, self.members))
 
 
 class Subgroup(Frozen):
@@ -334,14 +305,6 @@ class Subgroup(Frozen):
         put_rep(self, rep)
         put_members(self, members)
         put_gens(self, gens)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.rep, self.members, self.gens) == (other.rep, other.members, other.gens)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.rep, self.members, self.gens))
 
     def __len__(self) -> int:
         return len(self.members)
@@ -466,19 +429,19 @@ class FiniteGroup:
 
     # -- words: products on positions ------------------------------------
 
-    def _word(self, p, inverse=False) -> list:
-        """The tables whose walk from z's position reaches x_p * z (x_p^-1 * z
-        when inverse), innermost first: left-table columns along p's
-        breadth-first word, or the inverted columns in reverse.  The class
-        stage records the words, so it must have run."""
+    def _word(self, p, tables=None) -> list:
+        """The tables whose walk from z's position reaches x_p * z: left-table
+        columns along p's breadth-first word, innermost first; or per-generator
+        tables in word order, where _linv reaches x_p^-1 * z and _conj z ** x_p.
+        The class stage records the words, so it must have run."""
         via, k = self._via, len(self._left)
         letters = []  # outermost first
         v = via[p]
         while v >= 0:
             letters.append(v % k)
             v = via[v // k]
-        if inverse:
-            return list(map(self._linv.__getitem__, letters))
+        if tables is not None:
+            return list(map(tables.__getitem__, letters))
         return [self._left[j] for j in reversed(letters)]
 
     # -- element facts -----------------------------------------------------
@@ -603,15 +566,14 @@ class FiniteGroup:
             self._rep_centralizers[cls_idx] = base
         if x == self._classes[cls_idx].representative:
             return base
-        return self._transport(base, self._elements[self._transversal[pos]])
+        return self._transport(base, self._transversal[pos])
 
-    def _transport(self, sub: Subgroup, u) -> Subgroup:
-        """sub ** u, members and generators."""
-        r = self.rep
-        mul, uinv = r.mul, r.inv(u)
-        elements, index = self._elements, self._index
-        return Subgroup(r, frozenset(elements[index[mul(mul(uinv, z), u)]] for z in sub.members),
-                        tuple(mul(mul(uinv, z), u) for z in sub.gens))
+    def _transport(self, sub: Subgroup, t: int) -> Subgroup:
+        """sub ** x_t, members and generators: z ** (g * h) = (z ** g) ** h, so
+        each is a walk of the conjugation tables along t's word."""
+        elements, index, word = self._elements, self._index, self._word(t, self._conj)
+        return Subgroup(self.rep, frozenset(elements[_walk(word, index[z])] for z in sub.members),
+                        tuple(elements[_walk(word, index[z])] for z in sub.gens))
 
     def _schreier_centralizer(self, cls_idx: int) -> Subgroup:
         """Centralizer of the class representative, the stabilizer of the
@@ -632,7 +594,7 @@ class FiniteGroup:
                 for col, conj in zip(self._left, self._conj):
                     m2 = conj[m]
                     if m2 not in tinv:
-                        tinv[m2] = _walk(word(transversal[m2], inverse=True), e)
+                        tinv[m2] = _walk(word(transversal[m2], self._linv), e)
                     yield _walk(tm, col[tinv[m2]])
 
         sub = self._span(candidates(), target)
@@ -708,19 +670,18 @@ class FiniteGroup:
         gens, closed inside G."""
         self.conjugacy_classes()
         word = self._word
-        moves = [(h, word(h), word(h, inverse=True)) for h in gens]
+        moves = [(h, word(h, self._linv), word(h, self._conj)) for h in gens]
         basis = []
 
         def candidates():
-            for _, a, ai in moves:
-                for b, _, bi in moves:
-                    yield _walk(ai, _walk(bi, _walk(a, b)))  # a^-1 * b^-1 * a * b
+            for a, ai, _ in moves:
+                for _, _, bc in moves:
+                    yield _walk(ai, _walk(bc, a))  # a^-1 * (a ** b)
             # the basis grows while it is read: every basis element's conjugates
             # by the generators end up in the closure, which is then normal in H
             for t in basis:
-                tw = word(t)
-                for h, _, hi in moves:
-                    yield _walk(hi, _walk(tw, h))  # h^-1 * t * h
+                for _, _, hc in moves:
+                    yield _walk(hc, t)  # t ** h
 
         return self._span(candidates(), n, basis)
 

@@ -715,6 +715,18 @@ def run_schur_cover_check(path=None) -> SuiteReport:
 # -- driver --------------------------------------------------------------------
 
 
+def _release_freed_heap() -> None:
+    """Return the heap's freed pages, which small chunks cached high in it can
+    hold, to the system: glibc's malloc_trim, a no-op without it."""
+    try:
+        import ctypes
+        trim = ctypes.CDLL(None).malloc_trim
+    except (ImportError, AttributeError, OSError, TypeError):
+        return
+    trim.argtypes, trim.restype = [ctypes.c_size_t], ctypes.c_int
+    trim(0)
+
+
 def run_all(corpus: list[CorpusEntry] | None = None, schur_path=None,
             seed: int = DEFAULT_SEED,
             min_tuples: int = DEFAULT_MIN_TUPLES) -> list[SuiteReport]:
@@ -725,4 +737,5 @@ def run_all(corpus: list[CorpusEntry] | None = None, schur_path=None,
     # The cover is the largest group built here.  Checked first, its memory
     # is reused by the entries; checked last, it would add to their heap.
     cover = run_schur_cover_check(schur_path)
+    _release_freed_heap()
     return _check_entries(corpus, suites) + [cover]

@@ -62,6 +62,19 @@ def naive_class_sizes(group):
     return sorted(sizes)
 
 
+def naive_determinant(field, dim, a):
+    """Determinant of the flat row-major dim x dim matrix a over field, by
+    cofactor expansion along the first row: no division, no elimination."""
+    if dim == 1:
+        return a[0]
+    det = 0
+    for j in range(dim):
+        minor = [a[r * dim + c] for r in range(1, dim) for c in range(dim) if c != j]
+        term = field.mul(a[j], naive_determinant(field, dim - 1, minor))
+        det = field.sub(det, term) if j % 2 else field.add(det, term)
+    return det
+
+
 def naive_element_order(group, x):
     mul = group.rep.mul
     ident = group.rep.identity

@@ -22,7 +22,8 @@ from conjlab import classgraph, classifier, groups, predicates, verify
 from conjlab.specio import write_group_spec
 
 SRC = Path(cj.__file__).resolve().parent.parent
-HEAVY = ("dataclasses", "inspect", "ast", "dis", "tokenize", "typing")
+# ctypes too: only verify's heap release after the cover check loads it
+HEAVY = ("dataclasses", "inspect", "ast", "dis", "tokenize", "typing", "ctypes")
 
 # Run by a fresh `python -S` (no site module, so no .pth file can preload
 # typing): argv is the source directory and a small spec file.

@@ -10,7 +10,7 @@ from conjlab.errors import CapExceeded
 from conjlab.groups import FiniteGroup, MatrixRep, PermutationRep, QuotientRep, Subgroup
 from conjlab.intmath import factor
 
-from oracles import (naive_centralizer, naive_class_sizes, naive_closure,
+from oracles import (naive_centralizer, naive_class_sizes, naive_closure, naive_determinant,
                      naive_element_order, naive_generated, naive_normal_subgroups)
 
 
@@ -442,47 +442,48 @@ def test_quotient_order_product_invariant():
         assert q.order() * len(sub) == g.order()
 
 
-def test_adjugate_inverse_matches_gauss():
-    """The 2x2 adjugate inverse against Gauss-Jordan on all of GL2(4) and
-    GL2(5), and on seeded random matrices over GF(16)."""
+def _inverts(rep, a) -> bool:
+    """rep.inv(a) is a two-sided inverse, and rep.inv raises "singular"
+    exactly when the oracle's determinant of a is 0; True when it inverts."""
+    if naive_determinant(rep.field, rep.dim, a) == 0:
+        with pytest.raises(ValueError, match="singular"):
+            rep.inv(a)
+        return False
+    inv = rep.inv(a)
+    assert rep.mul(a, inv) == rep.identity == rep.mul(inv, a)
+    return True
+
+
+def test_inverse_2x2_is_two_sided():
+    """The 2x2 inverse on all of GL2(4) and GL2(5), and on seeded random
+    matrices over GF(16), against the cofactor determinant."""
     for q in (4, 5):
         g = cj.gl2(q)
-        for a in g.elements():
-            assert g.rep.inv(a) == g.rep._gauss_invert(a)
+        assert all(_inverts(g.rep, a) for a in g.elements())
     rep = MatrixRep(cj.make_field(2, 4), 2)
     rng = random.Random(16)
-    checked = 0
+    checked = singular = 0
     while checked < 2000:
-        a = tuple(rng.randrange(16) for _ in range(4))
-        expected = rep._gauss_invert(a)
-        if expected is None:
-            with pytest.raises(ValueError, match="singular"):
-                rep.inv(a)
-            continue
-        assert rep.inv(a) == expected
-        assert rep.mul(a, rep.inv(a)) == rep.identity
-        checked += 1
+        if _inverts(rep, tuple(rng.randrange(16) for _ in range(4))):
+            checked += 1
+        else:
+            singular += 1
+    assert singular > 0
 
 
 @pytest.mark.parametrize("p,n", [(5, 1), (7, 1), (2, 3), (3, 2), (11, 1)])
-def test_adjugate_inverse_3x3_matches_gauss(p, n):
-    """The 3x3 adjugate inverse against Gauss-Jordan on 300 seeded random
-    nonsingular matrices over GF(p^n); singular ones raise."""
+def test_inverse_3x3_is_two_sided(p, n):
+    """The 3x3 inverse on 300 seeded random nonsingular matrices over
+    GF(p^n), against the cofactor determinant; singular ones raise."""
     rep = MatrixRep(cj.make_field(p, n), 3)
     q = p ** n
     rng = random.Random(q)
     checked = singular = 0
     while checked < 300:
-        a = tuple(rng.randrange(q) for _ in range(9))
-        expected = rep._gauss_invert(a)
-        if expected is None:
-            with pytest.raises(ValueError, match="singular"):
-                rep.inv(a)
+        if _inverts(rep, tuple(rng.randrange(q) for _ in range(9))):
+            checked += 1
+        else:
             singular += 1
-            continue
-        assert rep.inv(a) == expected
-        assert rep.mul(a, rep.inv(a)) == rep.identity
-        checked += 1
     assert singular > 0
 
 
@@ -693,21 +694,27 @@ def test_normal_subgroups_make_no_product_once_classes_exist(build):
 @pytest.mark.parametrize("build", TABLE_BUILDS + [lambda: _mod_center(cj.gl2(3))])
 def test_closures_make_no_product_once_classes_exist(build):
     """Once G's classes exist, every closure inside G runs on positions and
-    makes no kernel product: the centralizer of each class representative,
-    a subgroup from elements, the center, the derived series and each
-    normal Hall subgroup.  Element orders are read first: element_order
-    still multiplies."""
+    makes no kernel product: the centralizer of each class representative
+    and of another member of each class, a subgroup from elements, the
+    center, the derived series and each normal Hall subgroup.  Element
+    orders are read first: element_order still multiplies."""
     g = build()
     classes, elements = g.conjugacy_classes(), g.elements()
     g.element_orders()
     picks = [elements[1], elements[-1], elements[len(elements) // 2]]
     calls = _count_kernel_calls(g)
     cents = [g.centralizer(c.representative) for c in classes]
+    others = [next(x for x in sorted(c.members) if x != c.representative)
+              for c in classes if c.size > 1]
+    moved = [g.centralizer(x) for x in others]
     sub = g.subgroup_from_elements(picks)
     center, derived, solvable = g.center(), g.derived_subgroup(), g.is_solvable()
     halls = [g.normal_hall(m) for m in _unitary_divisors(g.order())]
     assert calls == Counter()
     assert [len(c) for c in cents] == [g.order() // c.size for c in classes]
+    for x, c in zip(others, moved):
+        assert c.members == frozenset(naive_centralizer(g, x))
+        assert set(naive_closure(g, c.gens)) == c.members
     assert set(sub.members) == set(naive_closure(g, picks))
     assert center.members == frozenset(c.representative for c in classes if c.size == 1)
     assert g.is_normal(derived) and solvable == (g.order() != 120)  # only SL2(5) is not

@@ -477,3 +477,19 @@ def test_failed_enumeration_is_not_retried(tmp_path, monkeypatch):
     assert code == 2 and len(s9) == 8
     assert all(line.startswith("[FAIL]") and "CapExceeded" in line for line in s9)
     assert closed == ["s9"]
+
+
+def test_heap_release_runs_once_after_the_cover(monkeypatch):
+    """run_all hands the freed heap back once, right after the cover check;
+    without malloc_trim in the C library the release does nothing."""
+    import ctypes
+
+    calls = []
+    monkeypatch.setattr(verify, "run_schur_cover_check",
+                        lambda path: calls.append("cover") or verify._SchurCover().finish())
+    release = verify._release_freed_heap
+    monkeypatch.setattr(verify, "_release_freed_heap", lambda: calls.append("release") or release())
+    verify.run_all(corpus=[], schur_path=None)
+    assert calls == ["cover", "release"]
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: object())
+    assert release() is None
