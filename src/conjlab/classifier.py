@@ -19,8 +19,9 @@ structure of G/Z and the verdict, each made on first read; Z(G) is the
 group's own cache.  Counts come before closures.  The Frobenius kernel of
 G/Z, the normal Sylow subgroups and Type I's normal p-complement are all
 normal Hall subgroups, found by FiniteGroup.normal_hall: a count of the
-elements whose order divides the Hall order, closed only when it matches.
-Classification never builds the normal-subgroup lattice.
+elements whose order divides the Hall order, closed only when it matches;
+Type I takes G = P x T from FiniteGroup.sylow_split, as verify's Lemma 1
+does.  Classification never builds the normal-subgroup lattice.
 """
 
 from __future__ import annotations
@@ -185,33 +186,22 @@ def _psl_pgl_candidates(quotient_order: int):
     return out
 
 
-def _derived_n_set(g: FiniteGroup, derived: Subgroup) -> frozenset:
-    """N(G'), read off G itself when G' = G instead of recomputing every
-    class of a copy."""
-    if len(derived) == g.order():
+def subgroup_n_set(g: FiniteGroup, sub: Subgroup) -> frozenset:
+    """N(H) for a subgroup H of G, read off G itself when H = G instead of
+    recomputing every class of a copy."""
+    if len(sub) == g.order():
         return frozenset(n_set(g))
-    return frozenset(n_set(derived.as_group()))
+    return frozenset(n_set(sub.as_group()))
 
 
 # -- the five type checks ----------------------------------------------------
 
 
 def _try_type_i(g: FiniteGroup) -> dict | None:
-    n = g.order()
-    for p, _ in factor(n):
-        sylow = g.normal_sylow(p)
-        if sylow is None:
-            continue
-        # a normal p-complement is the normal Hall subgroup of order |G|/|P|
-        t_sub = g.normal_hall(n // len(sylow))
-        if t_sub is None or not t_sub.is_abelian():
-            continue
-        mul = g.rep.mul
-        if not all(mul(a, b) == mul(b, a) for a in t_sub.gens for b in sylow.gens):
-            continue
-        if len(n_set(sylow.as_group())) != 1:
-            continue
-        return {"p": p, "sylow_order": len(sylow), "abelian_factor_order": len(t_sub)}
+    for p, _ in factor(g.order()):
+        sylow, t_sub = g.sylow_split(p) or (None, None)
+        if t_sub is not None and t_sub.is_abelian() and len(subgroup_n_set(g, sylow)) == 1:
+            return {"p": p, "sylow_order": len(sylow), "abelian_factor_order": len(t_sub)}
     return None
 
 
@@ -302,7 +292,7 @@ def _try_linear(g: FiniteGroup, quotient: FiniteGroup, expected_derived) -> dict
             qsizes = tuple(quotient.class_sizes())
         if tuple(ref.class_sizes()) != qsizes:
             continue
-        if _derived_n_set(g, derived) != derived_n:
+        if subgroup_n_set(g, derived) != derived_n:
             continue
         return {**fields, "quotient_kind": kind, "derived_order": derived_order,
                 "derived_N": sorted(derived_n), "method": FINGERPRINT_NOTE}

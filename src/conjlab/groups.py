@@ -50,8 +50,9 @@ closed, and closed only when the count cannot settle it:
   closures of one class per rational class, joined pairwise, each keyed by
   the bitmask of its classes so that |AB| = |A||B|/|A & B| is known first.
   A closure or a join is a search over classes by class products, on left
-  tables composed along the words of class members, which also give the
-  powers of x.
+  tables composed along the words of class members;
+- element orders are one walk of a class representative's powers per class
+  not yet ordered, since x^j has order |x|/gcd(j, |x|).
 """
 
 from __future__ import annotations
@@ -397,9 +398,6 @@ class FiniteGroup:
     def order(self) -> int:
         return len(self.elements())
 
-    def __len__(self) -> int:
-        return self.order()
-
     def __contains__(self, enc) -> bool:
         self.elements()
         return enc in self._index
@@ -444,27 +442,33 @@ class FiniteGroup:
             return list(map(tables.__getitem__, letters))
         return [self._left[j] for j in reversed(letters)]
 
+    def _powers(self, p: int) -> list:
+        """The positions of x, x^2, ..., 1 for x at position p, each power a
+        walk of x's word from the one before; the classes must exist."""
+        word, e = self._word(p), self._index[self.rep.identity]
+        powers = [p]
+        while powers[-1] != e:
+            powers.append(_walk(word, powers[-1]))
+        return powers
+
     # -- element facts -----------------------------------------------------
 
-    def element_order(self, g) -> int:
-        rep = self.rep
-        ident = rep.identity
-        k, x = 1, g
-        while x != ident:
-            x = rep.mul(x, g)
-            k += 1
-        return k
-
     def element_orders(self) -> dict:
-        """Order of every element, via class representatives (orders are
-        constant on conjugacy classes)."""
+        """Order of every element, with no product.  Orders are constant on
+        classes, and x^j has order |x|/gcd(j, |x|): one walk of a class
+        representative's powers orders the class of each power, so in a
+        cyclic group one walk orders every class."""
         if self._orders is None:
-            orders = {}
-            for cls in self.conjugacy_classes():
-                o = self.element_order(cls.representative)
-                for m in cls.members:
-                    orders[m] = o
-            self._orders = orders
+            classes, class_of = self.conjugacy_classes(), self._class_of
+            by_class = [0] * len(classes)
+            for i, cls in enumerate(classes):
+                if not by_class[i]:
+                    powers = self._powers(self._index[cls.representative])
+                    o = len(powers)
+                    for j, q in enumerate(powers, 1):
+                        if not by_class[class_of[q]]:
+                            by_class[class_of[q]] = o // gcd(j, o)
+            self._orders = {m: o for cls, o in zip(classes, by_class) for m in cls.members}
         return self._orders
 
     # -- conjugacy classes ---------------------------------------------
@@ -541,12 +545,9 @@ class FiniteGroup:
         self._class_of = class_of
         self._classes = [cls for cls, _ in found]
 
-    def class_of(self, enc) -> ConjugacyClass:
-        self.conjugacy_classes()
-        return self._classes[self._class_of[self._index[enc]]]
-
     def class_size(self, enc) -> int:
-        return self.class_of(enc).size
+        self.conjugacy_classes()
+        return self._classes[self._class_of[self._index[enc]]].size
 
     def class_sizes(self) -> list[int]:
         """Sorted multiset of class sizes (including the 1s)."""
@@ -753,14 +754,11 @@ class FiniteGroup:
             by_order.setdefault(size, []).append(mask)
 
         # x and x^k (k prime to |x|) have one normal closure: close the first
-        # class of each rational class, the powers read off x's table
+        # class of each rational class
         one, covered = 1 << class_of[e], set()
         for i in range(len(classes)):
             if i not in covered:
-                x = where[i][0]
-                t, powers = table(i), [x]
-                while powers[-1] != e:
-                    powers.append(t[powers[-1]])
+                powers = self._powers(where[i][0])
                 covered.update(class_of[p] for j, p in enumerate(powers, 1)
                                if gcd(j, len(powers)) == 1)
                 add(one | 1 << i, 1 << i)
@@ -824,6 +822,20 @@ class FiniteGroup:
             raise InternalCheckError(
                 f"the {part} {p}-elements close to a subgroup of order {len(closed)}")
         return sylow
+
+    def sylow_split(self, p: int):
+        """(P, T) with G = P x T: the normal Sylow p-subgroup P and the
+        normal Hall subgroup T of order |G|/|P|, when both exist and their
+        generators commute (compared as walks), else None."""
+        sylow = self.normal_sylow(p)
+        hall = sylow and self.normal_hall(len(self._elements) // len(sylow))
+        if hall is None:
+            return None
+        index, word = self._index, self._word
+        if all(_walk(word(index[a]), index[b]) == _walk(word(index[b]), index[a])
+               for a in hall.gens for b in sylow.gens):
+            return sylow, hall
+        return None
 
     # -- quotients -------------------------------------------------------
 

@@ -28,7 +28,8 @@ from pathlib import Path
 from . import families
 from .classgraph import n_set
 from .classifier import (SCHUR_COVER_PSL29_N, SCHUR_COVER_PSL29_ORDER, TYPE_VERDICTS,
-                         Analysis, Verdict, check_corollary1, expected_N_linear)
+                         Analysis, Verdict, check_corollary1, expected_N_linear,
+                         subgroup_n_set)
 from .errors import CapExceeded, ConjlabError, SpecFileError
 from .groups import FiniteGroup, Frozen, Record, Subgroup
 from .intmath import factor
@@ -378,7 +379,7 @@ class _Theorem2(_Suite):
             sylow = g.normal_sylow(cls.evidence["p"])
             if sylow is None:
                 return False, "TypeI evidence names a prime without normal Sylow"
-            if frozenset(n_set(sylow.as_group())) != frozenset(n_set(g)):
+            if subgroup_n_set(g, sylow) != frozenset(n_set(g)):
                 return False, "N(G) != N(P)"
             return True, ""
         self.timed(f"typeI_N_equals_NP/{entry.name}", type_i)
@@ -579,9 +580,7 @@ class _Lemmas(_Suite):
             def lemma3():
                 if case.group.is_abelian():
                     return False, "tagged p-group is abelian"
-                qorder = case.quotient.order()
-                cyclic = any(case.quotient.element_order(c.representative) == qorder
-                             for c in case.quotient.conjugacy_classes())
+                cyclic = case.quotient.order() in case.quotient.element_orders().values()
                 return not cyclic, "P/Z(P) is cyclic" if cyclic else ""
             self.timed(f"lemma3/{entry.name}", lemma3)
         # Lemma 9 on the Frobenius kernel of G/Z (type3) or of G (AGL; a Frobenius G is G/Z)
@@ -595,27 +594,17 @@ class _Lemmas(_Suite):
                 return fail is None, fail or ""
             self.timed(f"lemma9/{entry.name}", lemma9)
         # Lemma 1 (contrapositive) on direct products: when every p'-element
-        # has p-free index, the Sylow p-subgroup splits off
+        # has p-free index, G = P x T
         if "product" in entry.tags:
             def lemma1():
                 g = case.group
                 orders = g.element_orders()
                 for p, _ in factor(g.order()):
-                    t_elems = [x for x in g.elements() if orders[x] % p]
-                    if not all(g.class_size(x) % p for x in t_elems):
+                    if any(c.size % p == 0 for c in g.conjugacy_classes()
+                           if orders[c.representative] % p):
                         continue
-                    sylow = g.normal_sylow(p)
-                    if sylow is None:
-                        return False, f"p={p}: hypothesis holds but no normal Sylow"
-                    t_sub = g.subgroup_from_elements(t_elems)
-                    if len(t_sub) != len(t_elems):
-                        return False, f"p={p}: p'-elements are not a subgroup"
-                    if len(t_sub) * len(sylow) != g.order():
-                        return False, f"p={p}: orders do not multiply to |G|"
-                    mul = g.rep.mul
-                    if not all(mul(a, b) == mul(b, a)
-                               for a in t_sub.gens for b in sylow.gens):
-                        return False, f"p={p}: factors do not commute"
+                    if g.sylow_split(p) is None:
+                        return False, f"p={p}: hypothesis holds but G is not P x T"
                 return True, ""
             self.timed(f"lemma1/{entry.name}", lemma1)
         # Lemma 2: exhaustive on small groups; a group that cannot be built

@@ -36,7 +36,7 @@ def test_heisenberg(p, expected_n):
     # exponent p: every nonidentity element has order p
     for c in g.conjugacy_classes():
         if c.representative != g.identity:
-            assert g.element_order(c.representative) == p
+            assert g.element_orders()[c.representative] == p
 
 
 def test_heisenberg_rejects_even_prime():

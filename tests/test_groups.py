@@ -1,4 +1,5 @@
 import random
+import time
 import tracemalloc
 from collections import Counter
 
@@ -95,12 +96,40 @@ def test_subgroup_closures_match_oracle(group_of, name):
 
 def test_element_order():
     g = cj.symmetric_group(4)
-    assert g.element_order(g.identity) == 1
-    assert g.element_order((1, 0, 2, 3)) == 2
+    assert g.element_orders()[g.identity] == 1
+    assert g.element_orders()[(1, 0, 2, 3)] == 2
     sl = cj.sl2(5)
     u = (1, 1, 0, 1)
     assert naive_element_order(sl, u) == 5
-    assert sl.element_order(u) == 5
+    assert sl.element_orders()[u] == 5
+
+
+def test_element_orders_match_oracle(corpus, group_of):
+    """The power walks order every element of each corpus group of order at
+    most 500, and of its G/Z, as the oracle's repeated products do."""
+    checked = 0
+    for entry in corpus:
+        g = group_of(entry.name)
+        if g.order() > 500:
+            continue
+        for h in (g, g.quotient(g.center())):
+            orders = h.element_orders()
+            assert orders == {x: naive_element_order(h, x) for x in h.elements()}, entry.name
+            checked += 1
+    assert checked > 80
+
+
+@pytest.mark.parametrize("build", [lambda: cj.dihedral_group(1000), lambda: cj.cyclic_group(500)],
+                         ids=["dihedral_1000", "cyclic_500"])
+def test_element_orders_within_half_a_second(build):
+    """One power walk orders many classes: element orders of dihedral 1000
+    and cyclic 500, which multiplied for 4.8 s and 1.2 s, take under 0.5 s."""
+    g = build()
+    g.conjugacy_classes()
+    start = time.process_time()
+    orders = g.element_orders()
+    assert time.process_time() - start < 0.5
+    assert max(orders.values()) in (500, 1000) and len(orders) == g.order()
 
 
 def test_centralizer_examples():
@@ -298,8 +327,8 @@ def test_normal_subgroups_are_normal_class_unions():
     g = cj.symmetric_group(4)
     for sub in g.normal_subgroups():
         assert g.is_normal(sub)
-        for x in sub.members:
-            assert g.class_of(x).members <= sub.members
+        for cls in g.conjugacy_classes():
+            assert cls.members <= sub.members or not cls.members & sub.members
 
 
 def test_quotient_sl25_center():
@@ -364,7 +393,9 @@ def test_normal_sylow_examples():
 def test_normal_sylow_by_count_matches_oracle(corpus, group_of):
     """normal_sylow(p) is None exactly when the oracle closure of the
     p-elements is larger than that set, for every corpus group and every
-    prime p dividing |G|."""
+    prime p dividing |G|; and sylow_split(p) gives G = P x T exactly when
+    the oracle says the p- and p'-elements split G."""
+    splits = 0
     for entry in corpus:
         g = group_of(entry.name)
         orders = {x: naive_element_order(g, x) for x in g.elements()}
@@ -376,6 +407,16 @@ def test_normal_sylow_by_count_matches_oracle(corpus, group_of):
             assert (sylow is not None) == closed, (entry.name, p)
             if sylow is not None:
                 assert sylow.members == pelems
+            # G = P x T exactly when the p- and p'-elements each close to
+            # themselves and commute
+            telems = {x for x in g.elements() if orders[x] % p}
+            split = closed and len(naive_generated(g, sorted(telems))) == len(telems) \
+                and all(g.mul(a, b) == g.mul(b, a) for a in pelems for b in telems)
+            assert (g.sylow_split(p) is not None) == split, (entry.name, p)
+            if split:
+                assert [s.members for s in g.sylow_split(p)] == [pelems, telems]
+            splits += split
+    assert splits > 20
 
 
 def test_s4_two_elements_not_closed():
@@ -383,7 +424,7 @@ def test_s4_two_elements_not_closed():
     g = cj.symmetric_group(4)
     a = (1, 0, 2, 3)
     b = (2, 1, 0, 3)
-    assert g.element_order(g.mul(a, b)) == 3
+    assert g.element_orders()[g.mul(a, b)] == 3
 
 
 def test_is_solvable(monkeypatch):
@@ -696,13 +737,13 @@ def test_closures_make_no_product_once_classes_exist(build):
     """Once G's classes exist, every closure inside G runs on positions and
     makes no kernel product: the centralizer of each class representative
     and of another member of each class, a subgroup from elements, the
-    center, the derived series and each normal Hall subgroup.  Element
-    orders are read first: element_order still multiplies."""
+    center, the derived series, element orders and each normal Hall
+    subgroup."""
     g = build()
     classes, elements = g.conjugacy_classes(), g.elements()
-    g.element_orders()
     picks = [elements[1], elements[-1], elements[len(elements) // 2]]
     calls = _count_kernel_calls(g)
+    orders = g.element_orders()
     cents = [g.centralizer(c.representative) for c in classes]
     others = [next(x for x in sorted(c.members) if x != c.representative)
               for c in classes if c.size > 1]
@@ -719,6 +760,7 @@ def test_closures_make_no_product_once_classes_exist(build):
     assert center.members == frozenset(c.representative for c in classes if c.size == 1)
     assert g.is_normal(derived) and solvable == (g.order() != 120)  # only SL2(5) is not
     assert halls[0].members == {g.identity} and len(halls[-1]) == g.order()
+    assert orders == {x: naive_element_order(g, x) for x in elements}
 
 
 def test_lattice_keeps_only_class_tables():

@@ -145,6 +145,23 @@ def test_lemma2_v_and_iv_catch_a_wrong_quotient_centralizer(monkeypatch):
         f"(iv) centralizer image != C(xbar) for x={three_cycle}"
 
 
+def test_lemma1_fails_naming_p_when_g_does_not_split(tmp_path, monkeypatch):
+    """AGL1(5) x C3 meets Lemma 1's hypothesis at p = 3 only (its class
+    sizes are 1, 4 and 5), so with sylow_split refusing every split,
+    lemma1 fails there with one message that names p."""
+    factors = [{"family": "agl1", "params": [5], "regular": False},
+               {"family": "cyclic", "params": [3], "regular": False}]
+    entry = verify.CorpusEntry("agl15_x_c3", {"product": factors}, tags=frozenset({"product"}))
+
+    def lemma1():
+        lemmas = verify.run_all([entry], schur_path=tmp_path / "none.json", min_tuples=0)[3]
+        return next((c.status, c.detail) for c in lemmas.checks if c.name == "lemma1/agl15_x_c3")
+
+    assert lemma1() == ("pass", "")
+    monkeypatch.setattr(FiniteGroup, "sylow_split", lambda self, p: None)
+    assert lemma1() == ("fail", "p=3: hypothesis holds but G is not P x T")
+
+
 def test_verify_cyclic_500_corpus_within_seconds(tmp_path):
     """A one-entry corpus of the cyclic group of order 500 passes within a
     few seconds of CPU: Lemma 2's (v) and (iv) build no image of C_G(x) in
