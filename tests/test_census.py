@@ -54,6 +54,13 @@ def _check_evidence(g, c) -> None:
         ko = ev.get("kernel_image_order", ev["kernel_preimage_order"] // z)
         co = ev.get("complement_image_order", ev["complement_preimage_order"] // z)
         assert gcd(ko, co) == 1 and ko * co == g.order() // z
+    elif c.verdict is Verdict.TYPE_IV:
+        # G/Z has the order of PSL2(q) or PGL2(q), and G' that of SL2(q)
+        q = ev["q"]
+        pgl = q * (q * q - 1)
+        assert g.order() // len(g.center()) == (pgl // gcd(2, q - 1) if ev["quotient_kind"] == "psl"
+                                                 else pgl)
+        assert len(g.derived_subgroup()) == ev["derived_order"] == pgl
 
 
 @pytest.fixture(scope="module")
