@@ -93,21 +93,15 @@ def find_frobenius_structure(q: FiniteGroup) -> FrobeniusStructure | None:
     for p, e in factor(n):
         parts += [m * p ** e for m in parts]
     candidates = []
-    classes = q.conjugacy_classes()
+    classes, class_at = q.conjugacy_classes(), q.class_indices()
     for m in sorted(parts)[1:-1]:
         sub = q.normal_hall(m)
         if sub is None:
             continue
-        ok = True
-        for cls in classes:
-            rep = cls.representative
-            # a class is inside N or misses it entirely, so reps suffice
-            if rep == q.identity or rep not in sub.members:
-                continue
-            if not q.centralizer(rep).members <= sub.members:
-                ok = False
-                break
-        if ok:
+        # a class is inside N or misses it entirely, so reps suffice
+        inside, inner = set(sub.positions), set(map(class_at.__getitem__, sub.positions))
+        if all(inside.issuperset(q.centralizer(c.representative).positions)
+               for i, c in enumerate(classes) if i in inner and c.representative != q.identity):
             candidates.append(sub)
     if not candidates:
         return None
@@ -117,14 +111,12 @@ def find_frobenius_structure(q: FiniteGroup) -> FrobeniusStructure | None:
     kernel = candidates[0]
     comp_order = n // len(kernel)
     complement = None
-    for cls in classes:
-        rep = cls.representative
-        if rep in kernel.members:
-            continue
-        if n // cls.size == comp_order:
+    inner = set(map(class_at.__getitem__, kernel.positions))
+    for i, cls in enumerate(classes):
+        if i not in inner and n // cls.size == comp_order:
             # an abelian complement is the centralizer of any of its
             # nonidentity elements
-            complement = q.centralizer(rep)
+            complement = q.centralizer(cls.representative)
             break
     return FrobeniusStructure(kernel=kernel, complement_order=comp_order,
                               complement=complement)
@@ -200,7 +192,7 @@ def subgroup_n_set(g: FiniteGroup, sub: Subgroup) -> frozenset:
 def _try_type_i(g: FiniteGroup) -> dict | None:
     for p, _ in factor(g.order()):
         sylow, t_sub = g.sylow_split(p) or (None, None)
-        if t_sub is not None and t_sub.is_abelian() and len(subgroup_n_set(g, sylow)) == 1:
+        if t_sub is not None and g.is_abelian(t_sub) and len(subgroup_n_set(g, sylow)) == 1:
             return {"p": p, "sylow_order": len(sylow), "abelian_factor_order": len(t_sub)}
     return None
 
@@ -210,13 +202,13 @@ def _preimage(g: FiniteGroup, quotient: FiniteGroup, sub: Subgroup) -> Subgroup:
     itself when Z = 1."""
     if quotient is g:
         return sub
-    project = quotient.rep.coset_rep
-    return g.subgroup_from_elements([x for x in g.elements() if project[x] in sub.members])
+    project, members = quotient.rep.coset_rep, sub.members
+    return g.subgroup_from_elements([x for x in g.elements() if project[x] in members])
 
 
-def _try_type_ii(frob: FrobeniusStructure, kernel_pre: Subgroup,
+def _try_type_ii(g: FiniteGroup, frob: FrobeniusStructure, kernel_pre: Subgroup,
                  comp_pre: Subgroup) -> dict | None:
-    if not (kernel_pre.is_abelian() and comp_pre.is_abelian()):
+    if not (g.is_abelian(kernel_pre) and g.is_abelian(comp_pre)):
         return None
     return {
         "kernel_image_order": len(frob.kernel),
@@ -228,16 +220,16 @@ def _try_type_ii(frob: FrobeniusStructure, kernel_pre: Subgroup,
 
 def _try_type_iii(g: FiniteGroup, frob: FrobeniusStructure, kernel_pre: Subgroup,
                   comp_pre: Subgroup, center: Subgroup) -> dict | None:
-    if not comp_pre.is_abelian():
+    if not g.is_abelian(comp_pre):
         return None
-    kernel = kernel_pre.members
+    kernel, zs = kernel_pre.members, center.members
     for p, _ in factor(len(frob.kernel)):
         sylow = g.normal_sylow(p)  # p divides |K/Z|, which divides |G|
         if sylow is None:
             continue
         # Z is central: PZ = K_pre iff P, Z <= K_pre and |P||Z| = |K_pre||P & Z|
-        meet = sylow.members & center.members
-        if not (sylow.members <= kernel and center.members <= kernel
+        meet = sylow.members & zs
+        if not (sylow.members <= kernel and zs <= kernel
                 and len(sylow) * len(center) == len(kernel) * len(meet)):
             continue
         sylow_group = sylow.as_group()
@@ -341,7 +333,7 @@ def classify(g: FiniteGroup | Analysis) -> SPClassification:
                      _preimage(g, quotient, frob.complement))
     attempts = (
         (Verdict.TYPE_I, lambda: _try_type_i(g)),
-        (Verdict.TYPE_II, lambda: preimages and _try_type_ii(frob, *preimages)),
+        (Verdict.TYPE_II, lambda: preimages and _try_type_ii(g, frob, *preimages)),
         (Verdict.TYPE_III, lambda: preimages and _try_type_iii(g, frob, *preimages, center)),
         (Verdict.TYPE_IV, lambda: _try_linear(g, quotient, _sl2_derived)),
         (Verdict.TYPE_V, lambda: _try_linear(g, quotient, _cover_derived)),

@@ -6,10 +6,12 @@ image tuple, a d x d matrix over GF(q) is the flat row-major tuple of
 integer field codes (see conjlab.gf), and a coset in a quotient group is
 the encoding of its minimal member in the parent.  Products compose left
 to right: mul(a, b) applies a first, then b, and x ** g means g^-1 * x * g.
-A Subgroup is a value (representation, members, generators), and a
-quotient's representation holds the parent's representation, not the parent
-group: nothing refers back up the group hierarchy, so reference counting
-alone frees a group with everything built from it.
+A Subgroup is a value: the representation, G's element list, its members'
+ascending positions in that list (G's element order) and its generators as
+encodings; the member set is a view built on each read.  A list refers to
+no group, and a quotient's representation holds the parent's, not the
+parent group: nothing refers back up the group hierarchy, so reference
+counting alone frees a group with everything built from it.
 
 Everything is desk scale by design.  A group, a subgroup taken as a group
 too, is enumerated once by products, as the breadth-first closure of its
@@ -31,9 +33,11 @@ since g * xN = (g * x)N.  Each orbit is searched from its least member, the
 class representative, whose transversal element is then the identity: by
 Schreier's lemma its centralizer is generated by the t_m * g * t_m2^-1 read
 off the transversal as walks, and C(x) = C(rep) ** t_x is a walk of the
-conjugation tables.  A subgroup holds G's own element objects, and G itself
-is one Subgroup value, shared by every central element's centralizer and a
-perfect G's G'.
+conjugation tables.  x and y commute exactly when x ** y = x, a walk of the
+same tables along y's word: FiniteGroup.commute is the one commuting test,
+behind is_abelian, the Sylow split, F, CA, the type checks and Lemma 9.  A
+subgroup refers to G's own element list, and G itself is one Subgroup value,
+shared by every central element's centralizer and a perfect G's G'.
 
 A question is settled by a count over the classes before anything is
 closed, and closed only when the count cannot settle it:
@@ -233,10 +237,6 @@ def _walk(word, p: int) -> int:
     return p
 
 
-def _generators_commute(mul, gens) -> bool:
-    return all(mul(a, b) == mul(b, a) for i, a in enumerate(gens) for b in gens[i + 1:])
-
-
 class Record:
     """A value class with its fields in ``__slots__``, in order: equal to a
     record of its class with equal fields, unhashable, shown as
@@ -286,8 +286,7 @@ class ConjugacyClass(Frozen):
 
     __slots__ = ("representative", "size", "members")
 
-    # made by the thousand, like Subgroup: __init__ is written out, faster
-    # than Record's
+    # made by the thousand: __init__ is written out, faster than Record's
     def __init__(self, representative: tuple, size: int, members: frozenset):
         put_rep, put_size, put_members = self._put
         put_rep(self, representative)
@@ -297,36 +296,34 @@ class ConjugacyClass(Frozen):
 
 class Subgroup(Frozen):
     """A subgroup as a value: the representation its members are encoded
-    in, the member set, and a generating subset; no group."""
+    in, its group's element list, the members' ascending positions in that
+    list, and a generating subset as encodings; no group.  Within one group,
+    == and the hash mean the same members and generators."""
 
-    __slots__ = ("rep", "members", "gens")
+    __slots__ = ("rep", "elements", "positions", "gens")
 
-    def __init__(self, rep, members: frozenset, gens: tuple):
-        put_rep, put_members, put_gens = self._put
-        put_rep(self, rep)
-        put_members(self, members)
-        put_gens(self, gens)
+    def __init__(self, rep, elements: list, positions: array, gens: tuple):
+        self._fill(rep, elements, positions, gens)
+
+    def __hash__(self):  # the list and the array are not hashable
+        return hash((self.rep, len(self.positions), self.gens))
 
     def __len__(self) -> int:
-        return len(self.members)
+        return len(self.positions)
 
-    def __contains__(self, enc) -> bool:
-        return enc in self.members
-
-    def sorted_members(self) -> list:
-        return sorted(self.members)
-
-    def is_abelian(self) -> bool:
-        return _generators_commute(self.rep.mul, self.gens)
+    @property
+    def members(self) -> frozenset:
+        """The member encodings, built on each read."""
+        return frozenset(map(self.elements.__getitem__, self.positions))
 
     def as_group(self) -> "FiniteGroup":
         """The subgroup as a group on its generators, enumerated by its own
         closure like any other; nothing closed inside it can outgrow it, so
         its order is its cap."""
-        return FiniteGroup(self.rep, self.gens, max_order=len(self.members))
+        return FiniteGroup(self.rep, self.gens, max_order=len(self))
 
     def __repr__(self):
-        return f"Subgroup(order={len(self.members)} in {self.rep!r})"
+        return f"Subgroup(order={len(self)} in {self.rep!r})"
 
 
 class FiniteGroup:
@@ -397,14 +394,6 @@ class FiniteGroup:
 
     def order(self) -> int:
         return len(self.elements())
-
-    def __contains__(self, enc) -> bool:
-        self.elements()
-        return enc in self._index
-
-    def _order_like(self, members) -> list:
-        """Members sorted by G's element order (deterministic); G is enumerated."""
-        return sorted(members, key=self._index.__getitem__)
 
     def _closure(self) -> tuple[list, dict, list]:
         """The breadth-first closure of the generators from the identity: the
@@ -549,6 +538,11 @@ class FiniteGroup:
         self.conjugacy_classes()
         return self._classes[self._class_of[self._index[enc]]].size
 
+    def class_indices(self) -> list:
+        """The index in conjugacy_classes() of each element's class, by position."""
+        self.conjugacy_classes()
+        return self._class_of
+
     def class_sizes(self) -> list[int]:
         """Sorted multiset of class sizes (including the 1s)."""
         return sorted(c.size for c in self.conjugacy_classes())
@@ -573,7 +567,8 @@ class FiniteGroup:
         """sub ** x_t, members and generators: z ** (g * h) = (z ** g) ** h, so
         each is a walk of the conjugation tables along t's word."""
         elements, index, word = self._elements, self._index, self._word(t, self._conj)
-        return Subgroup(self.rep, frozenset(elements[_walk(word, index[z])] for z in sub.members),
+        positions = array("i", sorted(_walk(word, p) for p in sub.positions))
+        return Subgroup(self.rep, elements, positions,
                         tuple(elements[_walk(word, index[z])] for z in sub.gens))
 
     def _schreier_centralizer(self, cls_idx: int) -> Subgroup:
@@ -607,14 +602,15 @@ class FiniteGroup:
     def _whole(self) -> Subgroup:
         """G as a Subgroup of itself, built once."""
         if self._whole_group is None:
-            self._whole_group = Subgroup(self.rep, frozenset(self.elements()), self.generators)
+            self._whole_group = Subgroup(self.rep, self.elements(),
+                                         array("i", range(self.order())), self.generators)
         return self._whole_group
 
     def center(self) -> Subgroup:
         """The size-1 classes, in element order."""
         if self._center is None:
-            self._center = self.subgroup_from_elements(self._order_like(
-                c.representative for c in self.conjugacy_classes() if c.size == 1))
+            self._center = self._span(sorted(self._index[c.representative]
+                                             for c in self.conjugacy_classes() if c.size == 1))
         return self._center
 
     # -- subgroups -------------------------------------------------------
@@ -645,8 +641,7 @@ class FiniteGroup:
                     if not inside[z]:
                         inside[z] = 1
                         members.append(z)
-        # a frozenset built from a dict is sized for it; one grown by adds is not
-        return Subgroup(self.rep, frozenset(dict.fromkeys(map(elements.__getitem__, members))),
+        return Subgroup(self.rep, elements, array("i", sorted(members)),
                         tuple(map(elements.__getitem__, gens)))
 
     def subgroup_from_elements(self, members) -> Subgroup:
@@ -780,13 +775,15 @@ class FiniteGroup:
                         continue
                     add(both, spans[am] | spans[bm], order)
             done = len(masks)
-        return sorted(pool.values(), key=lambda s: (len(s), tuple(s.sorted_members())))
+        return sorted(pool.values(),
+                      key=lambda s: (len(s), sorted(map(s.elements.__getitem__, s.positions))))
 
     def is_normal(self, sub: Subgroup) -> bool:
-        """sub is a union of conjugacy classes (its members must be in G)."""
-        classes, class_of, index = self.conjugacy_classes(), self._class_of, self._index
-        return all(classes[c].members <= sub.members
-                   for c in {class_of[index[x]] for x in sub.members})
+        """sub is a union of conjugacy classes (a subgroup of G): the classes
+        it meets hold no more elements than it has."""
+        classes, class_of = self.conjugacy_classes(), self._class_of
+        met = set(map(class_of.__getitem__, sub.positions))
+        return sum(classes[c].size for c in met) == len(sub)
 
     def normal_hall(self, part: int):
         """The normal Hall subgroup of order part, a unitary divisor of |G|
@@ -799,10 +796,10 @@ class FiniteGroup:
         returned only when it has order part."""
         if part not in self._halls:
             orders = self.element_orders()
-            count = sum(c.size for c in self.conjugacy_classes()
-                        if part % orders[c.representative] == 0)
-            self._halls[part] = None if count != part else self.subgroup_from_elements(
-                [x for x in self.elements() if part % orders[x] == 0])
+            inside = [part % orders[c.representative] == 0 for c in self.conjugacy_classes()]
+            count = sum(c.size for c, ok in zip(self._classes, inside) if ok)
+            self._halls[part] = None if count != part else self._span(
+                p for p, c in enumerate(self._class_of) if inside[c])
         hall = self._halls[part]
         return hall if hall is not None and len(hall) == part else None
 
@@ -826,16 +823,12 @@ class FiniteGroup:
     def sylow_split(self, p: int):
         """(P, T) with G = P x T: the normal Sylow p-subgroup P and the
         normal Hall subgroup T of order |G|/|P|, when both exist and their
-        generators commute (compared as walks), else None."""
+        generators commute, else None."""
         sylow = self.normal_sylow(p)
         hall = sylow and self.normal_hall(len(self._elements) // len(sylow))
-        if hall is None:
+        if hall is None or not self.commute(hall.gens, sylow.gens):
             return None
-        index, word = self._index, self._word
-        if all(_walk(word(index[a]), index[b]) == _walk(word(index[b]), index[a])
-               for a in hall.gens for b in sylow.gens):
-            return sylow, hall
-        return None
+        return sylow, hall
 
     # -- quotients -------------------------------------------------------
 
@@ -846,12 +839,12 @@ class FiniteGroup:
         the generators lists the cosets, and G/N's left table, in the order
         G/N's own closure would (a generator in N, or in the coset of an
         earlier one, finds no new coset)."""
-        if any(x not in self for x in normal.members):
-            raise ValueError("subgroup has members outside this group")
+        if normal.elements is not self.elements():
+            raise ValueError("subgroup has members outside this group's element list")
         if not self.is_normal(normal):
             raise ValueError("subgroup is not normal")
         elements, index, left = self._elements, self._index, self._left
-        cosets = [[index[x] for x in normal.members]]  # positions, N first
+        cosets = [list(normal.positions)]  # positions, N first
         coset = dict.fromkeys(cosets[0], 0)  # coset number by position
         for c in cosets:
             for col in left:
@@ -877,8 +870,19 @@ class FiniteGroup:
 
     # -- global predicates -------------------------------------------------
 
-    def is_abelian(self) -> bool:
-        return _generators_commute(self.rep.mul, self.generators)
+    def commute(self, xs, ys) -> bool:
+        """Every x in xs commutes with every y in ys, all elements of G:
+        x * y = y * x exactly when x ** y = x, a walk of the conjugation
+        tables along y's word from x's position, with no product."""
+        self.conjugacy_classes()
+        index = self._index
+        words = [self._word(index[y], self._conj) for y in ys]
+        return all(_walk(word, p) == p for p in map(index.__getitem__, xs) for word in words)
+
+    def is_abelian(self, sub: Subgroup | None = None) -> bool:
+        """G, or its subgroup sub, is abelian: its generators commute."""
+        gens = self.generators if sub is None else sub.gens
+        return self.commute(gens, gens)
 
     def is_solvable(self) -> bool:
         """Derived series reaches the trivial subgroup; each term is closed

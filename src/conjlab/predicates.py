@@ -65,15 +65,14 @@ def _noncentral_reps(g: FiniteGroup):
 def is_ch(g: FiniteGroup):
     """(flag, witness): commuting noncentral elements have centralizers of
     equal order.  x runs over class representatives (sound by conjugation
-    equivariance), y over the centralizer of x."""
-    g.conjugacy_classes()
+    equivariance), y over the centralizer of x in G's element order."""
+    classes, class_at, elements = g.conjugacy_classes(), g.class_indices(), g.elements()
     for cls in _noncentral_reps(g):
         x = cls.representative
-        cx = g.centralizer(x)
-        for y in g._order_like(cx.members):
-            ysize = g.class_size(y)
+        for p in g.centralizer(x).positions:
+            ysize = classes[class_at[p]].size
             if ysize > 1 and ysize != cls.size:
-                return False, (x, y)
+                return False, (x, elements[p])
     return True, None
 
 
@@ -81,7 +80,7 @@ def is_ca(g: FiniteGroup):
     """(flag, witness): centralizers of noncentral elements are abelian."""
     for cls in _noncentral_reps(g):
         x = cls.representative
-        if not g.centralizer(x).is_abelian():
+        if not g.is_abelian(g.centralizer(x)):
             return False, (x,)
     return True, None
 
@@ -95,7 +94,8 @@ def is_f(g: FiniteGroup):
     n = g.order()
     if n > F_SCAN_CAP:
         raise CapExceeded(f"F-scan on group of order {n}", F_SCAN_CAP)
-    mul, nset = g.rep.mul, n_set(g)
+    nset, elements = n_set(g), g.elements()
+    classes, class_at = g.conjugacy_classes(), g.class_indices()
     for cls in _noncentral_reps(g):
         # noncentral y whose centralizer order is a proper multiple of
         # |C(x)|: |y^G| properly divides |x^G|, so x with no such size is skipped
@@ -106,9 +106,9 @@ def is_f(g: FiniteGroup):
         cx = g.centralizer(x)
         # a scan of its own, not is_ch's: verify compares the two, and one
         # shared loop would make CH => F hold by construction
-        for y in g._order_like(cx.members):
-            if g.class_size(y) in sizes and all(mul(z, y) == mul(y, z) for z in cx.gens):
-                return False, (x, y)
+        for p in cx.positions:
+            if classes[class_at[p]].size in sizes and g.commute((elements[p],), cx.gens):
+                return False, (x, elements[p])
     return True, None
 
 

@@ -241,7 +241,7 @@ class _Case(Analysis):
         """K and G/K for the idx-th of ``normals``, K; G/Z is the analysis's."""
         if idx not in self._splits:
             sub, g = self.normals[idx], self.group
-            quot = self.quotient if sub.members == g.center().members else g.quotient(sub)
+            quot = self.quotient if sub.positions == g.center().positions else g.quotient(sub)
             self._splits[idx] = (sub.as_group(), quot)
         return self._splits[idx]
 
@@ -483,7 +483,7 @@ def _centralizer_image(g: FiniteGroup, quot: FiniteGroup, kernel: Subgroup, x,
     cg, cq = g.centralizer(x), quot.centralizer(project[x]).members
     if not all(project[c] in cq for c in cg.gens):
         return "(v)"
-    if coprime and len(cg) != len(cq) * len(cg.members & kernel.members):
+    if coprime and len(cg) != len(cq) * len(set(cg.positions).intersection(kernel.positions)):
         return "(iv)"
     return None
 
@@ -496,10 +496,10 @@ def _lemma2_iii_pairs(g: FiniteGroup, rng: random.Random | None = None):
     has none and makes no draw."""
     if g.is_abelian():
         return []
-    orders, center = g.element_orders(), g.center().members
+    orders, center, elements = g.element_orders(), g.center().members, g.elements()
     reps = [c.representative for c in g.conjugacy_classes() if c.size > 1]
     def commuting(x):
-        return g._order_like(g.centralizer(x).members)
+        return [elements[p] for p in g.centralizer(x).positions]
     if rng is None:
         tried = ((x, y) for x in reps for y in commuting(x))
     else:  # each x is drawn just before its y
@@ -514,8 +514,8 @@ def _check_lemma2_iii(g: FiniteGroup, pairs):
     ROADMAP's "Lemma 2 reports only what it checked" removes that floor."""
     checked = 0
     for checked, (x, y) in enumerate(pairs, 1):
-        cxy = g.centralizer(g.mul(x, y)).members
-        if cxy != g.centralizer(x).members & g.centralizer(y).members:
+        cxy = set(g.centralizer(g.mul(x, y)).positions)
+        if cxy != set(g.centralizer(x).positions).intersection(g.centralizer(y).positions):
             return checked, f"(iii) C(xy) != C(x) & C(y) for x={x}, y={y}"
     return max(checked, 1), None
 
@@ -523,16 +523,17 @@ def _check_lemma2_iii(g: FiniteGroup, pairs):
 def _check_lemma9(g: FiniteGroup, kernel: Subgroup, complement: Subgroup):
     """Fixed points times commutator part reconstitute an abelian kernel
     acted on by a coprime complement."""
-    if not kernel.is_abelian():
+    if not g.is_abelian(kernel):
         return "kernel is not abelian"
-    fixed = [k for k in g._order_like(kernel.members)
-             if all(g.conj(k, a) == k for a in complement.gens)]
+    elements = g.elements()
+    fixed = [k for k in map(elements.__getitem__, kernel.positions)
+             if g.commute((k,), complement.gens)]
     fixed_sub = g.subgroup_from_elements(fixed)
     if len(fixed_sub) != len(fixed):
         return "fixed points are not a subgroup"
     comm_gens = []
     for k in kernel.gens:
-        for a in g._order_like(complement.members):
+        for a in map(elements.__getitem__, complement.positions):
             c = g.mul(g.inv(k), g.conj(k, a))
             if c != g.identity:
                 comm_gens.append(c)

@@ -118,8 +118,11 @@ def naive_normal_subgroups(group):
         pool[sub.members] = sub
         return True
 
+    def in_element_order(members):
+        return [x for x in group.elements() if x in members]
+
     for cls in group.conjugacy_classes():
-        add(group.subgroup_from_elements(group._order_like(cls.members)))
+        add(group.subgroup_from_elements(in_element_order(cls.members)))
     changed = True
     while changed:
         changed = False
@@ -128,11 +131,10 @@ def naive_normal_subgroups(group):
             for b in subs[i + 1:]:
                 if a.members <= b.members or b.members <= a.members:
                     continue
-                join = group.subgroup_from_elements(
-                    group._order_like(a.members | b.members))
+                join = group.subgroup_from_elements(in_element_order(a.members | b.members))
                 if add(join):
                     changed = True
-    return sorted(pool.values(), key=lambda s: (len(s), tuple(s.sorted_members())))
+    return sorted(pool.values(), key=lambda s: (len(s), sorted(s.members)))
 
 
 def image_set_centralizer_image(group, quot, x):

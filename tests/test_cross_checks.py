@@ -6,6 +6,8 @@ check that compared a value with itself, or ran after the value it guards
 was used, would fail its case.
 """
 
+from array import array
+
 import pytest
 
 import conjlab as cj
@@ -76,9 +78,10 @@ def test_quotient_order_product():
     g = cj.symmetric_group(3)
     classes = g.conjugacy_classes()
     fake = classes[0].members | classes[2].members
+    positions = array("i", (p for p, x in enumerate(g.elements()) if x in fake))
     with pytest.raises(InternalCheckError,
                        match="quotient order times subgroup order != group order"):
-        g.quotient(Subgroup(g.rep, fake, tuple(sorted(fake))))
+        g.quotient(Subgroup(g.rep, g.elements(), positions, tuple(sorted(fake))))
 
 
 def test_sp_primitivity_against_centralizer_orders(monkeypatch):

@@ -82,11 +82,12 @@ def test_agl1(q, order, nset):
 
 
 def test_agl1_is_frobenius():
-    fs = cj.find_frobenius_structure(cj.agl1(8))
+    g = cj.agl1(8)
+    fs = cj.find_frobenius_structure(g)
     assert fs is not None
     assert len(fs.kernel) == 8
     assert fs.complement_order == 7
-    assert fs.kernel.is_abelian()
+    assert g.is_abelian(fs.kernel)
 
 
 @pytest.mark.parametrize("p,d,order,nset", [

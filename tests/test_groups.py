@@ -1,18 +1,21 @@
+import ast
 import random
 import time
 import tracemalloc
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
 import conjlab as cj
-from conjlab import specio, verify
+from conjlab import predicates, specio, verify
 from conjlab.errors import CapExceeded
 from conjlab.groups import FiniteGroup, MatrixRep, PermutationRep, QuotientRep, Subgroup
 from conjlab.intmath import factor
 
 from oracles import (naive_centralizer, naive_class_sizes, naive_closure, naive_determinant,
-                     naive_element_order, naive_generated, naive_normal_subgroups)
+                     naive_element_order, naive_generated, naive_normal_subgroups,
+                     whole_group_f_scan)
 
 
 def s3():
@@ -738,7 +741,8 @@ def test_closures_make_no_product_once_classes_exist(build):
     makes no kernel product: the centralizer of each class representative
     and of another member of each class, a subgroup from elements, the
     center, the derived series, element orders and each normal Hall
-    subgroup."""
+    subgroup.  Nor does any commuting test: is_abelian of G and of each
+    representative's centralizer, CH, CA and F, and each Sylow split."""
     g = build()
     classes, elements = g.conjugacy_classes(), g.elements()
     picks = [elements[1], elements[-1], elements[len(elements) // 2]]
@@ -751,7 +755,20 @@ def test_closures_make_no_product_once_classes_exist(build):
     sub = g.subgroup_from_elements(picks)
     center, derived, solvable = g.center(), g.derived_subgroup(), g.is_solvable()
     halls = [g.normal_hall(m) for m in _unitary_divisors(g.order())]
+    abelian, cents_abelian = g.is_abelian(), [g.is_abelian(c) for c in cents]
+    ch, ca, f = predicates.is_ch(g), predicates.is_ca(g), predicates.is_f(g)
+    splits = {p: g.sylow_split(p) for p, _ in factor(g.order())}
     assert calls == Counter()
+    mul = g.rep.mul
+    assert abelian == all(mul(a, b) == mul(b, a) for a in elements for b in elements)
+    for c, ab in zip(cents, cents_abelian):
+        assert ab == all(mul(a, b) == mul(b, a) for a in c.members for b in c.members)
+    assert ca[0] == all(ab for c, ab in zip(classes, cents_abelian) if c.size > 1)
+    assert ch[0] == all(g.class_size(y) in (1, c.size) for c in classes if c.size > 1
+                        for y in naive_centralizer(g, c.representative))
+    assert f == whole_group_f_scan(g)
+    for split in filter(None, splits.values()):
+        assert all(mul(a, b) == mul(b, a) for a in split[0].members for b in split[1].members)
     assert [len(c) for c in cents] == [g.order() // c.size for c in classes]
     for x, c in zip(others, moved):
         assert c.members == frozenset(naive_centralizer(g, x))
@@ -761,6 +778,22 @@ def test_closures_make_no_product_once_classes_exist(build):
     assert g.is_normal(derived) and solvable == (g.order() != 120)  # only SL2(5) is not
     assert halls[0].members == {g.identity} and len(halls[-1]) == g.order()
     assert orders == {x: naive_element_order(g, x) for x in elements}
+
+
+def test_only_groups_reads_private_attributes():
+    """Outside groups.py no module reads an attribute ``x._name`` of anything
+    but ``self`` or ``cls``: a group's caches and tables stay its own."""
+    src = Path(cj.__file__).parent
+    reads = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "groups.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                    and node.attr.startswith("_") and not node.attr.endswith("__")
+                    and not (isinstance(node.value, ast.Name) and node.value.id in ("self", "cls"))):
+                reads.append(f"{path.name}:{node.lineno} {ast.unparse(node)}")
+    assert reads == []
 
 
 def test_lattice_keeps_only_class_tables():

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 import conjlab as cj
@@ -117,6 +119,19 @@ def test_is_f_matches_whole_group_scan_above_the_cap(monkeypatch, corpus, group_
     for name, g in cases:
         assert is_f(g) == whole_group_f_scan(g), name
     assert [is_f(g)[0] for _, g in cases[-2:]] == [False, True]
+
+
+def test_evaluate_wide_encodings_within_0_6_seconds():
+    """CH and F read class sizes by position and test commuting by walks,
+    hashing no member: on dihedral 500, whose elements are 500-point image
+    tuples, the four predicates take under 0.6 s of CPU once the classes
+    exist."""
+    g = cj.dihedral_group(500)
+    g.conjugacy_classes()
+    start = time.process_time()
+    report = evaluate(g)
+    assert time.process_time() - start < 0.6
+    assert (report.sp, report.ch, report.ca, report.f, report.rank) == (False, True, True, True, 2)
 
 
 def test_is_f_cap(monkeypatch):
