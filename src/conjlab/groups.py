@@ -8,24 +8,27 @@ the encoding of its minimal member in the parent.  Products compose left
 to right: mul(a, b) applies a first, then b, and x ** g means g^-1 * x * g.
 A Subgroup is a value: the representation, G's element list, its members'
 ascending positions in that list (G's element order) and its generators as
-encodings; the member set is a view built on each read.  A list refers to
-no group, and a quotient's representation holds the parent's, not the
-parent group: nothing refers back up the group hierarchy, so reference
-counting alone frees a group with everything built from it.
+encodings; the member set is a view built on each read.  A ConjugacyClass
+holds its representative, size, G's list and its members' positions alike.
+A list refers to no group, and a quotient's representation holds the
+parent's, not the parent group: nothing refers back up the group hierarchy,
+so reference counting alone frees a group with everything built from it.
 
 Everything is desk scale by design.  A group, a subgroup taken as a group
 too, is enumerated once by products, as the breadth-first closure of its
-generators from the identity (FiniteGroup._closure).  It keeps the left
-table, the position of g * x for each element x and generator g, and every
-later closure runs on positions.  Each x is first reached as
-g * y with y found before it, so the left table spells x's breadth-first
-word, and x * z is a walk from z along x's word (x^-1 * z a walk back along
-the inverted tables).  One routine, FiniteGroup._span, closes every subgroup
-inside G on positions (Dimino's method): a candidate outside the closure so
-far becomes the next greedy generator, the old members are multiplied by it
-only and the new members by every generator.  Subgroups from elements,
-centers, Schreier centralizers, the derived series, normal Hall subgroups
-and the lattice's generating sets all come from it.
+generators from the identity (FiniteGroup._closure), with one kernel per
+generator: rep.left(g) does g's part of every product g * x once and
+returns the map x -> g * x.  The closure keeps the left table, the position
+of g * x for each element x and generator g, and every later closure runs
+on positions.  Each x is first reached as g * y with y found before it, so
+the left table spells x's breadth-first word, and x * z is a walk from z
+along x's word (x^-1 * z a walk back along the inverted tables).  One
+routine, FiniteGroup._span, closes every subgroup inside G on positions
+(Dimino's method): a candidate outside the closure so far becomes the next
+greedy generator, the old members are multiplied by it only and the new
+members by every generator.  Subgroups from elements, centers, Schreier
+centralizers, the derived series, normal Hall subgroups and the lattice's
+generating sets all come from it.
 
 Conjugacy classes are conjugation orbits over positions, read off the left
 table with no product, as are the transversal (see _compute_classes) and G/N,
@@ -81,10 +84,12 @@ class PermutationRep:
         self.degree = degree
         self.identity = tuple(range(degree))
 
+    def left(self, g):
+        """The map x -> g * x: itemgetter(*g), or the identity at degree 1."""
+        return itemgetter(*g) if len(g) > 1 else (lambda x: x)
+
     def mul(self, a, b):
-        if len(a) == 1:
-            return b
-        return itemgetter(*a)(b)
+        return self.left(a)(b)
 
     def inv(self, a):
         out = [0] * len(a)
@@ -116,38 +121,42 @@ class MatrixRep:
             ident[i * dim + i] = 1
         self.identity = tuple(ident)
 
-    def mul(self, a, b):
-        f = self.field
-        mul, add = f._mul, f._add
-        d = self.dim
+    def left(self, g):
+        """The map x -> g * x, reading the field's multiplication-table rows
+        of g's entries once: (g * x)_ij is the sum over k of row(g_ik)[x_kj]."""
+        add, d = self.field._add, self.dim
+        rows = [self.field._mul[c] for c in g]
         if d == 2:
-            a0, a1, a2, a3 = a
-            b0, b1, b2, b3 = b
-            return (add[mul[a0][b0]][mul[a1][b2]], add[mul[a0][b1]][mul[a1][b3]],
-                    add[mul[a2][b0]][mul[a3][b2]], add[mul[a2][b1]][mul[a3][b3]])
-        if d == 3:
-            a0, a1, a2, a3, a4, a5, a6, a7, a8 = a
-            b0, b1, b2, b3, b4, b5, b6, b7, b8 = b
-            return (
-                add[add[mul[a0][b0]][mul[a1][b3]]][mul[a2][b6]],
-                add[add[mul[a0][b1]][mul[a1][b4]]][mul[a2][b7]],
-                add[add[mul[a0][b2]][mul[a1][b5]]][mul[a2][b8]],
-                add[add[mul[a3][b0]][mul[a4][b3]]][mul[a5][b6]],
-                add[add[mul[a3][b1]][mul[a4][b4]]][mul[a5][b7]],
-                add[add[mul[a3][b2]][mul[a4][b5]]][mul[a5][b8]],
-                add[add[mul[a6][b0]][mul[a7][b3]]][mul[a8][b6]],
-                add[add[mul[a6][b1]][mul[a7][b4]]][mul[a8][b7]],
-                add[add[mul[a6][b2]][mul[a7][b5]]][mul[a8][b8]],
-            )
-        out = []
-        for i in range(d):
-            row = a[i * d:(i + 1) * d]
-            for j in range(d):
-                s = 0
-                for k in range(d):
-                    s = add[s][mul[row[k]][b[k * d + j]]]
-                out.append(s)
-        return tuple(out)
+            m0, m1, m2, m3 = rows
+            def times(x):
+                x0, x1, x2, x3 = x
+                return (add[m0[x0]][m1[x2]], add[m0[x1]][m1[x3]],
+                        add[m2[x0]][m3[x2]], add[m2[x1]][m3[x3]])
+        elif d == 3:
+            m0, m1, m2, m3, m4, m5, m6, m7, m8 = rows
+            def times(x):
+                x0, x1, x2, x3, x4, x5, x6, x7, x8 = x
+                return (add[add[m0[x0]][m1[x3]]][m2[x6]], add[add[m0[x1]][m1[x4]]][m2[x7]],
+                        add[add[m0[x2]][m1[x5]]][m2[x8]], add[add[m3[x0]][m4[x3]]][m5[x6]],
+                        add[add[m3[x1]][m4[x4]]][m5[x7]], add[add[m3[x2]][m4[x5]]][m5[x8]],
+                        add[add[m6[x0]][m7[x3]]][m8[x6]], add[add[m6[x1]][m7[x4]]][m8[x7]],
+                        add[add[m6[x2]][m7[x5]]][m8[x8]])
+        else:
+            by_row = [rows[i * d:(i + 1) * d] for i in range(d)]
+            def times(x):
+                cols = [x[j::d] for j in range(d)]
+                out = []
+                for row in by_row:
+                    for col in cols:
+                        s = 0
+                        for m, c in zip(row, col):
+                            s = add[s][m[c]]
+                        out.append(s)
+                return tuple(out)
+        return times
+
+    def mul(self, a, b):
+        return self.left(a)(b)
 
     def inv(self, a):
         inv = self._gauss_invert(a)
@@ -213,8 +222,13 @@ class QuotientRep:
         self.coset_rep = coset_rep
         self.identity = coset_rep[parent_rep.identity]
 
+    def left(self, g):
+        """The map xN -> gxN: the parent's left(g), then the coset lookup."""
+        times, coset_rep = self.parent_rep.left(g), self.coset_rep
+        return lambda x: coset_rep[times(x)]
+
     def mul(self, a, b):
-        return self.coset_rep[self.parent_rep.mul(a, b)]
+        return self.left(a)(b)
 
     def inv(self, a):
         return self.coset_rep[self.parent_rep.inv(a)]
@@ -282,16 +296,27 @@ class Frozen(Record):
 
 
 class ConjugacyClass(Frozen):
-    """One conjugation orbit: minimal-encoding representative, size, members."""
+    """One conjugation orbit: its minimal-encoding representative, its size,
+    its group's element list and the members' ascending positions in that
+    list.  Within one group, == and the hash mean the same class."""
 
-    __slots__ = ("representative", "size", "members")
+    __slots__ = ("representative", "size", "elements", "positions")
 
     # made by the thousand: __init__ is written out, faster than Record's
-    def __init__(self, representative: tuple, size: int, members: frozenset):
-        put_rep, put_size, put_members = self._put
+    def __init__(self, representative: tuple, size: int, elements: list, positions: array):
+        put_rep, put_size, put_elements, put_positions = self._put
         put_rep(self, representative)
         put_size(self, size)
-        put_members(self, members)
+        put_elements(self, elements)
+        put_positions(self, positions)
+
+    def __hash__(self):  # the list and the array are not hashable
+        return hash((self.representative, self.size))
+
+    @property
+    def members(self) -> frozenset:
+        """The member encodings, built on each read."""
+        return frozenset(map(self.elements.__getitem__, self.positions))
 
 
 class Subgroup(Frozen):
@@ -311,10 +336,7 @@ class Subgroup(Frozen):
     def __len__(self) -> int:
         return len(self.positions)
 
-    @property
-    def members(self) -> frozenset:
-        """The member encodings, built on each read."""
-        return frozenset(map(self.elements.__getitem__, self.positions))
+    members = ConjugacyClass.members
 
     def as_group(self) -> "FiniteGroup":
         """The subgroup as a group on its generators, enumerated by its own
@@ -399,12 +421,12 @@ class FiniteGroup:
         """The breadth-first closure of the generators from the identity: the
         elements, their positions, and the left table (see _left)."""
         rep, cap = self.rep, self.max_order
-        mul = rep.mul
         gens = [g for g in self.generators if g != rep.identity]
         index, queue, left = {rep.identity: 0}, [rep.identity], [[] for _ in gens]
+        moves = list(zip(map(rep.left, gens), left))  # one kernel per generator
         for x in queue:
-            for g, col in zip(gens, left):
-                y = mul(g, x)
+            for times, col in moves:
+                y = times(x)
                 p = index.get(y)
                 if p is None:
                     if len(queue) >= cap:
@@ -457,7 +479,7 @@ class FiniteGroup:
                     for j, q in enumerate(powers, 1):
                         if not by_class[class_of[q]]:
                             by_class[class_of[q]] = o // gcd(j, o)
-            self._orders = {m: o for cls, o in zip(classes, by_class) for m in cls.members}
+            self._orders = dict(zip(self._elements, map(by_class.__getitem__, class_of)))
         return self._orders
 
     # -- conjugacy classes ---------------------------------------------
@@ -524,15 +546,15 @@ class FiniteGroup:
         for s in range(n):
             if class_of[s] < 0:
                 orbit = search(min(search(s, class_of), key=elements.__getitem__), transversal)
-                found.append((ConjugacyClass(elements[orbit[0]], len(orbit),
-                                             frozenset(elements[p] for p in orbit)), orbit))
-        found.sort(key=lambda co: (co[0].size, co[0].representative))
-        for i, (_, orbit) in enumerate(found):
-            for p in orbit:
+                found.append(ConjugacyClass(elements[orbit[0]], len(orbit), elements,
+                                            array("i", sorted(orbit))))
+        found.sort(key=attrgetter("size", "representative"))
+        for i, cls in enumerate(found):
+            for p in cls.positions:
                 class_of[p] = i
         self._transversal = transversal
         self._class_of = class_of
-        self._classes = [cls for cls, _ in found]
+        self._classes = found
 
     def class_size(self, enc) -> int:
         self.conjugacy_classes()
@@ -580,12 +602,11 @@ class FiniteGroup:
         if cls.size == 1:
             return self._whole()
         target = self.order() // cls.size
-        index, transversal, word = self._index, self._transversal, self._word
-        e = index[self.rep.identity]
+        transversal, word, e = self._transversal, self._word, self._index[self.rep.identity]
         tinv = {}  # position of t_m2^-1 by m2's
 
         def candidates():
-            for m in sorted(map(index.__getitem__, cls.members)):
+            for m in cls.positions:
                 tm = word(transversal[m])
                 for col, conj in zip(self._left, self._conj):
                     m2 = conj[m]
@@ -716,7 +737,7 @@ class FiniteGroup:
                 mask ^= low
 
         sizes = [c.size for c in classes]
-        where = [sorted(map(self._index.__getitem__, c.members)) for c in classes]
+        where = [c.positions for c in classes]
         # by mask: the member, its order, and the classes that generate it;
         # and the masks of each order
         pool, orders, spans, by_order = {}, {}, {}, {}

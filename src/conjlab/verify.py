@@ -498,12 +498,11 @@ def _lemma2_iii_pairs(g: FiniteGroup, rng: random.Random | None = None):
         return []
     orders, center, elements = g.element_orders(), g.center().members, g.elements()
     reps = [c.representative for c in g.conjugacy_classes() if c.size > 1]
-    def commuting(x):
-        return [elements[p] for p in g.centralizer(x).positions]
     if rng is None:
-        tried = ((x, y) for x in reps for y in commuting(x))
-    else:  # each x is drawn just before its y
-        tried = ((x, rng.choice(commuting(x))) for x in (rng.choice(reps) for _ in range(DRAWS)))
+        tried = ((x, elements[p]) for x in reps for p in g.centralizer(x).positions)
+    else:  # each x is drawn just before its y, by position in C(x)
+        tried = ((x, elements[rng.choice(g.centralizer(x).positions)])
+                 for x in (rng.choice(reps) for _ in range(DRAWS)))
     return [(x, y) for x, y in tried if y not in center and gcd(orders[x], orders[y]) == 1]
 
 

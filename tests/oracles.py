@@ -75,6 +75,24 @@ def naive_determinant(field, dim, a):
     return det
 
 
+def naive_matrix_product(field, dim, a, b):
+    """a * b for flat row-major dim x dim matrices over field: a triple loop
+    over field.add and field.mul."""
+    out = []
+    for i in range(dim):
+        for j in range(dim):
+            s = 0
+            for k in range(dim):
+                s = field.add(s, field.mul(a[i * dim + k], b[k * dim + j]))
+            out.append(s)
+    return tuple(out)
+
+
+def naive_permutation_product(a, b):
+    """a, then b, for permutations as image tuples: i goes to b[a[i]]."""
+    return tuple(b[a[i]] for i in range(len(a)))
+
+
 def naive_element_order(group, x):
     mul = group.rep.mul
     ident = group.rep.identity

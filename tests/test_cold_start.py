@@ -62,8 +62,8 @@ _TRIVIAL = groups.Subgroup("rep", _ELEMENTS, array("i", [0]), ())
 # class, required field values, defaulted field values as {name: default},
 # frozen, and one changed value for the first field
 VALUE_CLASSES = [
-    (groups.ConjugacyClass, {"representative": (1, 0), "size": 1,
-                             "members": frozenset({(1, 0)})}, {}, True, (0, 1)),
+    (groups.ConjugacyClass, {"representative": (1, 0), "size": 1, "elements": _ELEMENTS,
+                             "positions": array("i", [1])}, {}, True, (0, 1)),
     (groups.Subgroup, {"rep": "rep", "elements": _ELEMENTS, "positions": _SUB.positions,
                        "gens": _SUB.gens}, {}, True, "other"),
     (classgraph.ClassSizeSet, {"sizes": (1, 1, 2, 3, 3), "N": (2, 3)}, {}, True, (1,)),
@@ -113,8 +113,10 @@ def test_value_class_semantics(cls, required, defaults, frozen, changed):
 
     if frozen:
         assert isinstance(obj, Hashable)
-        # Subgroup hashes its own fields: its element list and positions are not
-        if cls is groups.Subgroup or all(isinstance(v, Hashable) for v in fields.values()):
+        # Subgroup and ConjugacyClass hash their own fields: their element
+        # lists and positions are not hashable
+        if cls in (groups.Subgroup, groups.ConjugacyClass) or all(
+                isinstance(v, Hashable) for v in fields.values()):
             assert hash(obj) == hash(cls(*fields.values()))
             assert len({obj, cls(**fields), other}) == 2
         with pytest.raises(AttributeError):

@@ -21,7 +21,7 @@ def _resize_class(monkeypatch, g, k, size):
     """g's class k claims size members; its members are unchanged."""
     classes = list(g.conjugacy_classes())
     c = classes[k]
-    classes[k] = ConjugacyClass(c.representative, size, c.members)
+    classes[k] = ConjugacyClass(c.representative, size, c.elements, c.positions)
     monkeypatch.setattr(g, "_classes", classes)
 
 

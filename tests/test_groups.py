@@ -10,11 +10,13 @@ import pytest
 import conjlab as cj
 from conjlab import predicates, specio, verify
 from conjlab.errors import CapExceeded
+from conjlab.gf import make_field
 from conjlab.groups import FiniteGroup, MatrixRep, PermutationRep, QuotientRep, Subgroup
 from conjlab.intmath import factor
 
-from oracles import (naive_centralizer, naive_class_sizes, naive_closure, naive_determinant,
-                     naive_element_order, naive_generated, naive_normal_subgroups,
+from oracles import (naive_centralizer, naive_class_of, naive_class_sizes, naive_closure,
+                     naive_determinant, naive_element_order, naive_generated,
+                     naive_matrix_product, naive_normal_subgroups, naive_permutation_product,
                      whole_group_f_scan)
 
 
@@ -264,7 +266,7 @@ def test_normal_subgroups_examples():
     assert [len(s) for s in cj.cyclic_group(6).normal_subgroups()] == [1, 2, 3, 6]
 
 
-@pytest.mark.parametrize("degree", [1, 2, 3, 8, 432])
+@pytest.mark.parametrize("degree", [1, 2, 3, 8, 432, 720])
 def test_permutation_kernel_matches_naive_composition(degree):
     rep = PermutationRep(degree)
     rng = random.Random(degree)
@@ -275,7 +277,7 @@ def test_permutation_kernel_matches_naive_composition(degree):
         rng.shuffle(b)
         a, b = tuple(a), tuple(b)
         ab = rep.mul(a, b)
-        assert type(ab) is tuple and ab == tuple(b[a[i]] for i in range(degree))
+        assert type(ab) is tuple and ab == naive_permutation_product(a, b) == rep.left(a)(b)
         ainv = rep.inv(a)
         assert type(ainv) is tuple
         assert tuple(ainv[a[i]] for i in range(degree)) == ident
@@ -561,17 +563,20 @@ def test_index_space_classes_match_oracle(corpus, group_of):
 
 
 def _count_kernel_calls(g) -> Counter:
-    """Count rep.mul and rep.inv calls on g's representation from now on,
-    keyed "mul" and "inv"."""
-    calls = Counter()
+    """Count kernel calls on g's representation from now on: rep.mul and
+    rep.inv, keyed "mul" and "inv", and each map x -> h * x that rep.left(h)
+    returns, keyed ("left", h); a mul also calls its left map."""
+    calls, rep = Counter(), g.rep
 
-    def counted(name, kernel):
+    def counted(key, kernel):
         def call(*args):
-            calls[name] += 1
+            calls[key] += 1
             return kernel(*args)
         return call
 
-    g.rep.mul, g.rep.inv = counted("mul", g.rep.mul), counted("inv", g.rep.inv)
+    left = rep.left
+    rep.mul, rep.inv = counted("mul", rep.mul), counted("inv", rep.inv)
+    rep.left = lambda h: counted(("left", h), left(h))
     return calls
 
 
@@ -659,6 +664,70 @@ def test_cayley_graph_pass_edge_cases(case):
             assert g.conj(cls.representative, elements[g._transversal[index[x]]]) == x
         c = g.centralizer(cls.representative)
         assert c.members == frozenset(naive_centralizer(g, cls.representative))
+
+
+@pytest.mark.parametrize("build", [lambda: cj.symmetric_group(5), lambda: cj.gl2(5),
+                                   lambda: cj.heisenberg(5), _quotient_by_center,
+                                   _centralizer_as_group] + list(CAYLEY_EDGE_CASES.values()))
+def test_closure_calls_each_generator_kernel_once_per_element(build):
+    """The closure makes one map x -> h * x per non-identity generator h
+    (two for a generator given twice) and calls it once per element, and
+    makes no other product: for a group, a quotient (on its coset kernels)
+    and a subgroup taken as a group, each enumerated afresh."""
+    built = build()
+    g = FiniteGroup(built.rep, built.generators, max_order=built.max_order)
+    gens = [h for h in g.generators if h != g.identity]
+    calls = _count_kernel_calls(g)
+    n = g.order()
+    assert calls == Counter({("left", h): n * gens.count(h) for h in gens})
+
+
+FIELDS = {2: (2, 1), 9: (3, 2), 13: (13, 1), 16: (2, 4)}
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+@pytest.mark.parametrize("q", list(FIELDS))
+def test_matrix_kernel_matches_naive_product(q, dim):
+    """rep.left(a)(b) and rep.mul(a, b) are the triple-loop product, for the
+    unrolled 2 x 2 and 3 x 3 kernels and for the loop of other dimensions."""
+    field = make_field(*FIELDS[q])
+    rep, rng = MatrixRep(field, dim), random.Random(f"{q}x{dim}")
+    mats = [rep.identity] + [tuple(rng.randrange(q) for _ in range(dim * dim))
+                             for _ in range(10)]
+    for a in mats:
+        times = rep.left(a)
+        for b in mats:
+            assert times(b) == rep.mul(a, b) == naive_matrix_product(field, dim, a, b)
+
+
+def test_quotient_kernel_matches_naive_product():
+    """In sl2(5)/Z a product is the parent's naive product's coset."""
+    q = _quotient_by_center()
+    rep, elements = q.rep, q.elements()
+    field = rep.parent_rep.field
+    for a in elements:
+        times = rep.left(a)
+        for b in elements:
+            assert times(b) == rep.mul(a, b) \
+                == rep.coset_rep[naive_matrix_product(field, 2, a, b)]
+
+
+@pytest.mark.parametrize("build", [lambda: cj.gl2(5), _quotient_by_center,
+                                   _centralizer_as_group])
+def test_class_positions_partition_the_group(build):
+    """Each class holds its group's element list and its members' ascending
+    positions in it, which map to the naive orbit of its representative; the
+    classes partition the positions: for a group, a quotient and a subgroup
+    taken as a group alike."""
+    g = build()
+    elements, seen = g.elements(), []
+    for cls in g.conjugacy_classes():
+        positions = list(cls.positions)
+        assert cls.elements is elements and positions == sorted(positions)
+        assert {elements[p] for p in positions} == naive_class_of(g, cls.representative)
+        assert len(positions) == cls.size
+        seen += positions
+    assert sorted(seen) == list(range(g.order()))
 
 
 def _closed_quotient(g, normal):
