@@ -21,7 +21,9 @@ G/Z, the normal Sylow subgroups and Type I's normal p-complement are all
 normal Hall subgroups, found by FiniteGroup.normal_hall: a count of the
 elements whose order divides the Hall order, closed only when it matches;
 Type I takes G = P x T from FiniteGroup.sylow_split, as verify's Lemma 1
-does.  Classification never builds the normal-subgroup lattice.
+does.  Classification never builds the normal-subgroup lattice, and
+never enumerates a subgroup: N(P), Z(P) and N(G') come from the
+subgroup's classes read inside G (FiniteGroup.subgroup_classes).
 """
 
 from __future__ import annotations
@@ -179,11 +181,11 @@ def _psl_pgl_candidates(quotient_order: int):
 
 
 def subgroup_n_set(g: FiniteGroup, sub: Subgroup) -> frozenset:
-    """N(H) for a subgroup H of G, read off G itself when H = G instead of
-    recomputing every class of a copy."""
+    """N(H) for a subgroup H of G: H's class sizes read inside G
+    (FiniteGroup.subgroup_classes), or G's own when H = G."""
     if len(sub) == g.order():
         return frozenset(n_set(g))
-    return frozenset(n_set(sub.as_group()))
+    return frozenset(g.subgroup_classes(sub)[0]) - {1}
 
 
 # -- the five type checks ----------------------------------------------------
@@ -232,10 +234,12 @@ def _try_type_iii(g: FiniteGroup, frob: FrobeniusStructure, kernel_pre: Subgroup
         if not (sylow.members <= kernel and zs <= kernel
                 and len(sylow) * len(center) == len(kernel) * len(meet)):
             continue
-        sylow_group = sylow.as_group()
-        if len(n_set(sylow_group)) != 1:
+        # N(P) has one member, and Z(P), the members in classes of size 1, is P & Z
+        sizes = g.subgroup_classes(sylow)[0]
+        if len(set(sizes) - {1}) != 1:
             continue
-        if sylow_group.center().members != meet:
+        elements = g.elements()
+        if {elements[q] for q, s in zip(sylow.positions, sizes) if s == 1} != meet:
             continue
         return {
             "p": p,

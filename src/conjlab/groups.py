@@ -14,33 +14,38 @@ A list refers to no group, and a quotient's representation holds the
 parent's, not the parent group: nothing refers back up the group hierarchy,
 so reference counting alone frees a group with everything built from it.
 
-Everything is desk scale by design.  A group, a subgroup taken as a group
-too, is enumerated once by products, as the breadth-first closure of its
-generators from the identity (FiniteGroup._closure), with one kernel per
-generator: rep.left(g) does g's part of every product g * x once and
-returns the map x -> g * x.  The closure keeps the left table, the position
-of g * x for each element x and generator g, and every later closure runs
-on positions.  Each x is first reached as g * y with y found before it, so
-the left table spells x's breadth-first word, and x * z is a walk from z
-along x's word (x^-1 * z a walk back along the inverted tables).  One
-routine, FiniteGroup._span, closes every subgroup inside G on positions
-(Dimino's method): a candidate outside the closure so far becomes the next
-greedy generator, the old members are multiplied by it only and the new
-members by every generator.  Subgroups from elements, centers, Schreier
-centralizers, the derived series, normal Hall subgroups and the lattice's
-generating sets all come from it.
+Everything is desk scale by design.  A group is enumerated once by products,
+as the breadth-first closure of its generators from the identity
+(FiniteGroup._closure), with one kernel per generator: rep.left(g) does g's
+part of every product g * x once and returns the map x -> g * x.  The
+closure keeps the left table, the position of g * x for each element x and
+generator g, and every later closure runs on positions.  Each x is first
+reached as g * y with y found before it, so the left table spells x's
+breadth-first word, and x * z is a walk from z along x's word (x^-1 * z a
+walk back along the inverted tables).  One routine, FiniteGroup._span,
+closes every subgroup inside G on positions (Dimino's method): a candidate
+outside the closure so far becomes the next greedy generator, the old
+members are multiplied by it only and the new members by every generator.
+Subgroups from elements, centers, Schreier centralizers, the derived series,
+normal Hall subgroups and the lattice's generating sets all come from it.
 
 Conjugacy classes are conjugation orbits over positions, read off the left
-table with no product, as are the transversal (see _compute_classes) and G/N,
-since g * xN = (g * x)N.  Each orbit is searched from its least member, the
-class representative, whose transversal element is then the identity: by
+table with no product, as are the transversal (see _compute_classes) and
+G/N, since g * xN = (g * x)N.  Each orbit is searched from its least member,
+the class representative, whose transversal element is then the identity: by
 Schreier's lemma its centralizer is generated by the t_m * g * t_m2^-1 read
 off the transversal as walks, and C(x) = C(rep) ** t_x is a walk of the
-conjugation tables.  x and y commute exactly when x ** y = x, a walk of the
-same tables along y's word: FiniteGroup.commute is the one commuting test,
-behind is_abelian, the Sylow split, F, CA, the type checks and Lemma 9.  A
-subgroup refers to G's own element list, and G itself is one Subgroup value,
-shared by every central element's centralizer and a perfect G's G'.
+conjugation tables.  A representative's centralizer is closed once per
+distinct subgroup: an abelian C(y) already built that holds x commutes with
+x, so it lies in C(x), and it is C(x) when its order is |G|/|x^G|.  x and y
+commute exactly when x ** y = x, a walk of the same tables along y's word:
+FiniteGroup.commute is the one commuting test, behind is_abelian, the Sylow
+split, F, CA, the type checks and Lemma 9.  A subgroup refers to G's own
+element list, and G itself is one Subgroup value, shared by every central
+element's centralizer and a perfect G's G'.  A subgroup is never enumerated
+as a group of its own: its own conjugacy classes are the orbits of its
+generators acting by conjugation on its members, walks of G's conjugation
+tables (subgroup_classes), which give N(H), Z(H) and |x^H|.
 
 A question is settled by a count over the classes before anything is
 closed, and closed only when the count cannot settle it:
@@ -65,6 +70,7 @@ closed, and closed only when the count cannot settle it:
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_left
 from math import gcd
 from operator import attrgetter, itemgetter
 
@@ -318,6 +324,9 @@ class ConjugacyClass(Frozen):
         """The member encodings, built on each read."""
         return frozenset(map(self.elements.__getitem__, self.positions))
 
+    def __repr__(self):
+        return f"ConjugacyClass(size={self.size}, representative={self.representative!r})"
+
 
 class Subgroup(Frozen):
     """A subgroup as a value: the representation its members are encoded
@@ -338,11 +347,10 @@ class Subgroup(Frozen):
 
     members = ConjugacyClass.members
 
-    def as_group(self) -> "FiniteGroup":
-        """The subgroup as a group on its generators, enumerated by its own
-        closure like any other; nothing closed inside it can outgrow it, so
-        its order is its cap."""
-        return FiniteGroup(self.rep, self.gens, max_order=len(self))
+    def holds(self, p: int) -> bool:
+        """The element at position p is a member: a bisection of the positions."""
+        i = bisect_left(self.positions, p)
+        return i < len(self.positions) and self.positions[i] == p
 
     def __repr__(self):
         return f"Subgroup(order={len(self)} in {self.rep!r})"
@@ -381,7 +389,8 @@ class FiniteGroup:
         self._normals: list[Subgroup] | None = None
         self._orders: dict | None = None
         self._halls: dict = {}  # order -> closure of the elements of order dividing it
-        self._rep_centralizers: dict = {}
+        self._rep_centralizers: dict = {}  # by class index
+        self._abelian_centralizers: dict = {}  # order -> the abelian ones built
 
     # -- raw operations ------------------------------------------------
 
@@ -399,6 +408,11 @@ class FiniteGroup:
     @property
     def identity(self):
         return self.rep.identity
+
+    def position(self, enc) -> int:
+        """enc's position in elements()."""
+        self.elements()
+        return self._index[enc]
 
     # -- enumeration -----------------------------------------------------
 
@@ -579,8 +593,7 @@ class FiniteGroup:
         cls_idx = self._class_of[pos]
         base = self._rep_centralizers.get(cls_idx)
         if base is None:
-            base = self._schreier_centralizer(cls_idx)
-            self._rep_centralizers[cls_idx] = base
+            base = self._rep_centralizers[cls_idx] = self._rep_centralizer(cls_idx)
         if x == self._classes[cls_idx].representative:
             return base
         return self._transport(base, self._transversal[pos])
@@ -593,14 +606,29 @@ class FiniteGroup:
         return Subgroup(self.rep, elements, positions,
                         tuple(elements[_walk(word, index[z])] for z in sub.gens))
 
-    def _schreier_centralizer(self, cls_idx: int) -> Subgroup:
-        """Centralizer of the class representative, the stabilizer of the
-        orbit's root: by Schreier's lemma it is generated by t_m * g * t_m2^-1
-        over members m and generators g with m ** g = m2, closed greedily
-        until it has order |G| / |class|."""
+    def _rep_centralizer(self, cls_idx: int) -> Subgroup:
+        """Centralizer of the class representative x, closed once per distinct
+        subgroup: G for a central x, else an abelian C(y) already built that
+        holds x and has order |G| / |x^G|, which is C(x) (every member commutes
+        with x, and the orders agree), else a Schreier closure."""
         cls = self._classes[cls_idx]
         if cls.size == 1:
             return self._whole()
+        x = self._index[cls.representative]
+        built = self._abelian_centralizers.setdefault(len(self._elements) // cls.size, [])
+        sub = next((c for c in built if c.holds(x)), None)
+        if sub is None:
+            sub = self._schreier_centralizer(cls_idx)
+            if self.is_abelian(sub):
+                built.append(sub)
+        return sub
+
+    def _schreier_centralizer(self, cls_idx: int) -> Subgroup:
+        """Centralizer of a noncentral class representative, the stabilizer of
+        the orbit's root: by Schreier's lemma it is generated by t_m * g * t_m2^-1
+        over members m and generators g with m ** g = m2, closed greedily
+        until it has order |G| / |class|."""
+        cls = self._classes[cls_idx]
         target = self.order() // cls.size
         transversal, word, e = self._transversal, self._word, self._index[self.rep.identity]
         tinv = {}  # position of t_m2^-1 by m2's
@@ -798,6 +826,33 @@ class FiniteGroup:
             done = len(masks)
         return sorted(pool.values(),
                       key=lambda s: (len(s), sorted(map(s.elements.__getitem__, s.positions))))
+
+    def subgroup_classes(self, sub: Subgroup) -> tuple[array, list]:
+        """The conjugacy classes of the subgroup H = sub itself, read inside G
+        with no product: the size of each member's H-class, aligned with
+        sub.positions, and the index there of each class's least member.  They
+        are the orbits of H's generators acting by conjugation on H's members,
+        z ** h a walk of G's conjugation tables along h's word; when the
+        generators commute, every class has size 1."""
+        positions, n = sub.positions, len(sub.positions)
+        if self.commute(sub.gens, sub.gens):
+            return array("i", [1]) * n, list(range(n))
+        at = dict(zip(positions, range(n)))  # member index by position
+        words = [self._word(self._index[h], self._conj) for h in sub.gens]
+        sizes, firsts = array("i", [0]) * n, []  # a size of -1: in the orbit being searched
+        for i in range(n):
+            if not sizes[i]:
+                sizes[i], orbit = -1, [i]
+                for y in orbit:
+                    for word in words:
+                        z = at[_walk(word, positions[y])]
+                        if not sizes[z]:
+                            sizes[z] = -1
+                            orbit.append(z)
+                for y in orbit:
+                    sizes[y] = len(orbit)
+                firsts.append(i)
+        return sizes, firsts
 
     def is_normal(self, sub: Subgroup) -> bool:
         """sub is a union of conjugacy classes (a subgroup of G): the classes

@@ -237,12 +237,13 @@ class _Case(Analysis):
         g = self.group
         return [s for s in g.normal_subgroups() if 1 < len(s) < g.order()]
 
-    def split(self, idx: int) -> tuple[FiniteGroup, FiniteGroup]:
-        """K and G/K for the idx-th of ``normals``, K; G/Z is the analysis's."""
+    def split(self, idx: int) -> tuple[tuple, FiniteGroup]:
+        """K's own classes, read inside G (FiniteGroup.subgroup_classes), and
+        G/K for the idx-th of ``normals``, K; G/Z is the analysis's."""
         if idx not in self._splits:
             sub, g = self.normals[idx], self.group
             quot = self.quotient if sub.positions == g.center().positions else g.quotient(sub)
-            self._splits[idx] = (sub.as_group(), quot)
+            self._splits[idx] = (g.subgroup_classes(sub), quot)
         return self._splits[idx]
 
 
@@ -439,19 +440,20 @@ def run_corollary_suite(corpus: list[CorpusEntry]) -> SuiteReport:
 # -- lemma-level invariants ----------------------------------------------------
 
 
-def _check_lemma2_for_normal(case: _Case, idx: int, k_elems, g_reps):
+def _check_lemma2_for_normal(case: _Case, idx: int, k_at, g_reps):
     """Lemma 2 parts (i), (iv), (v) for the idx-th normal subgroup K: (i) on
-    each element of K in k_elems, all three on each element of G in g_reps.
-    Returns (tuples_checked, first_failure_or_None)."""
-    g = case.group
-    kgroup, quot = case.split(idx)
+    each member of K whose index in K's positions is in k_at, all three on
+    each element of G in g_reps.  Returns (tuples_checked, first_failure_or_None)."""
+    g, kernel = case.group, case.normals[idx]
+    (ksizes, _), quot = case.split(idx)
     project = quot.rep.coset_rep
-    orders = g.element_orders()
+    orders, elements = g.element_orders(), g.elements()
     checked = 0
-    for x in k_elems:
+    for i in k_at:
         # (i): |x^K| divides |x^G|
+        x = elements[kernel.positions[i]]
         checked += 1
-        if g.class_size(x) % kgroup.class_size(x):
+        if g.class_size(x) % ksizes[i]:
             return checked, f"(i) |x^K| does not divide |x^G| for x={x}"
     for x in g_reps:
         xbar = project[x]
@@ -461,8 +463,8 @@ def _check_lemma2_for_normal(case: _Case, idx: int, k_elems, g_reps):
             return checked, f"(i) quotient class size does not divide |x^G| for x={x}"
         # (v), and (iv) when (|x|, |K|) = 1
         checked += 1
-        coprime = gcd(orders[x], kgroup.order()) == 1
-        part = _centralizer_image(g, quot, case.normals[idx], x, coprime)
+        coprime = gcd(orders[x], len(kernel)) == 1
+        part = _centralizer_image(g, quot, kernel, x, coprime)
         if part == "(v)":
             return checked, f"(v) centralizer image escapes C(xbar) for x={x}"
         if coprime:
@@ -477,11 +479,11 @@ def _centralizer_image(g: FiniteGroup, quot: FiniteGroup, kernel: Subgroup, x,
     """"(v)" when the image of C_G(x) in G/K escapes C_{G/K}(xbar), else
     "(iv)" when coprime and the image is not all of C_{G/K}(xbar), else None.
     No image is built: it lies in C_{G/K}(xbar) exactly when the images of
-    C_G(x)'s generators do, and then it is all of it exactly when
-    |C_G(x)| = |C_{G/K}(xbar)| |C_G(x) & K|."""
+    C_G(x)'s generators do, each found by its position in G/K, and then it
+    is all of it exactly when |C_G(x)| = |C_{G/K}(xbar)| |C_G(x) & K|."""
     project = quot.rep.coset_rep
-    cg, cq = g.centralizer(x), quot.centralizer(project[x]).members
-    if not all(project[c] in cq for c in cg.gens):
+    cg, cq = g.centralizer(x), quot.centralizer(project[x])
+    if not all(cq.holds(quot.position(project[c])) for c in cg.gens):
         return "(v)"
     if coprime and len(cg) != len(cq) * len(set(cg.positions).intersection(kernel.positions)):
         return "(iv)"
@@ -619,8 +621,8 @@ class _Lemmas(_Suite):
                 g_reps = [c.representative for c in g.conjugacy_classes()]
                 results = []
                 for idx in range(len(case.normals)):
-                    k_reps = [c.representative for c in case.split(idx)[0].conjugacy_classes()]
-                    results.append(_check_lemma2_for_normal(case, idx, k_reps, g_reps))
+                    k_firsts = case.split(idx)[0][1]  # one member of each class of K
+                    results.append(_check_lemma2_for_normal(case, idx, k_firsts, g_reps))
                 results.append(_check_lemma2_iii(g, _lemma2_iii_pairs(g)))
                 fail = next((f for _, f in results if f), None)
                 return not fail, fail or f"{sum(n for n, _ in results)} tuples"
@@ -640,9 +642,9 @@ class _Lemmas(_Suite):
             results = []
             if case.normals:
                 idx = rng.randrange(len(case.normals))
-                k_elems, g_classes = case.split(idx)[0].elements(), g.conjugacy_classes()
+                k_at, g_classes = range(len(case.normals[idx])), g.conjugacy_classes()
                 results.append(_check_lemma2_for_normal(
-                    case, idx, [rng.choice(k_elems) for _ in range(DRAWS)],
+                    case, idx, [rng.choice(k_at) for _ in range(DRAWS)],
                     [rng.choice(g_classes).representative for _ in range(DRAWS)]))
             results.append(_check_lemma2_iii(g, _lemma2_iii_pairs(g, rng)))
             self.sampled += sum(n for n, _ in results)

@@ -8,6 +8,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from conjlab import verify
 from conjlab.classifier import classify
+from conjlab.groups import FiniteGroup
 from conjlab.predicates import evaluate
 
 
@@ -43,3 +44,15 @@ def verify_reports(corpus):
     """verify.run_all over the bundled corpus and cover at the default seed
     and 500 sampled tuples, once per test session: suite name -> report."""
     return {r.name: r for r in verify.run_all(corpus=corpus, schur_path=None, min_tuples=500)}
+
+
+@pytest.fixture
+def closures(monkeypatch):
+    """The groups that FiniteGroup._closure enumerates during the test, in order."""
+    closed, closure = [], FiniteGroup._closure
+
+    def counted(self, *args, **kwargs):
+        closed.append(self)
+        return closure(self, *args, **kwargs)
+    monkeypatch.setattr(FiniteGroup, "_closure", counted)
+    return closed

@@ -62,6 +62,16 @@ def naive_class_sizes(group):
     return sorted(sizes)
 
 
+def naive_subgroup_class_sizes(group, sub):
+    """The size of each member's class in the subgroup sub itself, by
+    member: its conjugates h^-1 * x * h by every member h of sub, each made
+    with rep.mul from scratch."""
+    mul, inv = group.rep.mul, group.rep.inv
+    members = sub.members
+    by = [(inv(h), h) for h in members]
+    return {x: len({mul(mul(hi, x), h) for hi, h in by}) for x in members}
+
+
 def naive_determinant(field, dim, a):
     """Determinant of the flat row-major dim x dim matrix a over field, by
     cofactor expansion along the first row: no division, no elimination."""

@@ -15,6 +15,7 @@ import pytest
 
 import conjlab as cj
 from conjlab.classifier import TYPE_VERDICTS, Verdict, classify
+from conjlab.groups import FiniteGroup
 from conjlab.predicates import is_ch, is_sp
 
 SEED = 2024
@@ -41,7 +42,7 @@ def _census():
                 [rng.choice(elements) for _ in range(rng.randint(1, 3))])
             if sub.members not in seen:
                 seen.add(sub.members)
-                out.append((name, sub.gens, sub.as_group()))
+                out.append((name, sub.gens, FiniteGroup(sub.rep, sub.gens, max_order=len(sub))))
     return out
 
 

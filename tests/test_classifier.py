@@ -7,7 +7,7 @@ import pytest
 import conjlab as cj
 from conjlab import classifier, families, specio, verify
 from conjlab.classifier import Verdict, classify, check_corollary1, find_frobenius_structure
-from conjlab.groups import FiniteGroup, Subgroup
+from conjlab.groups import FiniteGroup
 
 
 def test_find_frobenius_agl15():
@@ -169,14 +169,12 @@ def test_all_matching_lists_every_passing_type():
     assert "TypeI" in c.all_matching
 
 
-def test_type_i_reads_n_of_a_whole_sylow_off_g(monkeypatch):
-    """A p-group is its own Sylow subgroup, so Type I reads N(P) off G
-    and never takes P as a group of its own."""
-    def refuse(self):
-        raise AssertionError("as_group called")
-
-    monkeypatch.setattr(Subgroup, "as_group", refuse)
-    c = classify(cj.heisenberg(5))
+def test_type_i_reads_n_of_a_whole_sylow_off_g(closures):
+    """A p-group is its own Sylow subgroup, so Type I reads N(P) off G:
+    G is the only group enumerated."""
+    g = cj.heisenberg(5)
+    c = classify(g)
+    assert closures == [g]
     assert c.verdict is Verdict.TYPE_I
     assert c.evidence == {"p": 5, "sylow_order": 125, "abelian_factor_order": 1}
 

@@ -104,6 +104,8 @@ def test_value_class_semantics(cls, required, defaults, frozen, changed):
 
     if cls is groups.Subgroup:
         assert repr(obj) == "Subgroup(order=2 in 'rep')"
+    elif cls is groups.ConjugacyClass:
+        assert repr(obj) == "ConjugacyClass(size=1, representative=(1, 0))"
     else:
         shown = ", ".join(f"{name}={value!r}" for name, value in fields.items())
         assert repr(obj) == f"{cls.__name__}({shown})"

@@ -11,17 +11,22 @@ import conjlab as cj
 from conjlab import predicates, specio, verify
 from conjlab.errors import CapExceeded
 from conjlab.gf import make_field
-from conjlab.groups import FiniteGroup, MatrixRep, PermutationRep, QuotientRep, Subgroup
+from conjlab.groups import FiniteGroup, MatrixRep, PermutationRep, QuotientRep
 from conjlab.intmath import factor
 
 from oracles import (naive_centralizer, naive_class_of, naive_class_sizes, naive_closure,
                      naive_determinant, naive_element_order, naive_generated,
                      naive_matrix_product, naive_normal_subgroups, naive_permutation_product,
-                     whole_group_f_scan)
+                     naive_subgroup_class_sizes, whole_group_f_scan)
 
 
 def s3():
     return FiniteGroup(PermutationRep(3), ((1, 0, 2), (1, 2, 0)), name="s3")
+
+
+def _as_group(sub):
+    """The subgroup as a group of its own, enumerated by its own closure."""
+    return FiniteGroup(sub.rep, sub.gens, max_order=len(sub))
 
 
 def test_enumerate_s3():
@@ -432,18 +437,85 @@ def test_s4_two_elements_not_closed():
     assert g.element_orders()[g.mul(a, b)] == 3
 
 
-def test_is_solvable(monkeypatch):
-    """Each term of the derived series is closed inside G: no subgroup is
-    taken as a group of its own."""
-    def no_group(self):
-        raise AssertionError("as_group called")
-
+def test_is_solvable(closures):
+    """Each term of the derived series is closed inside G: once G is
+    enumerated, no group is enumerated."""
     sl25 = cj.sl2(5)
     cases = [(cj.symmetric_group(4), True), (cj.alternating_group(5), False),
              (cj.heisenberg(3), True), (sl25.quotient(sl25.center()), False),
              (cj.gl2(3), True)]
-    monkeypatch.setattr(Subgroup, "as_group", no_group)
+    for g, _ in cases:
+        g.elements()
+    closures.clear()
     assert [g.is_solvable() for g, _ in cases] == [solvable for _, solvable in cases]
+    assert closures == []
+
+
+def _subgroup_kinds(g):
+    """(kind, subgroup) for one subgroup of each kind whose own classes are
+    read inside G, where G has one: the largest proper nontrivial lattice
+    member, each normal Sylow subgroup, G', the centralizers of the first
+    noncentral and the last class representative, 1 and G."""
+    proper = [k for k in g.normal_subgroups() if 1 < len(k) < g.order()]
+    if proper:
+        yield "normal", proper[-1]
+    for p, _ in factor(g.order()):
+        if g.normal_sylow(p) is not None:
+            yield "Sylow", g.normal_sylow(p)
+    yield "G'", g.derived_subgroup()
+    classes = g.conjugacy_classes()
+    first = next(c for c in classes if c.size > 1)
+    yield from (("C", g.centralizer(c.representative)) for c in (first, classes[-1]))
+    yield "1", g.subgroup_from_elements([])
+    yield "G", g.centralizer(g.identity)
+
+
+@pytest.mark.parametrize("build", [lambda: cj.sl2(5), lambda: _mod_center(cj.sl2(5)),
+                                   lambda: cj.type3_frobenius(5, 2),
+                                   lambda: _mod_center(cj.type3_frobenius(5, 2))],
+                         ids=["sl2_5", "sl2_5/Z", "type3_5_2", "type3_5_2/Z"])
+def test_subgroup_classes_match_oracle(build):
+    """A subgroup's own classes read inside G: each member's class size and
+    Z(H), the members in classes of size 1, agree with conjugating H's
+    members by H's members; and the first members name each class once."""
+    g = build()
+    kinds = set()
+    for kind, sub in _subgroup_kinds(g):
+        kinds.add(kind)
+        sizes, firsts = g.subgroup_classes(sub)
+        naive = naive_subgroup_class_sizes(g, sub)
+        members = [g.elements()[p] for p in sub.positions]
+        assert [naive[x] for x in members] == list(sizes), kind
+        assert {x for x, s in zip(members, sizes) if s == 1} == \
+            {x for x, s in naive.items() if s == 1}, kind
+        covered = set()
+        for i in firsts:
+            cls = {g.conj(members[i], h) for h in members}
+            assert not cls & covered and min(map(members.index, cls)) == i, kind
+            covered |= cls
+        assert covered == set(members), kind
+    assert kinds >= {"G'", "C", "1", "G"}
+
+
+def test_reused_centralizers_match_oracle(corpus, group_of):
+    """Every centralizer that serves more than one class, closed once and
+    then found again as an abelian C(y) holding a representative, holds
+    exactly the elements commuting with each representative it serves: on
+    every corpus group up to order 3,000 and its G/Z."""
+    reused = 0
+    for entry in corpus:
+        g = group_of(entry.name)
+        if g.order() > 3_000:
+            continue
+        for grp in (g, g.quotient(g.center())):
+            reps = [c.representative for c in grp.conjugacy_classes() if c.size > 1]
+            serves = Counter(id(grp.centralizer(x)) for x in reps)
+            for x in reps:
+                c = grp.centralizer(x)
+                if serves[id(c)] > 1:
+                    assert c.members == frozenset(naive_centralizer(grp, x)), (entry.name, x)
+                    reused += 1
+    assert reused > 100
 
 
 def test_whole_group_is_one_value():
@@ -542,7 +614,8 @@ def _index_space_cases(corpus, group_of):
         yield entry.name, g
         yield f"{entry.name}/Z", g.quotient(g.center())
         # the smallest centralizer, as a group enumerated by its own closure
-        yield f"{entry.name} C(x)", g.centralizer(g.conjugacy_classes()[-1].representative).as_group()
+        smallest = g.centralizer(g.conjugacy_classes()[-1].representative)
+        yield f"{entry.name} C(x)", _as_group(smallest)
 
 
 def test_index_space_classes_match_oracle(corpus, group_of):
@@ -590,7 +663,7 @@ def _centralizer_as_group():
     own closure enumerates exactly the subgroup's members."""
     g = cj.gl2(5)
     sub = g.centralizer(g.conjugacy_classes()[-1].representative)
-    c = sub.as_group()
+    c = _as_group(sub)
     assert c._elements is None and c._left is None
     assert len(c.elements()) == len(sub) and set(c.elements()) == sub.members
     return c
@@ -771,7 +844,7 @@ TABLE_BUILDS = [
     lambda: cj.symmetric_group(4),
     lambda: cj.sl2(5),
     lambda: cj.agl1(9),
-    lambda: cj.gl2(5).centralizer(cj.gl2(5).generators[0]).as_group(),
+    lambda: _as_group(cj.gl2(5).centralizer(cj.gl2(5).generators[0])),
 ]
 
 

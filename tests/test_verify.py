@@ -510,3 +510,31 @@ def test_heap_release_runs_once_after_the_cover(monkeypatch):
     assert calls == ["cover", "release"]
     monkeypatch.setattr(ctypes, "CDLL", lambda name: object())
     assert release() is None
+
+
+def test_verify_enumerates_only_the_entries_references_and_cover(corpus_by_name, closures):
+    """Lemma-2 splits (exhaustive and sampled), Type III's N(P) and Z(P) and
+    Type IV's N(G') are all read inside each entry's group: verify enumerates
+    the entries' groups, the PSL2(5) reference and the cover, each once, and
+    no subgroup."""
+    names = ["type3_5_2", "sym_4", "sl2_5", "type3_7_3"]
+    reports = verify.run_all(corpus=[corpus_by_name[n] for n in names], schur_path=None,
+                             min_tuples=200)
+    assert all(r.ok for r in reports)
+    lines = [re.sub(r" \(\d+ ms\)$", "", line) for r in reports for line in r.lines()]
+    assert [line for line in lines if "classify/" in line] == \
+        [f"[PASS] theorem2/classify/{n}" for n in names]  # type3 entries are Type III
+    assert any(line.startswith("[PASS] lemmas/lemma2_exhaustive/type3_5_2") for line in lines)
+    assert any(line.startswith("[PASS] lemmas/lemma2_sampled ") for line in lines)
+    assert sorted(g.name for g in closures) == sorted(names + ["psl2_5", "psl29_schur_cover"])
+
+
+def test_dihedral_1000_closes_each_distinct_centralizer_once(monkeypatch):
+    """dihedral 1000's 499 noncentral rotation classes share one abelian
+    centralizer: its Analysis closes at most 3 Schreier centralizers."""
+    closed, schreier = [], FiniteGroup._schreier_centralizer
+    monkeypatch.setattr(FiniteGroup, "_schreier_centralizer",
+                        lambda self, i: closed.append(i) or schreier(self, i))
+    a = classifier.Analysis(cj.dihedral_group(1000))
+    assert a.predicates.ch and a.classification.witness == (2, 500)
+    assert len(closed) <= 3
