@@ -19,7 +19,6 @@ group's own caches such as Z(G), serve every suite and are then dropped.
 
 from __future__ import annotations
 
-import random
 import time
 from functools import cached_property
 from math import gcd
@@ -30,18 +29,13 @@ from .classgraph import n_set
 from .classifier import (SCHUR_COVER_PSL29_N, SCHUR_COVER_PSL29_ORDER, TYPE_VERDICTS,
                          Analysis, Verdict, check_corollary1, expected_N_linear,
                          subgroup_n_set)
-from .errors import CapExceeded, ConjlabError, SpecFileError
+from .errors import ConjlabError, SpecFileError
 from .groups import FiniteGroup, Frozen, Record, Subgroup
 from .intmath import factor
 from .predicates import is_sp
 from .specio import _is_int, load_group_spec, parse_json
 
-DEFAULT_SEED = 20240810
-DEFAULT_MIN_TUPLES = 10_000
-MAX_MIN_TUPLES = 1_000_000  # refused before any group is built
-EXHAUSTIVE_ORDER_BOUND = 500
-SAMPLED_ORDER_BOUND = 2500
-DRAWS = 4  # tuples of each kind a Lemma-2 sampling round draws
+LEMMA2_ORDER_BOUND = 2500  # Lemma 2 is checked on every tuple of the entries up to it
 
 DATA_DIR = Path(__file__).parent / "data"
 CORPUS_FILENAME = "corpus.json"
@@ -220,8 +214,7 @@ class SuiteReport(Record):
 
 class _Case(Analysis):
     """One corpus entry while its checks run: the Analysis of its group, built
-    on first read, and the Lemma-2 splits.  Only those checks refer to it:
-    Lemma-2 sampling keeps an unbuilt copy for its last round."""
+    on first read, and the Lemma-2 splits.  Only those checks refer to it."""
 
     def __init__(self, entry: CorpusEntry):
         self.entry = entry
@@ -440,22 +433,22 @@ def run_corollary_suite(corpus: list[CorpusEntry]) -> SuiteReport:
 # -- lemma-level invariants ----------------------------------------------------
 
 
-def _check_lemma2_for_normal(case: _Case, idx: int, k_at, g_reps):
+def _check_lemma2_for_normal(case: _Case, idx: int):
     """Lemma 2 parts (i), (iv), (v) for the idx-th normal subgroup K: (i) on
-    each member of K whose index in K's positions is in k_at, all three on
-    each element of G in g_reps.  Returns (tuples_checked, first_failure_or_None)."""
+    one member of each class of K, all three on each class representative
+    of G.  Returns (tuples_checked, first_failure_or_None)."""
     g, kernel = case.group, case.normals[idx]
-    (ksizes, _), quot = case.split(idx)
+    (ksizes, k_firsts), quot = case.split(idx)
     project = quot.rep.coset_rep
     orders, elements = g.element_orders(), g.elements()
     checked = 0
-    for i in k_at:
+    for i in k_firsts:
         # (i): |x^K| divides |x^G|
         x = elements[kernel.positions[i]]
         checked += 1
         if g.class_size(x) % ksizes[i]:
             return checked, f"(i) |x^K| does not divide |x^G| for x={x}"
-    for x in g_reps:
+    for x in (c.representative for c in g.conjugacy_classes()):
         xbar = project[x]
         checked += 1
         # (i) image half: |xbar^{G/K}| divides |x^G|
@@ -490,35 +483,25 @@ def _centralizer_image(g: FiniteGroup, quot: FiniteGroup, kernel: Subgroup, x,
     return None
 
 
-def _lemma2_iii_pairs(g: FiniteGroup, rng: random.Random | None = None):
+def _lemma2_iii_pairs(g: FiniteGroup):
     """The pairs Lemma 2 (iii) is checked on: x a noncentral class
-    representative and y in C(x), noncentral (else the identity is trivial)
-    and of order coprime to |x|.  Without rng, every pair, y in G's element
-    order; with it, those among DRAWS draws of x and then y.  An abelian G
-    has none and makes no draw."""
-    if g.is_abelian():
-        return []
+    representative and y in C(x), in G's element order, noncentral (else the
+    identity is trivial) and of order coprime to |x|."""
     orders, center, elements = g.element_orders(), g.center().members, g.elements()
     reps = [c.representative for c in g.conjugacy_classes() if c.size > 1]
-    if rng is None:
-        tried = ((x, elements[p]) for x in reps for p in g.centralizer(x).positions)
-    else:  # each x is drawn just before its y, by position in C(x)
-        tried = ((x, elements[rng.choice(g.centralizer(x).positions)])
-                 for x in (rng.choice(reps) for _ in range(DRAWS)))
+    tried = ((x, elements[p]) for x in reps for p in g.centralizer(x).positions)
     return [(x, y) for x, y in tried if y not in center and gcd(orders[x], orders[y]) == 1]
 
 
 def _check_lemma2_iii(g: FiniteGroup, pairs):
     """Lemma 2 (iii) on the given pairs: commuting x, y of coprime orders
-    have C(xy) = C(x) & C(y).  Returns (tuples_checked, first_failure_or_None),
-    the count at least 1, which overstates a call that checked no pair;
-    ROADMAP's "Lemma 2 reports only what it checked" removes that floor."""
+    have C(xy) = C(x) & C(y).  Returns (pairs_checked, first_failure_or_None)."""
     checked = 0
     for checked, (x, y) in enumerate(pairs, 1):
         cxy = set(g.centralizer(g.mul(x, y)).positions)
         if cxy != set(g.centralizer(x).positions).intersection(g.centralizer(y).positions):
             return checked, f"(iii) C(xy) != C(x) & C(y) for x={x}, y={y}"
-    return max(checked, 1), None
+    return checked, None
 
 
 def _check_lemma9(g: FiniteGroup, kernel: Subgroup, complement: Subgroup):
@@ -553,27 +536,11 @@ def _check_lemma9(g: FiniteGroup, kernel: Subgroup, complement: Subgroup):
 
 
 class _Lemmas(_Suite):
-    """Lemmas 3, 9 and 1 on tagged entries; Lemma 2 exhaustively on small
-    groups and by sampling up to SAMPLED_ORDER_BOUND, its checkers given
-    every tuple or a round's draws: a normal index, then DRAWS each of K's
-    elements, G's class representatives and (iii) pairs.  Each entry samples
-    its share, the tuples still missing over the entries left, with an RNG
-    seeded by the seed and its name; an entry that cannot passes its share
-    on.  The last entry that sampled keeps its RNG and an unbuilt case, and
-    at the end samples what the entries after it could not."""
+    """Lemmas 3, 9 and 1 on tagged entries, and Lemma 2 on every tuple of
+    each entry up to LEMMA2_ORDER_BOUND: K's classes, G's class
+    representatives against each normal K, and every (iii) pair."""
 
-    name, kinds = "lemmas", ("lemma3", "lemma9", "lemma1", "lemma2_exhaustive",
-                             "lemma2_sampled", "lemma2_sampled_budget")
-
-    def __init__(self, seed: int, min_tuples: int, entries: int):
-        if min_tuples < 0:
-            raise ValueError(f"min_tuples must be >= 0, got {min_tuples}")
-        if min_tuples > MAX_MIN_TUPLES:
-            raise CapExceeded(f"min_tuples {min_tuples}", MAX_MIN_TUPLES)
-        super().__init__()
-        self.seed, self.min_tuples, self.entries_left = seed, min_tuples, entries
-        self.sampled, self.failure, self.seconds = 0, None, 0.0
-        self.last = None  # (unbuilt case, rng) of the last entry that sampled
+    name, kinds = "lemmas", ("lemma3", "lemma9", "lemma1", "lemma2_exhaustive")
 
     def check(self, case: _Case) -> None:
         entry = case.entry
@@ -609,63 +576,21 @@ class _Lemmas(_Suite):
                         return False, f"p={p}: hypothesis holds but G is not P x T"
                 return True, ""
             self.timed(f"lemma1/{entry.name}", lemma1)
-        # Lemma 2: exhaustive on small groups; a group that cannot be built
-        # fails here with its build error
-        try:
-            order = case.group.order()
-        except ConjlabError:
-            order = None
-        if order is None or order <= EXHAUSTIVE_ORDER_BOUND:
-            def lemma2():
-                g = case.group
-                g_reps = [c.representative for c in g.conjugacy_classes()]
-                results = []
-                for idx in range(len(case.normals)):
-                    k_firsts = case.split(idx)[0][1]  # one member of each class of K
-                    results.append(_check_lemma2_for_normal(case, idx, k_firsts, g_reps))
-                results.append(_check_lemma2_iii(g, _lemma2_iii_pairs(g)))
-                fail = next((f for _, f in results if f), None)
-                return not fail, fail or f"{sum(n for n, _ in results)} tuples"
-            self.timed(f"lemma2_exhaustive/{entry.name}", lemma2)
-        # Lemma 2: this entry's share of the seeded sampling
-        share = -(-(self.min_tuples - self.sampled) // self.entries_left)
-        self.entries_left -= 1
-        if order is not None and order <= SAMPLED_ORDER_BOUND:
-            rng = random.Random(f"{self.seed}:{entry.name}")
-            self._sample(case, rng, self.sampled + share)
-            self.last = (_Case(entry), rng)
-
-    def _sample(self, case: _Case, rng: random.Random, target: int) -> None:
-        t0 = time.perf_counter()
-        while self.sampled < target and self.failure is None:
-            g = case.group  # an unbuilt case is built only to sample
-            results = []
-            if case.normals:
-                idx = rng.randrange(len(case.normals))
-                k_at, g_classes = range(len(case.normals[idx])), g.conjugacy_classes()
-                results.append(_check_lemma2_for_normal(
-                    case, idx, [rng.choice(k_at) for _ in range(DRAWS)],
-                    [rng.choice(g_classes).representative for _ in range(DRAWS)]))
-            results.append(_check_lemma2_iii(g, _lemma2_iii_pairs(g, rng)))
-            self.sampled += sum(n for n, _ in results)
+        # Lemma 2; a group that cannot be built fails here with its build error
+        def lemma2():
+            g = case.group
+            if g.order() > LEMMA2_ORDER_BOUND:
+                return None, f"order {g.order()} > {LEMMA2_ORDER_BOUND}"
+            results = [_check_lemma2_for_normal(case, idx) for idx in range(len(case.normals))]
+            results.append(_check_lemma2_iii(g, _lemma2_iii_pairs(g)))
             fail = next((f for _, f in results if f), None)
-            self.failure = fail and f"{case.entry.name}: {fail}"
-        self.seconds += time.perf_counter() - t0
-
-    def finish(self) -> SuiteReport:
-        if self.last is not None:
-            self._sample(*self.last, self.min_tuples)
-        self.record("lemma2_sampled", self.failure is None,
-                    self.failure or f"{self.sampled} sampled tuples, seed {self.seed}",
-                    self.seconds)
-        self.record("lemma2_sampled_budget", self.sampled >= self.min_tuples,
-                    f"{self.sampled} >= {self.min_tuples}")
-        return super().finish()
+            return not fail, fail or (f"{sum(n for n, _ in results)} tuples, "
+                                      f"{results[-1][0]} (iii) pairs")
+        self.timed(f"lemma2_exhaustive/{entry.name}", lemma2)
 
 
-def run_lemma_invariants(corpus: list[CorpusEntry], seed: int = DEFAULT_SEED,
-                         min_tuples: int = DEFAULT_MIN_TUPLES) -> SuiteReport:
-    return _check_entries(corpus, [_Lemmas(seed, min_tuples, len(corpus))])[0]
+def run_lemma_invariants(corpus: list[CorpusEntry]) -> SuiteReport:
+    return _check_entries(corpus, [_Lemmas()])[0]
 
 
 # -- Schur cover ---------------------------------------------------------------
@@ -718,13 +643,11 @@ def _release_freed_heap() -> None:
     trim(0)
 
 
-def run_all(corpus: list[CorpusEntry] | None = None, schur_path=None,
-            seed: int = DEFAULT_SEED,
-            min_tuples: int = DEFAULT_MIN_TUPLES) -> list[SuiteReport]:
+def run_all(corpus: list[CorpusEntry] | None = None, schur_path=None) -> list[SuiteReport]:
     """The four corpus suites, run entry by entry, then the Schur cover."""
     if corpus is None:
         corpus = default_corpus()
-    suites = [_Theorem1(), _Theorem2(), _Corollaries(), _Lemmas(seed, min_tuples, len(corpus))]
+    suites = [_Theorem1(), _Theorem2(), _Corollaries(), _Lemmas()]
     # The cover is the largest group built here.  Checked first, its memory
     # is reused by the entries; checked last, it would add to their heap.
     cover = run_schur_cover_check(schur_path)

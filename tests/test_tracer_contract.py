@@ -43,7 +43,7 @@ def test_traced_verify_corpus(tmp_path):
     (corpus / "expectations.json").write_text(json.dumps({
         "d5": {"group": {"family": "dihedral", "params": [5]}, "verdict": "TypeII"},
         "a5": {"group": {"family": "agl1", "params": [5]}, "verdict": "TypeII"}}))
-    trace = _traced(tmp_path, "verify", "--corpus", str(corpus), "--min-tuples", "50",
+    trace = _traced(tmp_path, "verify", "--corpus", str(corpus),
                     "--schur-cover", str(tmp_path / "none.json"))
     assert trace["classifier.check_corollary1.calls"] >= 1
     assert trace["verify.checks.run"] >= 1 and "verify.checks.failed" not in trace

@@ -3,7 +3,6 @@ import hashlib
 import io
 import json
 import pickle
-import random
 import re
 import time
 import weakref
@@ -18,7 +17,8 @@ from conjlab import classifier, predicates, verify
 from conjlab.cli import run_command
 from conjlab.groups import FiniteGroup
 from conjlab.specio import write_group_spec
-from oracles import image_set_centralizer_image, naive_centralizer, naive_element_order
+from oracles import (image_set_centralizer_image, naive_centralizer, naive_element_order,
+                     naive_subgroup_class_sizes)
 
 REPORT_DIGEST = Path(__file__).parent / "data" / "verify_report.sha256"
 
@@ -76,8 +76,6 @@ def test_corollary_suite_green(verify_reports):
 def test_lemma_suite_green(verify_reports):
     report = verify_reports["lemmas"]
     assert report.ok, [f"{c.name}: {c.detail}" for c in report.failures]
-    budget = next(c for c in report.checks if c.name == "lemma2_sampled_budget")
-    assert budget.status == "pass"
 
 
 def test_lemma2_iii_pairs_are_every_eligible_pair():
@@ -97,10 +95,37 @@ def test_lemma2_iii_pairs_are_every_eligible_pair():
 
 
 def test_lemma2_iii_pairs_of_an_abelian_group_draw_nothing():
-    g, rng = cj.cyclic_group(6), random.Random(7)
-    state = rng.getstate()
-    assert verify._lemma2_iii_pairs(g) == verify._lemma2_iii_pairs(g, rng) == []
-    assert rng.getstate() == state
+    assert verify._lemma2_iii_pairs(cj.cyclic_group(6)) == []
+
+
+def test_lemma2_tuple_counts_match_an_independent_count(corpus, group_of, verify_reports):
+    """Each entry's reported Lemma-2 count equals one built from the oracles:
+    per normal K, K's classes, and per class representative x of G 2 tuples,
+    3 when gcd(|x|, |K|) = 1; then every (iii) pair.  On every corpus entry
+    of order <= 500 and on sym_6 (order 720, one normal subgroup)."""
+    reported = {c.name.split("/")[1]: c.detail for c in verify_reports["lemmas"].checks
+                if c.name.startswith("lemma2_exhaustive/")}
+    counted = 0
+    for entry in corpus:
+        g = group_of(entry.name)
+        if g.order() > 500 and entry.name != "sym_6":
+            continue
+        mul = g.rep.mul
+        def central(z):
+            return all(mul(z, s) == mul(s, z) for s in g.generators)
+        reps = [c.representative for c in g.conjugacy_classes()]
+        orders = {x: naive_element_order(g, x) for x in reps}
+        tuples = 0
+        for k in g.normal_subgroups():
+            if 1 < len(k) < g.order():
+                sizes = Counter(naive_subgroup_class_sizes(g, k).values())
+                tuples += sum(n // size for size, n in sizes.items())
+                tuples += sum(3 if gcd(orders[x], len(k)) == 1 else 2 for x in reps)
+        pairs = sum(1 for x in reps if not central(x) for y in naive_centralizer(g, x)
+                    if not central(y) and gcd(orders[x], naive_element_order(g, y)) == 1)
+        assert reported[entry.name] == f"{tuples + pairs} tuples, {pairs} (iii) pairs"
+        counted += 1
+    assert counted == 45
 
 
 def test_centralizer_image_matches_image_set_oracle(corpus, group_of):
@@ -110,7 +135,7 @@ def test_centralizer_image_matches_image_set_oracle(corpus, group_of):
     parts = Counter()
     for entry in corpus:
         g = group_of(entry.name)
-        if g.order() > verify.EXHAUSTIVE_ORDER_BOUND:
+        if g.order() > 500:
             continue
         for k in g.normal_subgroups():
             quot = g.quotient(k)
@@ -134,14 +159,14 @@ def test_lemma2_v_and_iv_catch_a_wrong_quotient_centralizer(monkeypatch):
     idx = next(i for i, k in enumerate(case.normals) if len(k) == 4)
     quot = case.split(idx)[1]
     reps = [c.representative for c in g.conjugacy_classes()]
-    assert verify._check_lemma2_for_normal(case, idx, [], reps)[1] is None
+    assert verify._check_lemma2_for_normal(case, idx)[1] is None
     trivial = quot.subgroup_from_elements([])
     monkeypatch.setattr(quot, "centralizer", lambda xbar: trivial)
-    assert verify._check_lemma2_for_normal(case, idx, [], reps)[1].startswith(
+    assert verify._check_lemma2_for_normal(case, idx)[1].startswith(
         "(v) centralizer image escapes C(xbar) for x=")
     monkeypatch.setattr(quot, "centralizer", lambda xbar: quot._whole())
     three_cycle = next(x for x in reps if naive_element_order(g, x) == 3)
-    assert verify._check_lemma2_for_normal(case, idx, [], reps)[1] == \
+    assert verify._check_lemma2_for_normal(case, idx)[1] == \
         f"(iv) centralizer image != C(xbar) for x={three_cycle}"
 
 
@@ -154,7 +179,7 @@ def test_lemma1_fails_naming_p_when_g_does_not_split(tmp_path, monkeypatch):
     entry = verify.CorpusEntry("agl15_x_c3", {"product": factors}, tags=frozenset({"product"}))
 
     def lemma1():
-        lemmas = verify.run_all([entry], schur_path=tmp_path / "none.json", min_tuples=0)[3]
+        lemmas = verify.run_all([entry], schur_path=tmp_path / "none.json")[3]
         return next((c.status, c.detail) for c in lemmas.checks if c.name == "lemma1/agl15_x_c3")
 
     assert lemma1() == ("pass", "")
@@ -181,8 +206,8 @@ def _outcomes(report):
 
 
 def test_suite_reports_deterministic(corpus, verify_reports):
-    # a second run, through the lemma suite alone, samples the same tuples
-    again = verify.run_lemma_invariants(corpus, min_tuples=500)
+    # a second run, through the lemma suite alone, checks the same tuples
+    again = verify.run_lemma_invariants(corpus)
     assert _outcomes(again) == _outcomes(verify_reports["lemmas"])
 
 
@@ -252,10 +277,10 @@ def test_corpus_dir_recipes_without_spec_files(tmp_path):
     assert entries[1].recipe == {"family": "dihedral", "params": [5], "regular": False}
     suites = [verify.run_theorem1_suite(entries), verify.run_theorem2_suite(entries),
               verify.run_corollary_suite(entries),
-              verify.run_lemma_invariants(entries, min_tuples=50)]
+              verify.run_lemma_invariants(entries)]
     assert all(report.ok for report in suites)
     # run_all checks entry by entry and reports what the suites report alone
-    together = verify.run_all(entries, schur_path=tmp_path / "none.json", min_tuples=50)
+    together = verify.run_all(entries, schur_path=tmp_path / "none.json")
     assert list(map(_outcomes, together[:4])) == list(map(_outcomes, suites))
 
 
@@ -335,8 +360,9 @@ def test_cli_verify_exit_codes(tmp_path):
         "mini_heis3": {"order": 27, "N": [3], "verdict": "TypeI",
                        "provenance": "derived", "tags": ["p_group"]},
     }))
+    # --seed still parses and changes nothing: perfbench/run.py passes it
     out = io.StringIO()
-    code = run_command(["verify", "--corpus", str(tmp_path), "--min-tuples", "50"],
+    code = run_command(["verify", "--seed", "7", "--corpus", str(tmp_path)],
                        out=out, err=io.StringIO())
     assert code == 0, out.getvalue()
     assert "total: OK" in out.getvalue()
@@ -349,8 +375,7 @@ def test_cli_verify_exit_codes(tmp_path):
                        "provenance": "derived"},
     }))
     out = io.StringIO()
-    code = run_command(["verify", "--corpus", str(tmp_path), "--min-tuples", "50"],
-                       out=out, err=io.StringIO())
+    code = run_command(["verify", "--corpus", str(tmp_path)], out=out, err=io.StringIO())
     assert code == 2
     assert "FAIL" in out.getvalue()
 
@@ -369,7 +394,7 @@ def test_run_all_default_corpus(verify_reports):
 def _verify_dir(tmp_path, expectations: dict) -> tuple[int, str]:
     (tmp_path / "expectations.json").write_text(json.dumps(expectations))
     out = io.StringIO()
-    code = run_command(["verify", "--corpus", str(tmp_path), "--min-tuples", "50",
+    code = run_command(["verify", "--corpus", str(tmp_path),
                         "--schur-cover", str(tmp_path / "none.json")],
                        out=out, err=io.StringIO())
     return code, out.getvalue()
@@ -389,15 +414,43 @@ def test_unbuildable_entry_fails_its_checks_only(tmp_path):
         {"[FAIL] theorem1", "[FAIL] theorem2", "[FAIL] corollaries", "[FAIL] lemmas"}
     assert all("CapExceeded" in line for line in big)
     assert len(d5) == len(big) and all(line.startswith("[PASS]") for line in d5)
-    assert "[PASS] lemmas/lemma2_sampled_budget -- " in out
 
 
-def test_sampling_budget_met_when_the_last_entry_is_over_the_bound(tmp_path):
+def test_lemma2_skips_an_entry_over_the_bound(tmp_path):
     code, out = _verify_dir(tmp_path, {
         "d5": D5, "zz_big": {"group": {"family": "elem_abelian", "params": [2, 12]},
                              "order": 4096, "verdict": "Abelian"}})
     assert code == 0, out
-    assert "[PASS] lemmas/lemma2_sampled_budget -- " in out
+    assert re.search(r"^\[SKIP\] lemmas/lemma2_exhaustive/zz_big -- order 4096 > 2500 ",
+                     out, re.M)
+    assert re.search(r"^\[PASS\] lemmas/lemma2_exhaustive/d5 -- ", out, re.M)
+
+
+def test_lemma2_catches_a_wrong_quotient_centralizer_at_one_class(tmp_path, monkeypatch):
+    """type3_7_3 (order 1,029; normal subgroups of orders 7, 49, 49 and 343):
+    a C_{G/K}(xbar) that is trivial at the image of the first class
+    representative x outside one K of order 49, and right elsewhere, fails
+    Lemma 2 (v) at that x."""
+    entry = next(e for e in verify.default_corpus() if e.name == "type3_7_3")
+    split, wrong = verify._Case.split, []
+
+    def wrong_split(case, idx):
+        classes, quot = split(case, idx)
+        if idx == 1 and not wrong:
+            g, kernel = case.group, case.normals[idx]
+            x = next(c.representative for c in g.conjugacy_classes()
+                     if not kernel.holds(g.position(c.representative)))
+            xbar, right = quot.rep.coset_rep[x], quot.centralizer
+            trivial = quot.subgroup_from_elements([])
+            monkeypatch.setattr(quot, "centralizer",
+                                lambda ybar: trivial if ybar == xbar else right(ybar))
+            wrong.append(x)
+        return classes, quot
+    monkeypatch.setattr(verify._Case, "split", wrong_split)
+    lemmas = verify.run_all([entry], schur_path=tmp_path / "none.json")[3]
+    assert [(c.name, c.status, c.detail) for c in lemmas.failures] == [
+        ("lemma2_exhaustive/type3_7_3", "fail",
+         f"(v) centralizer image escapes C(xbar) for x={wrong[0]}")]
 
 
 def test_run_all_leaves_no_group_alive(monkeypatch):
@@ -417,7 +470,7 @@ def test_run_all_leaves_no_group_alive(monkeypatch):
     enabled = gc.isenabled()
     gc.disable()
     try:
-        reports = verify.run_all(corpus, min_tuples=200)
+        reports = verify.run_all(corpus)
         assert all(r.ok for r in reports)
         assert len(built) > len(corpus)
         assert [ref() for ref in built if ref() is not None] == []
@@ -446,7 +499,7 @@ def test_run_all_builds_one_central_quotient_per_group(monkeypatch):
     monkeypatch.setattr(classifier, "find_frobenius_structure", counted_find)
     names = {"type3_3_2", "heisenberg_3", "agl1_5", "dihedral_4", "sl2_5"}
     corpus = [entry for entry in verify.default_corpus() if entry.name in names]
-    reports = verify.run_all(corpus, min_tuples=200)
+    reports = verify.run_all(corpus)
     assert all(r.ok for r in reports)
     assert len(central) == 4 and max(central.values()) == 1
     assert len(frobenius) == 3 and max(frobenius.values()) == 1
@@ -513,19 +566,18 @@ def test_heap_release_runs_once_after_the_cover(monkeypatch):
 
 
 def test_verify_enumerates_only_the_entries_references_and_cover(corpus_by_name, closures):
-    """Lemma-2 splits (exhaustive and sampled), Type III's N(P) and Z(P) and
+    """Lemma-2 splits (of orders 24 to 1,029), Type III's N(P) and Z(P) and
     Type IV's N(G') are all read inside each entry's group: verify enumerates
     the entries' groups, the PSL2(5) reference and the cover, each once, and
     no subgroup."""
     names = ["type3_5_2", "sym_4", "sl2_5", "type3_7_3"]
-    reports = verify.run_all(corpus=[corpus_by_name[n] for n in names], schur_path=None,
-                             min_tuples=200)
+    reports = verify.run_all(corpus=[corpus_by_name[n] for n in names], schur_path=None)
     assert all(r.ok for r in reports)
     lines = [re.sub(r" \(\d+ ms\)$", "", line) for r in reports for line in r.lines()]
     assert [line for line in lines if "classify/" in line] == \
         [f"[PASS] theorem2/classify/{n}" for n in names]  # type3 entries are Type III
     assert any(line.startswith("[PASS] lemmas/lemma2_exhaustive/type3_5_2") for line in lines)
-    assert any(line.startswith("[PASS] lemmas/lemma2_sampled ") for line in lines)
+    assert any(line.startswith("[PASS] lemmas/lemma2_exhaustive/type3_7_3") for line in lines)
     assert sorted(g.name for g in closures) == sorted(names + ["psl2_5", "psl29_schur_cover"])
 
 
