@@ -277,15 +277,24 @@ def test_cli_exit_codes(tmp_path, monkeypatch):
     assert code == 1 and "error:" in err
 
 
-def test_verify_refuses_min_tuples_before_any_group(monkeypatch):
-    """verify has no --min-tuples: it is refused as bad usage before any
-    group is enumerated."""
+# The last two case ids keep the names these cases had while verify took
+# --min-tuples: -5 was then out of range (exit 1) and 100000000 over its cap
+# (exit 3). Every value is now refused the same way.
+@pytest.mark.parametrize("value", [
+    pytest.param("5", id="5"),
+    pytest.param("-5", id="-5-1-min_tuples must be >= 0, got -5"),
+    pytest.param("100000000",
+                 id="100000000-3-min_tuples 100000000 exceeds the configured cap of 1000000"),
+])
+def test_verify_min_tuples_checked_before_any_group(monkeypatch, value):
+    """verify has no --min-tuples: it is refused as bad usage, whatever its
+    value, before any group is enumerated."""
     def no_enumeration(self):
         raise AssertionError("a group was enumerated before --min-tuples was refused")
 
     monkeypatch.setattr(FiniteGroup, "_closure", no_enumeration)
     start = time.process_time()
-    code, out, err = run_cli("verify", "--min-tuples", "5")
+    code, out, err = run_cli("verify", "--min-tuples", value)
     assert (code, out) == (1, "") and err.startswith("error:") and "--min-tuples" in err
     assert time.process_time() - start < 1.0
 
