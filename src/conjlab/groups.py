@@ -6,46 +6,40 @@ image tuple, a d x d matrix over GF(q) is the flat row-major tuple of
 integer field codes (see conjlab.gf), and a coset in a quotient group is
 the encoding of its minimal member in the parent.  Products compose left
 to right: mul(a, b) applies a first, then b, and x ** g means g^-1 * x * g.
-A Subgroup is a value: the representation, G's element list, its members'
-ascending positions in that list (G's element order) and its generators as
-encodings; the member set is a view built on each read.  A ConjugacyClass
-holds its representative, size, G's list and its members' positions alike.
-A list refers to no group, and a quotient's representation holds the
-parent's, not the parent group: nothing refers back up the group hierarchy,
-so reference counting alone frees a group with everything built from it.
+Subgroups and conjugacy classes are values that hold G's element list and
+their members' ascending positions in it.  A list refers to no group, and a
+quotient's representation holds the parent's, not the parent group: nothing
+refers back up the group hierarchy, so reference counting alone frees a
+group with everything built from it.
 
 Everything is desk scale by design.  A group is enumerated once by products,
 as the breadth-first closure of its generators from the identity
-(FiniteGroup._closure), with one kernel per generator: rep.left(g) does g's
-part of every product g * x once and returns the map x -> g * x.  The
-closure keeps the left table, the position of g * x for each element x and
-generator g, and every later closure runs on positions.  Each x is first
-reached as g * y with y found before it, so the left table spells x's
-breadth-first word, and x * z is a walk from z along x's word (x^-1 * z a
-walk back along the inverted tables).  One routine, FiniteGroup._span,
-closes every subgroup inside G on positions (Dimino's method): a candidate
-outside the closure so far becomes the next greedy generator, the old
-members are multiplied by it only and the new members by every generator.
-Subgroups from elements, centers, Schreier centralizers, the derived series,
-normal Hall subgroups and the lattice's generating sets all come from it.
+(FiniteGroup._closure), with one kernel per generator: rep.left(g) returns
+the map x -> g * x.  The closure keeps the left table, the position of g * x
+for each element x and generator g, and every later closure runs on
+positions.  Each x is first reached as g * y with y found before it, so the
+left table spells x's breadth-first word, and x * z is a walk from z along
+x's word (x^-1 * z a walk back along the inverted tables).  One routine,
+FiniteGroup._span, closes every subgroup inside G on positions (Dimino's
+method): centers, Schreier centralizers, the derived series, normal Hall
+subgroups and the lattice's generating sets all come from it.
 
 Conjugacy classes are conjugation orbits over positions, read off the left
-table with no product, as are the transversal (see _compute_classes) and
-G/N, since g * xN = (g * x)N.  Each orbit is searched from its least member,
-the class representative, whose transversal element is then the identity: by
+table with no product, as are the transversal (see _compute_classes) and the
+cosets of a subgroup N, since g * xN = (g * x)N (cosets(), which G/N and
+verify's Lemma 2 read).  Each orbit is searched from its least member, the
+class representative, whose transversal element is then the identity: by
 Schreier's lemma its centralizer is generated by the t_m * g * t_m2^-1 read
 off the transversal as walks, and C(x) = C(rep) ** t_x is a walk of the
 conjugation tables.  A representative's centralizer is closed once per
-distinct subgroup: an abelian C(y) already built that holds x commutes with
-x, so it lies in C(x), and it is C(x) when its order is |G|/|x^G|.  x and y
-commute exactly when x ** y = x, a walk of the same tables along y's word:
-FiniteGroup.commute is the one commuting test, behind is_abelian, the Sylow
-split, F, CA, the type checks and Lemma 9.  A subgroup refers to G's own
-element list, and G itself is one Subgroup value, shared by every central
-element's centralizer and a perfect G's G'.  A subgroup is never enumerated
-as a group of its own: its own conjugacy classes are the orbits of its
-generators acting by conjugation on its members, walks of G's conjugation
-tables (subgroup_classes), which give N(H), Z(H) and |x^H|.
+distinct subgroup: an abelian C(y) already built that holds x lies in C(x),
+and is C(x) when its order is |G|/|x^G|.  x ** y is a walk of the same
+tables along y's word (conjugates), and x and y commute exactly when it is x:
+FiniteGroup.commute is the one commuting test.  G itself is one Subgroup
+value, shared by every central element's centralizer and a perfect G's G'.
+A subgroup is never enumerated as a group of its own: its own conjugacy
+classes are the orbits of its generators acting by conjugation on its
+members (subgroup_classes), which give N(H), Z(H) and |x^H|.
 
 A question is settled by a count over the classes before anything is
 closed, and closed only when the count cannot settle it:
@@ -122,10 +116,7 @@ class MatrixRep:
             raise ValueError("dimension must be >= 1")
         self.field = field
         self.dim = dim
-        ident = [0] * (dim * dim)
-        for i in range(dim):
-            ident[i * dim + i] = 1
-        self.identity = tuple(ident)
+        self.identity = tuple(int(i % (dim + 1) == 0) for i in range(dim * dim))
 
     def left(self, g):
         """The map x -> g * x, reading the field's multiplication-table rows
@@ -203,14 +194,8 @@ class MatrixRep:
 
     def describe(self, enc):
         d, f = self.dim, self.field
-        rows = []
-        for i in range(d):
-            row = []
-            for j in range(d):
-                code = enc[i * d + j]
-                row.append(code if f.n == 1 else list(f.coeffs(code)))
-            rows.append(row)
-        return rows
+        return [[c if f.n == 1 else list(f.coeffs(c)) for c in enc[i * d:(i + 1) * d]]
+                for i in range(d)]
 
     def __repr__(self):
         return f"MatrixRep(GF({self.field.q}), dim={self.dim})"
@@ -695,9 +680,7 @@ class FiniteGroup:
 
     def subgroup_from_elements(self, members) -> Subgroup:
         """Least subgroup of G containing the members, with a small greedy
-        generating set (members must already form a subgroup for the
-        generating set to reproduce them exactly; otherwise this is the
-        generated closure)."""
+        generating set; members that form no subgroup give their closure."""
         self.conjugacy_classes()
         return self._span(map(self._index.__getitem__, members))
 
@@ -908,52 +891,66 @@ class FiniteGroup:
 
     # -- quotients -------------------------------------------------------
 
-    def quotient(self, normal: Subgroup) -> "FiniteGroup":
-        """G / N with cosets encoded by their minimal member, read off G's
-        left table with no product.  g * xN = (g * x)N, so L_g maps the
-        positions of one coset onto another: a breadth-first pass from N over
-        the generators lists the cosets, and G/N's left table, in the order
-        G/N's own closure would (a generator in N, or in the coset of an
+    def cosets(self, sub: Subgroup) -> list:
+        """The number of each position's coset xN of N = sub, N's members coset
+        0, read off the left table with no product: g * xN = (g * x)N, so L_g
+        maps the positions of one coset onto another, and a breadth-first pass
+        from N over the generators numbers the cosets in the order G/N's own
+        closure would list them (a generator in N, or in the coset of an
         earlier one, finds no new coset)."""
+        number, left, cosets = [-1] * self.order(), self._left, [sub.positions]
+        for p in sub.positions:
+            number[p] = 0
+        for c in cosets:
+            for col in left:
+                if number[col[c[0]]] < 0:
+                    image = [col[p] for p in c]
+                    for p in image:
+                        number[p] = len(cosets)
+                    cosets.append(image)
+        if len(cosets) * len(sub) != len(number):
+            raise InternalCheckError("quotient order times subgroup order != group order")
+        return number
+
+    def quotient(self, normal: Subgroup) -> "FiniteGroup":
+        """G / N with cosets encoded by their minimal member, numbered by
+        cosets(): G/N's elements and left table, read off G's with no product,
+        are listed in the order G/N's own closure would."""
         if normal.elements is not self.elements():
             raise ValueError("subgroup has members outside this group's element list")
         if not self.is_normal(normal):
             raise ValueError("subgroup is not normal")
-        elements, index, left = self._elements, self._index, self._left
-        cosets = [list(normal.positions)]  # positions, N first
-        coset = dict.fromkeys(cosets[0], 0)  # coset number by position
-        for c in cosets:
-            for col in left:
-                if col[c[0]] not in coset:
-                    image = [col[p] for p in c]
-                    coset.update(dict.fromkeys(image, len(cosets)))
-                    cosets.append(image)
-        reps = [min(elements[p] for p in c) for c in cosets]
-        coset_rep = {elements[p]: reps[c] for p, c in coset.items()}
+        number, elements, index = self.cosets(normal), self._elements, self._index
+        reps = [None] * (len(elements) // len(normal))
+        for x, c in zip(elements, number):
+            if reps[c] is None or x < reps[c]:
+                reps[c] = x
+        coset_rep = dict(zip(elements, map(reps.__getitem__, number)))
         qrep = QuotientRep(self.rep, coset_rep)
         gens = tuple(dict.fromkeys(coset_rep[g] for g in self.generators))
         name = f"{self.name}/N{len(normal)}" if self.name else None
         q = FiniteGroup(qrep, gens, name=name, max_order=self.max_order)
         # the column of G's first generator in the coset of each of G/N's
         e = index[self.rep.identity]
-        cols = [next(col for col in left if coset_rep[elements[col[e]]] == h)
+        cols = [next(col for col in self._left if coset_rep[elements[col[e]]] == h)
                 for h in gens if h != qrep.identity]
         q._elements, q._index = reps, {x: i for i, x in enumerate(reps)}
-        q._left = [[coset[col[c[0]]] for c in cosets] for col in cols]
-        if q.order() * len(normal) != self.order():
-            raise InternalCheckError("quotient order times subgroup order != group order")
+        q._left = [[number[col[index[x]]] for x in reps] for col in cols]
         return q
 
     # -- global predicates -------------------------------------------------
 
+    def conjugates(self, x, ys):
+        """The positions of x ** y for each y in ys, all elements of G, one by
+        one: walks of the conjugation tables along y's word from x's position."""
+        self.conjugacy_classes()
+        p, index = self._index[x], self._index
+        return (_walk(self._word(index[y], self._conj), p) for y in ys)
+
     def commute(self, xs, ys) -> bool:
         """Every x in xs commutes with every y in ys, all elements of G:
-        x * y = y * x exactly when x ** y = x, a walk of the conjugation
-        tables along y's word from x's position, with no product."""
-        self.conjugacy_classes()
-        index = self._index
-        words = [self._word(index[y], self._conj) for y in ys]
-        return all(_walk(word, p) == p for p in map(index.__getitem__, xs) for word in words)
+        x * y = y * x exactly when x ** y = x, with no product."""
+        return all(q == self._index[x] for x in xs for q in self.conjugates(x, ys))
 
     def is_abelian(self, sub: Subgroup | None = None) -> bool:
         """G, or its subgroup sub, is abelian: its generators commute."""

@@ -195,10 +195,7 @@ class SuiteReport(Record):
         return not self.failures
 
     def counts(self) -> dict:
-        out = {"pass": 0, "fail": 0, "skip": 0}
-        for c in self.checks:
-            out[c.status] += 1
-        return out
+        return {s: sum(c.status == s for c in self.checks) for s in ("pass", "fail", "skip")}
 
     def lines(self) -> list[str]:
         out = [f"== suite {self.name} =="]
@@ -214,11 +211,11 @@ class SuiteReport(Record):
 
 class _Case(Analysis):
     """One corpus entry while its checks run: the Analysis of its group, built
-    on first read, and the Lemma-2 splits.  Only those checks refer to it."""
+    on first read, and what Lemma 2 reads off the group, with no G/K: each
+    normal K's classes and cosets, and each class's centralizer, once."""
 
     def __init__(self, entry: CorpusEntry):
         self.entry = entry
-        self._splits = {}
 
     @cached_property
     def group(self) -> FiniteGroup:
@@ -230,14 +227,20 @@ class _Case(Analysis):
         g = self.group
         return [s for s in g.normal_subgroups() if 1 < len(s) < g.order()]
 
-    def split(self, idx: int) -> tuple[tuple, FiniteGroup]:
-        """K's own classes, read inside G (FiniteGroup.subgroup_classes), and
-        G/K for the idx-th of ``normals``, K; G/Z is the analysis's."""
-        if idx not in self._splits:
-            sub, g = self.normals[idx], self.group
-            quot = self.quotient if sub.positions == g.center().positions else g.quotient(sub)
-            self._splits[idx] = (g.subgroup_classes(sub), quot)
-        return self._splits[idx]
+    @cached_property
+    def centralizers(self) -> list[tuple[Subgroup, list]]:
+        """For each class of G, in order, with x its representative: C_G(x)
+        and the positions of x ** c for the generators c of C_G(x)."""
+        g = self.group
+        reps = [c.representative for c in g.conjugacy_classes()]
+        return [(cg, list(g.conjugates(x, cg.gens)))
+                for x, cg in zip(reps, map(g.centralizer, reps))]
+
+    def split(self, idx: int) -> tuple[tuple, list]:
+        """K's own classes (FiniteGroup.subgroup_classes) and the coset number
+        of each position of G (FiniteGroup.cosets), K the idx-th of ``normals``."""
+        sub = self.normals[idx]
+        return self.group.subgroup_classes(sub), self.group.cosets(sub)
 
 
 class _Suite:
@@ -438,26 +441,24 @@ def _check_lemma2_for_normal(case: _Case, idx: int):
     one member of each class of K, all three on each class representative
     of G.  Returns (tuples_checked, first_failure_or_None)."""
     g, kernel = case.group, case.normals[idx]
-    (ksizes, k_firsts), quot = case.split(idx)
-    project = quot.rep.coset_rep
-    orders, elements = g.element_orders(), g.elements()
-    checked = 0
+    (ksizes, k_firsts), cosets = case.split(idx)
+    orders, elements, checked = g.element_orders(), g.elements(), 0
     for i in k_firsts:
         # (i): |x^K| divides |x^G|
         x = elements[kernel.positions[i]]
         checked += 1
         if g.class_size(x) % ksizes[i]:
             return checked, f"(i) |x^K| does not divide |x^G| for x={x}"
-    for x in (c.representative for c in g.conjugacy_classes()):
-        xbar = project[x]
+    for cls, centralizer in zip(g.conjugacy_classes(), case.centralizers):
+        x = cls.representative
+        coprime = gcd(orders[x], len(kernel)) == 1
+        count, part = _quotient_image(g, cosets, len(kernel), cls, centralizer, coprime)
         checked += 1
         # (i) image half: |xbar^{G/K}| divides |x^G|
-        if g.class_size(x) % quot.class_size(xbar):
+        if cls.size % count:
             return checked, f"(i) quotient class size does not divide |x^G| for x={x}"
         # (v), and (iv) when (|x|, |K|) = 1
         checked += 1
-        coprime = gcd(orders[x], len(kernel)) == 1
-        part = _centralizer_image(g, quot, kernel, x, coprime)
         if part == "(v)":
             return checked, f"(v) centralizer image escapes C(xbar) for x={x}"
         if coprime:
@@ -467,20 +468,20 @@ def _check_lemma2_for_normal(case: _Case, idx: int):
     return checked, None
 
 
-def _centralizer_image(g: FiniteGroup, quot: FiniteGroup, kernel: Subgroup, x,
-                       coprime: bool):
-    """"(v)" when the image of C_G(x) in G/K escapes C_{G/K}(xbar), else
-    "(iv)" when coprime and the image is not all of C_{G/K}(xbar), else None.
-    No image is built: it lies in C_{G/K}(xbar) exactly when the images of
-    C_G(x)'s generators do, each found by its position in G/K, and then it
-    is all of it exactly when |C_G(x)| = |C_{G/K}(xbar)| |C_G(x) & K|."""
-    project = quot.rep.coset_rep
-    cg, cq = g.centralizer(x), quot.centralizer(project[x])
-    if not all(cq.holds(quot.position(project[c])) for c in cg.gens):
-        return "(v)"
-    if coprime and len(cg) != len(cq) * len(set(cg.positions).intersection(kernel.positions)):
-        return "(iv)"
-    return None
+def _quotient_image(g: FiniteGroup, cosets: list, k: int, cls, centralizer, coprime: bool):
+    """(|xbar^{G/K}|, the cosets of K that x^G meets, and part) for x the
+    representative of cls, C_G(x) with x ** c for its generators c, and K of
+    order k, off G's coset numbers.  part is "(v)" when some x ** c leaves x's
+    coset ([x, c] outside K: cbar escapes C_{G/K}(xbar)), else "(iv)" when
+    coprime and |C_G(x)| / |C_G(x) & K| != |G/K| / |xbar^{G/K}|, else None."""
+    (cg, moved), home = centralizer, cosets[g.position(cls.representative)]
+    count = len(set(map(cosets.__getitem__, cls.positions)))
+    if any(cosets[p] != home for p in moved):
+        return count, "(v)"
+    if coprime and k * len(cg) * count != \
+            g.order() * list(map(cosets.__getitem__, cg.positions)).count(0):
+        return count, "(iv)"
+    return count, None
 
 
 def _lemma2_iii_pairs(g: FiniteGroup):

@@ -74,7 +74,8 @@ def test_normal_sylow_closure(monkeypatch):
 
 def test_quotient_order_product():
     """The identity and S3's transpositions are a union of classes but not a
-    subgroup: the coset pass cannot tile S3 with them."""
+    subgroup: the coset pass cannot tile S3 with them, whether G/N is built
+    or only its cosets are numbered."""
     g = cj.symmetric_group(3)
     classes = g.conjugacy_classes()
     fake = classes[0].members | classes[2].members
@@ -82,6 +83,9 @@ def test_quotient_order_product():
     with pytest.raises(InternalCheckError,
                        match="quotient order times subgroup order != group order"):
         g.quotient(Subgroup(g.rep, g.elements(), positions, tuple(sorted(fake))))
+    with pytest.raises(InternalCheckError,
+                       match="quotient order times subgroup order != group order"):
+        g.cosets(Subgroup(g.rep, g.elements(), positions, tuple(sorted(fake))))
 
 
 def test_sp_primitivity_against_centralizer_orders(monkeypatch):

@@ -128,44 +128,88 @@ def test_lemma2_tuple_counts_match_an_independent_count(corpus, group_of, verify
     assert counted == 45
 
 
+def _centralizer_record(g, x):
+    """C_G(x) with the positions of x ** c for its generators c, as
+    verify._Case.centralizers records it for a class representative x."""
+    cg = g.centralizer(x)
+    return cg, list(g.conjugates(x, cg.gens))
+
+
 def test_centralizer_image_matches_image_set_oracle(corpus, group_of):
-    """Lemma 2 (v) and (iv) read off C_G(x)'s generators and orders give the
-    verdicts of the image of C_G(x) in G/K built member by member, for every
-    normal K and class representative x of each corpus group of order <= 500."""
+    """Lemma 2 (v) and (iv) read off G's cosets of K, C_G(x)'s generators and
+    orders give the verdicts of the image of C_G(x) in G/K built member by
+    member, for every normal K and class representative x of each corpus
+    group of order <= 500."""
     parts = Counter()
     for entry in corpus:
         g = group_of(entry.name)
         if g.order() > 500:
             continue
         for k in g.normal_subgroups():
-            quot = g.quotient(k)
+            quot, cosets = g.quotient(k), g.cosets(k)
             for cls in g.conjugacy_classes():
                 x = cls.representative
                 inside, equal = image_set_centralizer_image(g, quot, x)
-                part = verify._centralizer_image(g, quot, k, x, True)
+                part = verify._quotient_image(g, cosets, len(k), cls,
+                                              _centralizer_record(g, x), True)[1]
                 assert part == (None if equal else "(iv)" if inside else "(v)"), \
                     (entry.name, len(k), x)
                 parts[part] += 1
     assert parts[None] > 1000 and parts["(iv)"] > 100
 
 
+def test_coset_counts_match_the_quotient_group(corpus, group_of):
+    """The number of cosets of K that x^G meets, as Lemma 2 reads |xbar^{G/K}|
+    off G, is the class size of xbar in G/K built as a group of its own, and
+    |G/K| over it is the order of C_{G/K}(xbar): every normal K and class of
+    each corpus group of order <= 500."""
+    checked = 0
+    for entry in corpus:
+        g = group_of(entry.name)
+        if g.order() > 500:
+            continue
+        for k in g.normal_subgroups():
+            quot, cosets = g.quotient(k), g.cosets(k)
+            for cls in g.conjugacy_classes():
+                x = cls.representative
+                count = verify._quotient_image(g, cosets, len(k), cls,
+                                               _centralizer_record(g, x), False)[0]
+                xbar = quot.rep.coset_rep[x]
+                assert count == quot.class_size(xbar), (entry.name, len(k), x)
+                assert divmod(quot.order(), count) == (len(quot.centralizer(xbar)), 0), \
+                    (entry.name, len(k), x)
+                checked += 1
+    assert checked > 1000
+
+
 def test_lemma2_v_and_iv_catch_a_wrong_quotient_centralizer(monkeypatch):
-    """S4 over V4: a C_{G/K}(xbar) that misses part of the image of C_G(x)
-    fails (v), and one strictly larger than the image fails (iv) at the
-    3-cycle, whose order is prime to |V4|."""
+    """S4 over V4: a generator c of C_G(x) with [x, c] outside K fails (v),
+    and a count of the cosets that the 3-cycles meet that is too large fails
+    (iv) at the 3-cycle, whose order is prime to |V4|."""
     case = verify._Case(verify.CorpusEntry(
         "sym_4", {"family": "sym", "params": [4], "regular": False}))
     g = case.group
     idx = next(i for i, k in enumerate(case.normals) if len(k) == 4)
-    quot = case.split(idx)[1]
-    reps = [c.representative for c in g.conjugacy_classes()]
+    classes = g.conjugacy_classes()
+    i = next(i for i, c in enumerate(classes) if naive_element_order(g, c.representative) == 3)
+    three_cycle = classes[i].representative
     assert verify._check_lemma2_for_normal(case, idx)[1] is None
-    trivial = quot.subgroup_from_elements([])
-    monkeypatch.setattr(quot, "centralizer", lambda xbar: trivial)
-    assert verify._check_lemma2_for_normal(case, idx)[1].startswith(
-        "(v) centralizer image escapes C(xbar) for x=")
-    monkeypatch.setattr(quot, "centralizer", lambda xbar: quot._whole())
-    three_cycle = next(x for x in reps if naive_element_order(g, x) == 3)
+    # a transposition as a generator of C(3-cycle): their commutator is a 3-cycle
+    transposition = next(x for x in g.elements() if sum(a != b for a, b in enumerate(x)) == 2)
+    records = list(case.centralizers)
+    cg, moved = records[i]
+    records[i] = cg, moved + list(g.conjugates(three_cycle, (transposition,)))
+    monkeypatch.setattr(case, "centralizers", records)
+    assert verify._check_lemma2_for_normal(case, idx)[1] == \
+        f"(v) centralizer image escapes C(xbar) for x={three_cycle}"
+    monkeypatch.undo()
+    # two more 3-cycles in cosets of their own: 4 cosets, and 4 still divides 8
+    split, cosets = case.split(idx)
+    wrong = list(cosets)
+    for n, p in enumerate(p for p in classes[i].positions if p != g.position(three_cycle)):
+        if n < 2:
+            wrong[p] = max(cosets) + 1 + n
+    monkeypatch.setattr(case, "split", lambda j: (split, wrong))
     assert verify._check_lemma2_for_normal(case, idx)[1] == \
         f"(iv) centralizer image != C(xbar) for x={three_cycle}"
 
@@ -428,25 +472,24 @@ def test_lemma2_skips_an_entry_over_the_bound(tmp_path):
 
 def test_lemma2_catches_a_wrong_quotient_centralizer_at_one_class(tmp_path, monkeypatch):
     """type3_7_3 (order 1,029; normal subgroups of orders 7, 49, 49 and 343):
-    a C_{G/K}(xbar) that is trivial at the image of the first class
-    representative x outside one K of order 49, and right elsewhere, fails
-    Lemma 2 (v) at that x."""
+    C_G(x), for the first class representative x outside one K of order 49,
+    given one more generator c with [x, c] outside K, and right elsewhere,
+    fails Lemma 2 (v) at that x."""
     entry = next(e for e in verify.default_corpus() if e.name == "type3_7_3")
-    split, wrong = verify._Case.split, []
+    centralizers, wrong = verify._Case.centralizers.func, []
 
-    def wrong_split(case, idx):
-        classes, quot = split(case, idx)
-        if idx == 1 and not wrong:
-            g, kernel = case.group, case.normals[idx]
-            x = next(c.representative for c in g.conjugacy_classes()
-                     if not kernel.holds(g.position(c.representative)))
-            xbar, right = quot.rep.coset_rep[x], quot.centralizer
-            trivial = quot.subgroup_from_elements([])
-            monkeypatch.setattr(quot, "centralizer",
-                                lambda ybar: trivial if ybar == xbar else right(ybar))
-            wrong.append(x)
-        return classes, quot
-    monkeypatch.setattr(verify._Case, "split", wrong_split)
+    def wrong_centralizers(case):
+        records = centralizers(case)
+        g, kernel = case.group, case.normals[1]
+        cosets = g.cosets(kernel)
+        i, x = next((i, c.representative) for i, c in enumerate(g.conjugacy_classes())
+                    if not kernel.holds(g.position(c.representative)))
+        moved = next(p for p in g.conjugates(x, g.generators)
+                     if cosets[p] != cosets[g.position(x)])
+        records[i] = records[i][0], records[i][1] + [moved]
+        wrong.append(x)
+        return records
+    monkeypatch.setattr(verify._Case, "centralizers", property(wrong_centralizers))
     lemmas = verify.run_all([entry], schur_path=tmp_path / "none.json")[3]
     assert [(c.name, c.status, c.detail) for c in lemmas.failures] == [
         ("lemma2_exhaustive/type3_7_3", "fail",
@@ -480,28 +523,42 @@ def test_run_all_leaves_no_group_alive(monkeypatch):
 
 
 def test_run_all_builds_one_central_quotient_per_group(monkeypatch):
-    """classify, Corollary 1, Lemmas 3 and 9 and the Lemma-2 split by the
-    centre all read one Analysis per entry: no group has its G/Z built, or
-    the Frobenius structure of a group found, more than once."""
+    """classify, Corollary 1 and Lemmas 3 and 9 all read one Analysis per
+    entry: no group has its G/Z built, or the Frobenius structure of a group
+    found, more than once.  Lemma 2 builds no quotient at all: every
+    quotient built is the G/Z of an entry with a nontrivial centre, and none
+    is built while a Lemma-2 split runs."""
     # keyed by the groups themselves: holding them keeps their ids from reuse
-    central, frobenius = Counter(), Counter()
+    central, frobenius, calls, splitting = Counter(), Counter(), [], []
     quotient, find = FiniteGroup.quotient, classifier.find_frobenius_structure
+    split = verify._Case.split
 
     def counted_quotient(self, normal):
+        calls.append((self, bool(splitting)))
         if normal.members == self.center().members:
             central[self] += 1
         return quotient(self, normal)
+
+    def counted_split(case, idx):
+        splitting.append(idx)
+        try:
+            return split(case, idx)
+        finally:
+            splitting.pop()
 
     def counted_find(q):
         frobenius[q] += 1
         return find(q)
     monkeypatch.setattr(FiniteGroup, "quotient", counted_quotient)
+    monkeypatch.setattr(verify._Case, "split", counted_split)
     monkeypatch.setattr(classifier, "find_frobenius_structure", counted_find)
     names = {"type3_3_2", "heisenberg_3", "agl1_5", "dihedral_4", "sl2_5"}
     corpus = [entry for entry in verify.default_corpus() if entry.name in names]
+    nontrivial = sum(len(entry.build().center()) > 1 for entry in corpus)
     reports = verify.run_all(corpus)
     assert all(r.ok for r in reports)
-    assert len(central) == 4 and max(central.values()) == 1
+    assert len(central) == nontrivial == 4 and max(central.values()) == 1
+    assert len(calls) == sum(central.values()) and not any(s for _, s in calls)
     assert len(frobenius) == 3 and max(frobenius.values()) == 1
 
 
