@@ -538,8 +538,8 @@ def _check_lemma9(g: FiniteGroup, kernel: Subgroup, complement: Subgroup):
 
 class _Lemmas(_Suite):
     """Lemmas 3, 9 and 1 on tagged entries, and Lemma 2 on every tuple of
-    each entry up to LEMMA2_ORDER_BOUND: K's classes, G's class
-    representatives against each normal K, and every (iii) pair."""
+    each entry up to LEMMA2_ORDER_BOUND (K's classes, G's class representatives
+    against each normal K, every (iii) pair), skipped where there is none."""
 
     name, kinds = "lemmas", ("lemma3", "lemma9", "lemma1", "lemma2_exhaustive")
 
@@ -585,6 +585,8 @@ class _Lemmas(_Suite):
             results = [_check_lemma2_for_normal(case, idx) for idx in range(len(case.normals))]
             results.append(_check_lemma2_iii(g, _lemma2_iii_pairs(g)))
             fail = next((f for _, f in results if f), None)
+            if not (fail or sum(n for n, _ in results)):
+                return None, "no normal subgroup other than 1 and G and no (iii) pair"
             return not fail, fail or (f"{sum(n for n, _ in results)} tuples, "
                                       f"{results[-1][0]} (iii) pairs")
         self.timed(f"lemma2_exhaustive/{entry.name}", lemma2)
