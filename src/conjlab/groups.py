@@ -893,11 +893,10 @@ class FiniteGroup:
 
     def cosets(self, sub: Subgroup) -> list:
         """The number of each position's coset xN of N = sub, N's members coset
-        0, read off the left table with no product: g * xN = (g * x)N, so L_g
-        maps the positions of one coset onto another, and a breadth-first pass
-        from N over the generators numbers the cosets in the order G/N's own
-        closure would list them (a generator in N, or in the coset of an
-        earlier one, finds no new coset)."""
+        0, with no product: g * xN = (g * x)N, so the left table maps one
+        coset's positions onto another's, and a breadth-first pass from N over
+        the generators numbers the cosets in the order G/N's own closure would
+        (a generator in N, or in the coset of an earlier one, finds no new one)."""
         number, left, cosets = [-1] * self.order(), self._left, [sub.positions]
         for p in sub.positions:
             number[p] = 0
@@ -940,17 +939,20 @@ class FiniteGroup:
 
     # -- global predicates -------------------------------------------------
 
-    def conjugates(self, x, ys):
-        """The positions of x ** y for each y in ys, all elements of G, one by
-        one: walks of the conjugation tables along y's word from x's position."""
+    def conjugates(self, x, ys) -> list:
+        """The positions of x ** y for each y in ys, all elements of G: walks
+        of the conjugation tables along y's word from x's position."""
         self.conjugacy_classes()
         p, index = self._index[x], self._index
-        return (_walk(self._word(index[y], self._conj), p) for y in ys)
+        return [_walk(self._word(index[y], self._conj), p) for y in ys]
 
     def commute(self, xs, ys) -> bool:
         """Every x in xs commutes with every y in ys, all elements of G:
-        x * y = y * x exactly when x ** y = x, with no product."""
-        return all(q == self._index[x] for x in xs for q in self.conjugates(x, ys))
+        x * y = y * x exactly when x ** y = x (see conjugates), with no product."""
+        self.conjugacy_classes()
+        index = self._index
+        words = [self._word(index[y], self._conj) for y in ys]
+        return all(_walk(word, p) == p for p in map(index.__getitem__, xs) for word in words)
 
     def is_abelian(self, sub: Subgroup | None = None) -> bool:
         """G, or its subgroup sub, is abelian: its generators commute."""

@@ -233,12 +233,10 @@ class _Case(Analysis):
         and the positions of x ** c for the generators c of C_G(x)."""
         g = self.group
         reps = [c.representative for c in g.conjugacy_classes()]
-        return [(cg, list(g.conjugates(x, cg.gens)))
-                for x, cg in zip(reps, map(g.centralizer, reps))]
+        return [(cg, g.conjugates(x, cg.gens)) for x, cg in zip(reps, map(g.centralizer, reps))]
 
     def split(self, idx: int) -> tuple[tuple, list]:
-        """K's own classes (FiniteGroup.subgroup_classes) and the coset number
-        of each position of G (FiniteGroup.cosets), K the idx-th of ``normals``."""
+        """K's classes (subgroup_classes) and G's coset numbers (cosets), K = normals[idx]."""
         sub = self.normals[idx]
         return self.group.subgroup_classes(sub), self.group.cosets(sub)
 
@@ -469,11 +467,11 @@ def _check_lemma2_for_normal(case: _Case, idx: int):
 
 
 def _quotient_image(g: FiniteGroup, cosets: list, k: int, cls, centralizer, coprime: bool):
-    """(|xbar^{G/K}|, the cosets of K that x^G meets, and part) for x the
-    representative of cls, C_G(x) with x ** c for its generators c, and K of
-    order k, off G's coset numbers.  part is "(v)" when some x ** c leaves x's
-    coset ([x, c] outside K: cbar escapes C_{G/K}(xbar)), else "(iv)" when
-    coprime and |C_G(x)| / |C_G(x) & K| != |G/K| / |xbar^{G/K}|, else None."""
+    """(count, part) for x the representative of cls, C_G(x) with x ** c for
+    its generators c, and K (coset 0) of order k, off G's coset numbers: count
+    is |xbar^{G/K}|, the cosets x^G meets; part is "(v)" when an x ** c leaves
+    x's coset ([x, c] outside K: cbar escapes C_{G/K}(xbar)), else "(iv)" when
+    coprime and |C_G(x)| / |C_G(x) & K| != |G/K| / count, else None."""
     (cg, moved), home = centralizer, cosets[g.position(cls.representative)]
     count = len(set(map(cosets.__getitem__, cls.positions)))
     if any(cosets[p] != home for p in moved):

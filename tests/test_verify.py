@@ -135,7 +135,7 @@ def _centralizer_record(g, x):
     """C_G(x) with the positions of x ** c for its generators c, as
     verify._Case.centralizers records it for a class representative x."""
     cg = g.centralizer(x)
-    return cg, list(g.conjugates(x, cg.gens))
+    return cg, g.conjugates(x, cg.gens)
 
 
 def test_centralizer_image_matches_image_set_oracle(corpus, group_of):
@@ -201,7 +201,7 @@ def test_lemma2_v_and_iv_catch_a_wrong_quotient_centralizer(monkeypatch):
     transposition = next(x for x in g.elements() if sum(a != b for a, b in enumerate(x)) == 2)
     records = list(case.centralizers)
     cg, moved = records[i]
-    records[i] = cg, moved + list(g.conjugates(three_cycle, (transposition,)))
+    records[i] = cg, moved + g.conjugates(three_cycle, (transposition,))
     monkeypatch.setattr(case, "centralizers", records)
     assert verify._check_lemma2_for_normal(case, idx)[1] == \
         f"(v) centralizer image escapes C(xbar) for x={three_cycle}"
