@@ -919,22 +919,22 @@ class FiniteGroup:
             raise ValueError("subgroup has members outside this group's element list")
         if not self.is_normal(normal):
             raise ValueError("subgroup is not normal")
-        number, elements, index = self.cosets(normal), self._elements, self._index
-        reps = [None] * (len(elements) // len(normal))
-        for x, c in zip(elements, number):
-            if reps[c] is None or x < reps[c]:
-                reps[c] = x
+        number, elements, e = self.cosets(normal), self._elements, self._index[self.rep.identity]
+        firsts = [-1] * (len(elements) // len(normal))  # each coset's least member
+        for p, c in enumerate(number):
+            if firsts[c] < 0 or elements[p] < elements[firsts[c]]:
+                firsts[c] = p
+        reps = list(map(elements.__getitem__, firsts))
         coset_rep = dict(zip(elements, map(reps.__getitem__, number)))
         qrep = QuotientRep(self.rep, coset_rep)
         gens = tuple(dict.fromkeys(coset_rep[g] for g in self.generators))
         name = f"{self.name}/N{len(normal)}" if self.name else None
         q = FiniteGroup(qrep, gens, name=name, max_order=self.max_order)
         # the column of G's first generator in the coset of each of G/N's
-        e = index[self.rep.identity]
         cols = [next(col for col in self._left if coset_rep[elements[col[e]]] == h)
                 for h in gens if h != qrep.identity]
         q._elements, q._index = reps, {x: i for i, x in enumerate(reps)}
-        q._left = [[number[col[index[x]]] for x in reps] for col in cols]
+        q._left = [[number[col[p]] for p in firsts] for col in cols]
         return q
 
     # -- global predicates -------------------------------------------------
