@@ -583,10 +583,10 @@ class _Lemmas(_Suite):
             results = [_check_lemma2_for_normal(case, idx) for idx in range(len(case.normals))]
             results.append(_check_lemma2_iii(g, _lemma2_iii_pairs(g)))
             fail = next((f for _, f in results if f), None)
-            if not (fail or sum(n for n, _ in results)):
+            total = sum(n for n, _ in results)
+            if not (fail or total):
                 return None, "no normal subgroup other than 1 and G and no (iii) pair"
-            return not fail, fail or (f"{sum(n for n, _ in results)} tuples, "
-                                      f"{results[-1][0]} (iii) pairs")
+            return not fail, fail or f"{total} tuples, {results[-1][0]} (iii) pairs"
         self.timed(f"lemma2_exhaustive/{entry.name}", lemma2)
 
 
