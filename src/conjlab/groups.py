@@ -34,9 +34,10 @@ off the transversal as walks, and C(x) = C(rep) ** t_x is a walk of the
 conjugation tables.  A representative's centralizer is closed once per
 distinct subgroup: an abelian C(y) already built that holds x lies in C(x),
 and is C(x) when its order is |G|/|x^G|.  x ** y is a walk of the same
-tables along y's word (conjugates), and x and y commute exactly when it is x:
-FiniteGroup.commute is the one commuting test.  G itself is one Subgroup
-value, shared by every central element's centralizer and a perfect G's G'.
+tables along y's word, and x and y commute exactly when it is x:
+FiniteGroup.commute is the one commuting test, and verify's Lemma 2 (v)
+reads it once per class.  G itself is one Subgroup value, shared by every
+central element's centralizer and a perfect G's G'.
 A subgroup is never enumerated as a group of its own: its own conjugacy
 classes are the orbits of its generators acting by conjugation on its
 members (subgroup_classes), which give N(H), Z(H) and |x^H|.
@@ -393,11 +394,6 @@ class FiniteGroup:
     @property
     def identity(self):
         return self.rep.identity
-
-    def position(self, enc) -> int:
-        """enc's position in elements()."""
-        self.elements()
-        return self._index[enc]
 
     # -- enumeration -----------------------------------------------------
 
@@ -939,16 +935,10 @@ class FiniteGroup:
 
     # -- global predicates -------------------------------------------------
 
-    def conjugates(self, x, ys) -> list:
-        """The positions of x ** y for each y in ys, all elements of G: walks
-        of the conjugation tables along y's word from x's position."""
-        self.conjugacy_classes()
-        p, index = self._index[x], self._index
-        return [_walk(self._word(index[y], self._conj), p) for y in ys]
-
     def commute(self, xs, ys) -> bool:
         """Every x in xs commutes with every y in ys, all elements of G:
-        x * y = y * x exactly when x ** y = x (see conjugates), with no product."""
+        x * y = y * x exactly when x ** y = x, a walk of the conjugation tables
+        along y's word from x's position, with no product."""
         self.conjugacy_classes()
         index = self._index
         words = [self._word(index[y], self._conj) for y in ys]

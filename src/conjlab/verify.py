@@ -211,8 +211,8 @@ class SuiteReport(Record):
 
 class _Case(Analysis):
     """One corpus entry while its checks run: the Analysis of its group, built
-    on first read, and what Lemma 2 reads off the group, with no G/K: each
-    normal K's classes and cosets, and each class's centralizer, once."""
+    on first read, and what Lemma 2 reads off the group, with no G/K: its
+    normal subgroups and each class's centralizer, once."""
 
     def __init__(self, entry: CorpusEntry):
         self.entry = entry
@@ -228,17 +228,10 @@ class _Case(Analysis):
         return [s for s in g.normal_subgroups() if 1 < len(s) < g.order()]
 
     @cached_property
-    def centralizers(self) -> list[tuple[Subgroup, list]]:
-        """For each class of G, in order, with x its representative: C_G(x)
-        and the positions of x ** c for the generators c of C_G(x)."""
+    def centralizers(self) -> list[Subgroup]:
+        """C_G(x) for the representative x of each class of G, in order."""
         g = self.group
-        reps = [c.representative for c in g.conjugacy_classes()]
-        return [(cg, g.conjugates(x, cg.gens)) for x, cg in zip(reps, map(g.centralizer, reps))]
-
-    def split(self, idx: int) -> tuple[tuple, list]:
-        """K's classes (subgroup_classes) and G's coset numbers (cosets), K = normals[idx]."""
-        sub = self.normals[idx]
-        return self.group.subgroup_classes(sub), self.group.cosets(sub)
+        return [g.centralizer(c.representative) for c in g.conjugacy_classes()]
 
 
 class _Suite:
@@ -434,12 +427,29 @@ def run_corollary_suite(corpus: list[CorpusEntry]) -> SuiteReport:
 # -- lemma-level invariants ----------------------------------------------------
 
 
+def _check_lemma2_v(case: _Case):
+    """Lemma 2 (v), C_G(x)K/K <= C_{G/K}(xK), for every normal K at once: cbar
+    lies in C_{G/K}(xbar) exactly when [x, c] lies in K, and [x, c] = 1 lies
+    in every K when the generators c of C_G(x) commute with x.  Returns the
+    first failure or None."""
+    g = case.group
+    for cls, cg in zip(g.conjugacy_classes(), case.centralizers):
+        if not g.commute((cls.representative,), cg.gens):
+            return f"(v) centralizer image escapes C(xbar) for x={cls.representative}"
+    return None
+
+
 def _check_lemma2_for_normal(case: _Case, idx: int):
-    """Lemma 2 parts (i), (iv), (v) for the idx-th normal subgroup K: (i) on
-    one member of each class of K, all three on each class representative
-    of G.  Returns (tuples_checked, first_failure_or_None)."""
+    """Lemma 2 parts (i) and (iv) for the idx-th normal subgroup K, off G's
+    cosets of K (K is coset 0) with no division: (i) on one member of each
+    class of K, and on each class representative x of G, with |xbar^{G/K}|
+    the number of cosets x^G meets; (iv) when (|x|, |K|) = 1, where the image
+    of C_G(x), of order |C_G(x)| / |C_G(x) & K|, is all of C_{G/K}(xbar), of
+    order |G/K| / |xbar^{G/K}|.  Each x counts a (v) tuple too, which
+    _check_lemma2_v decides for every K.  Returns (tuples_checked,
+    first_failure_or_None)."""
     g, kernel = case.group, case.normals[idx]
-    (ksizes, k_firsts), cosets = case.split(idx)
+    (ksizes, k_firsts), cosets = g.subgroup_classes(kernel), g.cosets(kernel)
     orders, elements, checked = g.element_orders(), g.elements(), 0
     for i in k_firsts:
         # (i): |x^K| divides |x^G|
@@ -447,39 +457,19 @@ def _check_lemma2_for_normal(case: _Case, idx: int):
         checked += 1
         if g.class_size(x) % ksizes[i]:
             return checked, f"(i) |x^K| does not divide |x^G| for x={x}"
-    for cls, centralizer in zip(g.conjugacy_classes(), case.centralizers):
-        x = cls.representative
-        coprime = gcd(orders[x], len(kernel)) == 1
-        count, part = _quotient_image(g, cosets, len(kernel), cls, centralizer, coprime)
+    for cls, cg in zip(g.conjugacy_classes(), case.centralizers):
+        x, count = cls.representative, len(set(map(cosets.__getitem__, cls.positions)))
         checked += 1
         # (i) image half: |xbar^{G/K}| divides |x^G|
         if cls.size % count:
             return checked, f"(i) quotient class size does not divide |x^G| for x={x}"
-        # (v), and (iv) when (|x|, |K|) = 1
-        checked += 1
-        if part == "(v)":
-            return checked, f"(v) centralizer image escapes C(xbar) for x={x}"
-        if coprime:
+        checked += 1  # (v)
+        if gcd(orders[x], len(kernel)) == 1:
             checked += 1
-            if part:
+            if len(kernel) * len(cg) * count != \
+                    g.order() * list(map(cosets.__getitem__, cg.positions)).count(0):
                 return checked, f"(iv) centralizer image != C(xbar) for x={x}"
     return checked, None
-
-
-def _quotient_image(g: FiniteGroup, cosets: list, k: int, cls, centralizer, coprime: bool):
-    """(count, part) for x the representative of cls, C_G(x) with x ** c for
-    its generators c, and K (coset 0) of order k, off G's coset numbers: count
-    is |xbar^{G/K}|, the cosets x^G meets; part is "(v)" when an x ** c leaves
-    x's coset ([x, c] outside K: cbar escapes C_{G/K}(xbar)), else "(iv)" when
-    coprime and |C_G(x)| / |C_G(x) & K| != |G/K| / count, else None."""
-    (cg, moved), home = centralizer, cosets[g.position(cls.representative)]
-    count = len(set(map(cosets.__getitem__, cls.positions)))
-    if any(cosets[p] != home for p in moved):
-        return count, "(v)"
-    if coprime and k * len(cg) * count != \
-            g.order() * list(map(cosets.__getitem__, cg.positions)).count(0):
-        return count, "(iv)"
-    return count, None
 
 
 def _lemma2_iii_pairs(g: FiniteGroup):
@@ -580,7 +570,8 @@ class _Lemmas(_Suite):
             g = case.group
             if g.order() > LEMMA2_ORDER_BOUND:
                 return None, f"order {g.order()} > {LEMMA2_ORDER_BOUND}"
-            results = [_check_lemma2_for_normal(case, idx) for idx in range(len(case.normals))]
+            results = [(0, _check_lemma2_v(case))] if case.normals else []
+            results += [_check_lemma2_for_normal(case, idx) for idx in range(len(case.normals))]
             results.append(_check_lemma2_iii(g, _lemma2_iii_pairs(g)))
             fail = next((f for _, f in results if f), None)
             total = sum(n for n, _ in results)

@@ -15,7 +15,7 @@ import pytest
 import conjlab as cj
 from conjlab import classifier, predicates, verify
 from conjlab.cli import run_command
-from conjlab.groups import FiniteGroup
+from conjlab.groups import FiniteGroup, Subgroup
 from conjlab.specio import write_group_spec
 from oracles import (image_set_centralizer_image, naive_centralizer, naive_element_order,
                      naive_subgroup_class_sizes)
@@ -85,10 +85,12 @@ def test_lemma2_iii_pairs_are_every_eligible_pair():
     total = 0
     for g in (cj.symmetric_group(4), cj.agl1(5), cj.type3_frobenius(7, 3),
               cj.symmetric_group(5)):
-        center = {z for z in g.elements() if len(naive_centralizer(g, z)) == g.order()}
+        mul = g.rep.mul
+        center = {z for z in g.elements() if all(mul(z, s) == mul(s, z) for s in g.generators)}
+        orders = {y: naive_element_order(g, y) for y in g.elements()}
         expected = [(x, y) for x in (c.representative for c in g.conjugacy_classes())
                     if x not in center for y in naive_centralizer(g, x) if y not in center
-                    and gcd(naive_element_order(g, x), naive_element_order(g, y)) == 1]
+                    and gcd(orders[x], orders[y]) == 1]
         assert verify._lemma2_iii_pairs(g) == expected
         total += len(expected)
     assert total == 3
@@ -131,41 +133,49 @@ def test_lemma2_tuple_counts_match_an_independent_count(corpus, group_of, verify
     assert counted == 45
 
 
-def _centralizer_record(g, x):
-    """C_G(x) with the positions of x ** c for its generators c, as
-    verify._Case.centralizers records it for a class representative x."""
-    cg = g.centralizer(x)
-    return cg, g.conjugates(x, cg.gens)
+def _case_on(entry, g):
+    """A verify._Case of the corpus entry on its group g, built already."""
+    case = verify._Case(entry)
+    case.group = g
+    return case
 
 
-def test_centralizer_image_matches_image_set_oracle(corpus, group_of):
-    """Lemma 2 (v) and (iv) read off G's cosets of K, C_G(x)'s generators and
-    orders give the verdicts of the image of C_G(x) in G/K built member by
-    member, for every normal K and class representative x of each corpus
-    group of order <= 500."""
+def test_centralizer_image_matches_image_set_oracle(corpus, group_of, monkeypatch):
+    """Lemma 2 (v) and (iv), read off G's cosets of K and C_G(x)'s generators
+    and orders, give the verdicts of the image of C_G(x) in G/K built member
+    by member, for every normal K and class representative x of each corpus
+    group of order <= 500: the image lies in C_{G/K}(xbar), and (v) passes;
+    with (iv) checked at every x, as if (|x|, |K|) = 1, it fails at the first
+    x whose image is not all of C_{G/K}(xbar), and only then."""
     parts = Counter()
     for entry in corpus:
         g = group_of(entry.name)
         if g.order() > 500:
             continue
-        for k in g.normal_subgroups():
-            quot, cosets = g.quotient(k), g.cosets(k)
-            for cls in g.conjugacy_classes():
-                x = cls.representative
-                inside, equal = image_set_centralizer_image(g, quot, x)
-                part = verify._quotient_image(g, cosets, len(k), cls,
-                                              _centralizer_record(g, x), True)[1]
-                assert part == (None if equal else "(iv)" if inside else "(v)"), \
-                    (entry.name, len(k), x)
-                parts[part] += 1
-    assert parts[None] > 1000 and parts["(iv)"] > 100
+        case = _case_on(entry, g)
+        assert verify._check_lemma2_v(case) is None, entry.name
+        with monkeypatch.context() as m:
+            m.setattr(g, "element_orders", lambda: dict.fromkeys(g.elements(), 1))
+            for idx, k in enumerate(case.normals):
+                quot, short = g.quotient(k), []
+                for cls in g.conjugacy_classes():
+                    x = cls.representative
+                    inside, equal = image_set_centralizer_image(g, quot, x)
+                    assert inside, (entry.name, len(k), x)
+                    parts[equal] += 1
+                    if not equal:
+                        short.append(x)
+                assert verify._check_lemma2_for_normal(case, idx)[1] == (
+                    f"(iv) centralizer image != C(xbar) for x={short[0]}" if short else None), \
+                    (entry.name, len(k))
+    assert parts[True] > 1000 and parts[False] > 100
 
 
 def test_coset_counts_match_the_quotient_group(corpus, group_of):
     """The number of cosets of K that x^G meets, as Lemma 2 reads |xbar^{G/K}|
-    off G, is the class size of xbar in G/K built as a group of its own, and
-    |G/K| over it is the order of C_{G/K}(xbar): every normal K and class of
-    each corpus group of order <= 500."""
+    off G's coset numbers, is the class size of xbar in G/K built as a group
+    of its own, and |G/K| over it is the order of C_{G/K}(xbar): every normal
+    K and class of each corpus group of order <= 500."""
     checked = 0
     for entry in corpus:
         g = group_of(entry.name)
@@ -175,8 +185,7 @@ def test_coset_counts_match_the_quotient_group(corpus, group_of):
             quot, cosets = g.quotient(k), g.cosets(k)
             for cls in g.conjugacy_classes():
                 x = cls.representative
-                count = verify._quotient_image(g, cosets, len(k), cls,
-                                               _centralizer_record(g, x), False)[0]
+                count = len(set(map(cosets.__getitem__, cls.positions)))
                 xbar = quot.rep.coset_rep[x]
                 assert count == quot.class_size(xbar), (entry.name, len(k), x)
                 assert divmod(quot.order(), count) == (len(quot.centralizer(xbar)), 0), \
@@ -185,10 +194,15 @@ def test_coset_counts_match_the_quotient_group(corpus, group_of):
     assert checked > 1000
 
 
+def _with_generator(cg, c):
+    """C_G(x) as verify reads it, given one more generator c."""
+    return Subgroup(cg.rep, cg.elements, cg.positions, cg.gens + (c,))
+
+
 def test_lemma2_v_and_iv_catch_a_wrong_quotient_centralizer(monkeypatch):
-    """S4 over V4: a generator c of C_G(x) with [x, c] outside K fails (v),
-    and a count of the cosets that the 3-cycles meet that is too large fails
-    (iv) at the 3-cycle, whose order is prime to |V4|."""
+    """S4 over V4: a generator c of C_G(x) that does not commute with x fails
+    (v), and a count of the cosets that the 3-cycles meet that is too large
+    fails (iv) at the 3-cycle, whose order is prime to |V4|."""
     case = verify._Case(verify.CorpusEntry(
         "sym_4", {"family": "sym", "params": [4], "regular": False}))
     g = case.group
@@ -196,23 +210,23 @@ def test_lemma2_v_and_iv_catch_a_wrong_quotient_centralizer(monkeypatch):
     classes = g.conjugacy_classes()
     i = next(i for i, c in enumerate(classes) if naive_element_order(g, c.representative) == 3)
     three_cycle = classes[i].representative
+    assert verify._check_lemma2_v(case) is None
     assert verify._check_lemma2_for_normal(case, idx)[1] is None
     # a transposition as a generator of C(3-cycle): their commutator is a 3-cycle
     transposition = next(x for x in g.elements() if sum(a != b for a, b in enumerate(x)) == 2)
     records = list(case.centralizers)
-    cg, moved = records[i]
-    records[i] = cg, moved + g.conjugates(three_cycle, (transposition,))
+    records[i] = _with_generator(records[i], transposition)
     monkeypatch.setattr(case, "centralizers", records)
-    assert verify._check_lemma2_for_normal(case, idx)[1] == \
+    assert verify._check_lemma2_v(case) == \
         f"(v) centralizer image escapes C(xbar) for x={three_cycle}"
     monkeypatch.undo()
     # two more 3-cycles in cosets of their own: 4 cosets, and 4 still divides 8
-    split, cosets = case.split(idx)
+    cosets, home = g.cosets(case.normals[idx]), g.elements().index(three_cycle)
     wrong = list(cosets)
-    for n, p in enumerate(p for p in classes[i].positions if p != g.position(three_cycle)):
+    for n, p in enumerate(p for p in classes[i].positions if p != home):
         if n < 2:
             wrong[p] = max(cosets) + 1 + n
-    monkeypatch.setattr(case, "split", lambda j: (split, wrong))
+    monkeypatch.setattr(g, "cosets", lambda k: wrong)
     assert verify._check_lemma2_for_normal(case, idx)[1] == \
         f"(iv) centralizer image != C(xbar) for x={three_cycle}"
 
@@ -475,21 +489,18 @@ def test_lemma2_skips_an_entry_over_the_bound(tmp_path):
 
 def test_lemma2_catches_a_wrong_quotient_centralizer_at_one_class(tmp_path, monkeypatch):
     """type3_7_3 (order 1,029; normal subgroups of orders 7, 49, 49 and 343):
-    C_G(x), for the first class representative x outside one K of order 49,
-    given one more generator c with [x, c] outside K, and right elsewhere,
-    fails Lemma 2 (v) at that x."""
+    C_G(x), for the first noncentral class representative x, given one more
+    generator c that does not commute with x, and right elsewhere, fails
+    Lemma 2 (v) at that x, and nothing else fails."""
     entry = next(e for e in verify.default_corpus() if e.name == "type3_7_3")
     centralizers, wrong = verify._Case.centralizers.func, []
 
     def wrong_centralizers(case):
-        records = centralizers(case)
-        g, kernel = case.group, case.normals[1]
-        cosets = g.cosets(kernel)
+        records, g = centralizers(case), case.group
         i, x = next((i, c.representative) for i, c in enumerate(g.conjugacy_classes())
-                    if not kernel.holds(g.position(c.representative)))
-        moved = next(p for p in g.conjugates(x, g.generators)
-                     if cosets[p] != cosets[g.position(x)])
-        records[i] = records[i][0], records[i][1] + [moved]
+                    if c.size > 1)
+        c = next(c for c in g.generators if not g.commute((x,), (c,)))
+        records[i] = _with_generator(records[i], c)
         wrong.append(x)
         return records
     monkeypatch.setattr(verify._Case, "centralizers", property(wrong_centralizers))
@@ -497,6 +508,32 @@ def test_lemma2_catches_a_wrong_quotient_centralizer_at_one_class(tmp_path, monk
     assert [(c.name, c.status, c.detail) for c in lemmas.failures] == [
         ("lemma2_exhaustive/type3_7_3", "fail",
          f"(v) centralizer image escapes C(xbar) for x={wrong[0]}")]
+
+
+def test_lemma2_v_catches_a_commutator_in_every_normal_subgroup(tmp_path, monkeypatch):
+    """In Q8 every normal subgroup other than 1 holds -1, and [x, c] = -1 for
+    each noncentral x and each c that does not commute with x: 12 pairs.  With
+    c added to the generators of C_G(x), the commutator lies in every K, so no
+    test of K's cosets sees it; Lemma 2 (v) fails at x for each pair."""
+    entry = next(e for e in verify.default_corpus() if e.name == "quaternion")
+    q8 = entry.build()
+    minus_one, = (y for y in q8.elements() if y != q8.identity and q8.mul(y, y) == q8.identity)
+    assert all(len(k) == 1 or minus_one in k.members for k in q8.normal_subgroups())
+    pairs = [(cls.representative, c) for cls in q8.conjugacy_classes() if cls.size > 1
+             for c in q8.elements() if not q8.commute((cls.representative,), (c,))]
+    assert len(pairs) == 12
+    build = verify.CorpusEntry.build
+    for x, c in pairs:
+        def wrong_build(entry, x=x, c=c):
+            g = build(entry)
+            right = g.centralizer
+            g.centralizer = lambda y: _with_generator(right(y), c) if y == x else right(y)
+            return g
+        monkeypatch.setattr(verify.CorpusEntry, "build", wrong_build)
+        lemmas = verify.run_all([entry], schur_path=tmp_path / "none.json")[3]
+        assert next((r.status, r.detail) for r in lemmas.checks
+                    if r.name == "lemma2_exhaustive/quaternion") == \
+            ("fail", f"(v) centralizer image escapes C(xbar) for x={x}"), (x, c)
 
 
 def test_run_all_leaves_no_group_alive(monkeypatch):
@@ -530,30 +567,30 @@ def test_run_all_builds_one_central_quotient_per_group(monkeypatch):
     entry: no group has its G/Z built, or the Frobenius structure of a group
     found, more than once.  Lemma 2 builds no quotient at all: every
     quotient built is the G/Z of an entry with a nontrivial centre, and none
-    is built while a Lemma-2 split runs."""
+    is built while Lemma 2 is checked against a normal subgroup."""
     # keyed by the groups themselves: holding them keeps their ids from reuse
-    central, frobenius, calls, splitting = Counter(), Counter(), [], []
+    central, frobenius, calls, checking = Counter(), Counter(), [], []
     quotient, find = FiniteGroup.quotient, classifier.find_frobenius_structure
-    split = verify._Case.split
+    check_normal = verify._check_lemma2_for_normal
 
     def counted_quotient(self, normal):
-        calls.append((self, bool(splitting)))
+        calls.append((self, bool(checking)))
         if normal.members == self.center().members:
             central[self] += 1
         return quotient(self, normal)
 
-    def counted_split(case, idx):
-        splitting.append(idx)
+    def counted_check(case, idx):
+        checking.append(idx)
         try:
-            return split(case, idx)
+            return check_normal(case, idx)
         finally:
-            splitting.pop()
+            checking.pop()
 
     def counted_find(q):
         frobenius[q] += 1
         return find(q)
     monkeypatch.setattr(FiniteGroup, "quotient", counted_quotient)
-    monkeypatch.setattr(verify._Case, "split", counted_split)
+    monkeypatch.setattr(verify, "_check_lemma2_for_normal", counted_check)
     monkeypatch.setattr(classifier, "find_frobenius_structure", counted_find)
     names = {"type3_3_2", "heisenberg_3", "agl1_5", "dihedral_4", "sl2_5"}
     corpus = [entry for entry in verify.default_corpus() if entry.name in names]
