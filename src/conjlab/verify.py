@@ -570,8 +570,9 @@ class _Lemmas(_Suite):
             g = case.group
             if g.order() > LEMMA2_ORDER_BOUND:
                 return None, f"order {g.order()} > {LEMMA2_ORDER_BOUND}"
-            results = [(0, _check_lemma2_v(case))] if case.normals else []
-            results += [_check_lemma2_for_normal(case, idx) for idx in range(len(case.normals))]
+            results = [_check_lemma2_for_normal(case, idx) for idx in range(len(case.normals))]
+            if case.normals:  # (v), decided once for every K, after each K's (i) and (iv)
+                results.append((0, _check_lemma2_v(case)))
             results.append(_check_lemma2_iii(g, _lemma2_iii_pairs(g)))
             fail = next((f for _, f in results if f), None)
             total = sum(n for n, _ in results)

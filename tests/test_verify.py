@@ -143,10 +143,12 @@ def _case_on(entry, g):
 def test_centralizer_image_matches_image_set_oracle(corpus, group_of, monkeypatch):
     """Lemma 2 (v) and (iv), read off G's cosets of K and C_G(x)'s generators
     and orders, give the verdicts of the image of C_G(x) in G/K built member
-    by member, for every normal K and class representative x of each corpus
-    group of order <= 500: the image lies in C_{G/K}(xbar), and (v) passes;
-    with (iv) checked at every x, as if (|x|, |K|) = 1, it fails at the first
-    x whose image is not all of C_{G/K}(xbar), and only then."""
+    by member, for every normal K (1 and G too) and class representative x
+    of each corpus group of order <= 500: the image lies in C_{G/K}(xbar),
+    and (v) passes; with (iv) checked at x alone, as if (|x|, |K|) = 1 and
+    (|y|, |K|) = |K| for every other y, it fails at x exactly when the image
+    is not all of C_{G/K}(xbar); with (iv) checked at every x, it fails at
+    the first such x, and only then."""
     parts = Counter()
     for entry in corpus:
         g = group_of(entry.name)
@@ -154,17 +156,25 @@ def test_centralizer_image_matches_image_set_oracle(corpus, group_of, monkeypatc
             continue
         case = _case_on(entry, g)
         assert verify._check_lemma2_v(case) is None, entry.name
-        with monkeypatch.context() as m:
-            m.setattr(g, "element_orders", lambda: dict.fromkeys(g.elements(), 1))
-            for idx, k in enumerate(case.normals):
-                quot, short = g.quotient(k), []
-                for cls in g.conjugacy_classes():
-                    x = cls.representative
-                    inside, equal = image_set_centralizer_image(g, quot, x)
-                    assert inside, (entry.name, len(k), x)
-                    parts[equal] += 1
-                    if not equal:
-                        short.append(x)
+        case.normals = g.normal_subgroups()
+        for idx, k in enumerate(case.normals):
+            quot, short = g.quotient(k), []
+            for cls in g.conjugacy_classes():
+                x = cls.representative
+                inside, equal = image_set_centralizer_image(g, quot, x)
+                assert inside, (entry.name, len(k), x)
+                orders = {y: 1 if y == x else len(k) for y in g.elements()}
+                with monkeypatch.context() as m:
+                    m.setattr(g, "element_orders", lambda: orders)
+                    fail = verify._check_lemma2_for_normal(case, idx)[1]
+                assert fail == (None if equal else
+                                f"(iv) centralizer image != C(xbar) for x={x}"), \
+                    (entry.name, len(k), x)
+                parts[fail is None] += 1
+                if fail:
+                    short.append(x)
+            with monkeypatch.context() as m:
+                m.setattr(g, "element_orders", lambda: dict.fromkeys(g.elements(), 1))
                 assert verify._check_lemma2_for_normal(case, idx)[1] == (
                     f"(iv) centralizer image != C(xbar) for x={short[0]}" if short else None), \
                     (entry.name, len(k))
