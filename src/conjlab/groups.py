@@ -53,11 +53,12 @@ closed, and closed only when the count cannot settle it:
   outside its closure, and is G itself, with G's generators, once the
   closure reaches |G|; each later term of the derived series is closed
   inside G the same way from the generators of the one before;
-- normal subgroups, which only verify's lemma suites use, are the normal
-  closures of one class per rational class, joined pairwise, each keyed by
-  the bitmask of its classes so that |AB| = |A||B|/|A & B| is known first.
-  A closure or a join is a search over classes by class products, on left
-  tables composed along the words of class members;
+- normal subgroups, which only verify's lemma suites use, are found by a
+  breadth-first search from the trivial subgroup that joins each member A
+  with the normal closure N of one class per rational class, each keyed by
+  the bitmask of its classes so that |NA| = |A||N|/|A & N| checks the join.
+  A closure or a join is a search over classes by products with one class
+  member, on a left table composed along its word;
 - element orders are one walk of a class representative's powers per class
   not yet ordered, since x^j has order |x|/gcd(j, |x|).
 """
@@ -717,93 +718,83 @@ class FiniteGroup:
         return self._normals
 
     def _compute_normals(self) -> list[Subgroup]:
-        # A normal subgroup is a union of classes: key it by the bitmask of
-        # its classes.  Then A & B is the intersection, and the join AB has
-        # order |A||B|/|A & B| (Hulpke, "Computing normal subgroups", 1998).
-        # The classes meeting C * A are those of c * a for one fixed c in C
-        # and every a in A, so the normal subgroup that some classes generate
-        # is a breadth-first search over classes.  It runs on positions:
+        # A normal subgroup is a union of classes, keyed by the bitmask of its
+        # classes, and the join of the normal closures of its classes.  So a
+        # breadth-first search from the trivial subgroup reaches every one: it
+        # joins each member A with the closure N of one class c per rational
+        # class, N not inside A.  The classes of NA are those reached from A's
+        # by products with one fixed x in c, and |NA| = |A||N|/|A & N| (Hulpke,
+        # "Computing normal subgroups", 1998).  The products run on positions:
         # L_x[a] is the position of x * a, composed along x's word.
         classes = self.conjugacy_classes()
         class_of, n = self._class_of, len(self._elements)
         e = self._index[self.rep.identity]
-        tables = {}  # L_x of each class's first member, by class, for this call only
-
-        def table(c):
-            if c not in tables:
-                t = range(n)
-                for col in self._word(where[c][0]):
-                    t = list(map(col.__getitem__, t))
-                tables[c] = t
-            return tables[c]
-
-        def bits(mask):
-            while mask:
-                low = mask & -mask
-                yield low.bit_length() - 1
-                mask ^= low
-
         sizes = [c.size for c in classes]
         where = [c.positions for c in classes]
-        # by mask: the member, its order, and the classes that generate it;
-        # and the masks of each order
-        pool, orders, spans, by_order = {}, {}, {}, {}
+        one = 1 << class_of[e]
+        found = {one: ([class_of[e]], 1)}  # by mask: the classes and the order
 
-        def add(start: int, span: int, expected: int | None = None) -> None:
-            # close the classes of start under products by one member of each
-            # class of span; a new normal subgroup gets the greedy generators
-            # of subgroup_from_elements over start's members in G's order
-            reached = set(bits(start))
-            queue = list(reached)
-            mults = [table(c) for c in bits(span)]
-            for a in queue:
-                for t in mults:
-                    new = set(map(class_of.__getitem__, map(t.__getitem__, where[a]))) - reached
-                    reached |= new
-                    queue += new
-            size = sum(sizes[c] for c in reached)
-            if expected is not None and size != expected:
-                raise InternalCheckError(
-                    f"join has order {size}, expected |A||B|/|A & B| = {expected}")
-            mask = sum(1 << c for c in reached)
-            if mask in pool:
-                return
-            sub = self._span(sorted(p for c in bits(start) for p in where[c]), size)
-            if len(sub) != size:
-                raise InternalCheckError(
-                    f"greedy closure has order {len(sub)}, its classes {size}")
-            pool[mask] = sub
-            orders[mask], spans[mask] = size, span
-            by_order.setdefault(size, []).append(mask)
+        def join(a: int, t: list, step: list) -> tuple[int, list, int]:
+            # the mask, classes and order of NA: the classes reached from A's
+            # by products with x, t = L_x, and step by class y the classes of
+            # x * y's members, filled as they are reached
+            held, size = found[a]
+            queue = list(held)
+            reached = set(queue)
+            for y in queue:
+                out = step[y]
+                if out is None:
+                    out = step[y] = tuple(set(map(class_of.__getitem__,
+                                                  map(t.__getitem__, where[y]))))
+                for z in out:
+                    if z not in reached:
+                        reached.add(z)
+                        queue.append(z)
+            new = queue[len(held):]
+            return (sum(map((1).__lshift__, new), a), queue,
+                    size + sum(map(sizes.__getitem__, new)))
 
         # x and x^k (k prime to |x|) have one normal closure: close the first
-        # class of each rational class
-        one, covered = 1 << class_of[e], set()
+        # class of each rational class, with one composed left table each, and
+        # keep the table and steps of each distinct closure for the joins
+        covered, closures = set(), {}
         for i in range(len(classes)):
             if i not in covered:
                 powers = self._powers(where[i][0])
                 covered.update(class_of[p] for j, p in enumerate(powers, 1)
                                if gcd(j, len(powers)) == 1)
-                add(one | 1 << i, 1 << i)
-        # Join pairs round by round, each pair once: a round examines only
-        # the pairs with a member found in the round before.
-        done = 0
-        while done < len(pool):
-            masks = list(pool)
-            for i, am in enumerate(masks):
-                for bm in masks[max(i + 1, done):]:
-                    both = am | bm
-                    if both == am or both == bm:
-                        continue
-                    meet = am & bm
-                    order = orders[am] * orders[bm] // (
-                        orders.get(meet) or sum(sizes[c] for c in bits(meet)))
-                    # a pool member of that order holding A and B is AB
-                    if any(m & both == both for m in by_order.get(order, ())):
-                        continue
-                    add(both, spans[am] | spans[bm], order)
-            done = len(masks)
-        return sorted(pool.values(),
+                t = range(n)
+                for col in self._word(where[i][0]):
+                    t = list(map(col.__getitem__, t))
+                step = [None] * len(classes)
+                mask, held, size = join(one, t, step)
+                found.setdefault(mask, (held, size))
+                closures.setdefault(mask, (t, step))
+        queue = list(found)[1:]  # the trivial member's joins are the closures
+        for a in queue:
+            for closure, (t, step) in closures.items():
+                meet = a & closure
+                if meet != closure:
+                    mask, held, size = join(a, t, step)
+                    closure_held, closure_size = found[closure]
+                    expected = found[a][1] * closure_size // sum(
+                        sizes[y] for y in closure_held if meet >> y & 1)
+                    if size != expected:
+                        raise InternalCheckError(
+                            f"join has order {size}, expected |A||B|/|A & B| = {expected}")
+                    if mask not in found:  # dedupe by mask after the search
+                        found[mask] = held, size
+                        queue.append(mask)
+        # each member gets the greedy generators of subgroup_from_elements
+        # over its members in G's order
+        normals = []
+        for held, size in found.values():
+            sub = self._span(sorted(p for c in held for p in where[c]), size)
+            if len(sub) != size:
+                raise InternalCheckError(
+                    f"greedy closure has order {len(sub)}, its classes {size}")
+            normals.append(sub)
+        return sorted(normals,
                       key=lambda s: (len(s), sorted(map(s.elements.__getitem__, s.positions))))
 
     def subgroup_classes(self, sub: Subgroup) -> tuple[array, list]:

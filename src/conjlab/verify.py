@@ -116,12 +116,13 @@ def _load_entries(raw, root: Path) -> list[CorpusEntry]:
     to root."""
     if not isinstance(raw, list):
         raise SpecFileError("a corpus must be an array of entries")
-    entries = []
+    entries, names = [], set()
     for i, item in enumerate(raw):
         name = item.get("name") if isinstance(item, dict) else None
-        if not isinstance(name, str) or not name or any(e.name == name for e in entries):
+        if not isinstance(name, str) or not name or name in names:
             raise SpecFileError(f"corpus entry {i} needs an object with a new "
                                 f"nonempty string 'name', got {item!r}")
+        names.add(name)
         where = f"corpus entry {name!r}"
         unknown = set(item) - set(_ENTRY_FIELDS) - {"name", "group"}
         if unknown:

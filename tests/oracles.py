@@ -51,12 +51,16 @@ def naive_class_of(group, x):
 
 
 def naive_class_sizes(group):
+    """Sorted sizes of the classes {g^-1 * x * g}, each conjugate made with
+    rep.mul from scratch and each element inverted once."""
+    mul, inv = group.rep.mul, group.rep.inv
+    by = [(inv(g), g) for g in group.elements()]
     seen = set()
     sizes = []
     for x in group.elements():
         if x in seen:
             continue
-        cls = naive_class_of(group, x)
+        cls = {mul(mul(gi, x), g) for gi, g in by}
         seen |= cls
         sizes.append(len(cls))
     return sorted(sizes)
@@ -137,7 +141,9 @@ def whole_group_f_scan(group):
 def naive_normal_subgroups(group):
     """Normal subgroups as join-closed unions of classes: one closure per
     conjugacy class, then pairwise joins until nothing new appears, sorted
-    by (order, member encodings)."""
+    by (order, member encodings).  Each is returned with the greedy
+    generators of subgroup_from_elements over its members in G's element
+    order."""
     pool = {}
 
     def add(sub):
@@ -162,7 +168,8 @@ def naive_normal_subgroups(group):
                 join = group.subgroup_from_elements(in_element_order(a.members | b.members))
                 if add(join):
                     changed = True
-    return sorted(pool.values(), key=lambda s: (len(s), sorted(s.members)))
+    return [group.subgroup_from_elements(in_element_order(s.members))
+            for s in sorted(pool.values(), key=lambda s: (len(s), sorted(s.members)))]
 
 
 def image_set_centralizer_image(group, quot, x):

@@ -311,6 +311,32 @@ def test_normal_subgroups_match_oracle(lattice_cases):
             [(s.members, s.gens) for s in slow], name
 
 
+def _subspace_count(p, k):
+    """The subspaces of GF(p)^k: the sum over d of the Gaussian binomials [k, d]_p."""
+    total = 0
+    for d in range(k + 1):
+        num = den = 1
+        for i in range(d):
+            num *= p ** (k - i) - 1
+            den *= p ** (i + 1) - 1
+        total += num // den
+    return total
+
+
+@pytest.mark.parametrize("p, k, members", [(2, 5, 374), (3, 4, 212), (2, 6, 2825)])
+def test_elementary_abelian_lattice(p, k, members):
+    """Every subgroup of (C_p)^k is normal, so the lattice is its subspaces,
+    each found once; the 2,825 of (C_2)^6 take under 5 s CPU."""
+    g = cj.elementary_abelian_group(p, k)
+    g.conjugacy_classes()
+    start = time.process_time()
+    normals = g.normal_subgroups()
+    assert time.process_time() - start < 5.0
+    assert len(normals) == members == _subspace_count(p, k)
+    assert len({s.members for s in normals}) == members
+    assert all(g.is_normal(s) for s in normals)
+
+
 def _unitary_divisors(n):
     parts = [1]
     for p, e in factor(n):
@@ -605,7 +631,7 @@ def test_inverse_3x3_is_two_sided(p, n):
     assert singular > 0
 
 
-NAIVE_CLASS_ORDER_CAP = 2_000  # naive_class_sizes over the 4 larger corpus groups takes 7 s
+NAIVE_CLASS_ORDER_CAP = 2_000  # naive_class_sizes over the 5 larger corpus groups takes 6 s
 
 
 def _index_space_cases(corpus, group_of):
@@ -625,12 +651,16 @@ def test_index_space_classes_match_oracle(corpus, group_of):
     oracle."""
     for name, g in _index_space_cases(corpus, group_of):
         elements, index = g.elements(), g._index
+        mul, inv = g.rep.mul, g.rep.inv
+        gens = [(inv(h), h) for h in g.generators]
         classes = g.conjugacy_classes()
         assert sum(c.size for c in classes) == g.order(), name
         for cls in classes:
+            r = cls.representative
             for x in cls.members:
-                assert g.conj(cls.representative, elements[g._transversal[index[x]]]) == x, name
-                assert all(g.conj(x, h) in cls.members for h in g.generators), name
+                t = elements[g._transversal[index[x]]]
+                assert mul(r, t) == mul(t, x), name  # x = t^-1 * r * t
+                assert all(mul(mul(hi, x), h) in cls.members for hi, h in gens), name
         if g.order() <= NAIVE_CLASS_ORDER_CAP:
             assert g.class_sizes() == naive_class_sizes(g), name
 

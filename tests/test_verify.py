@@ -399,6 +399,19 @@ def test_default_corpus_is_plain_data():
     assert [e.name for e in pickle.loads(pickle.dumps(corpus))] == [e.name for e in corpus]
 
 
+def test_corpus_loader_is_linear_and_rejects_duplicates(tmp_path):
+    """Names are checked against a set: 20,000 entries load in under 1 s
+    CPU, and an array corpus that repeats a name is still rejected."""
+    raw = [{"name": f"c{i}", "group": {"family": "cyclic", "params": [1]}}
+           for i in range(20_000)]
+    start = time.process_time()
+    entries = verify._load_entries(raw, tmp_path)
+    assert time.process_time() - start < 1.0
+    assert [e.name for e in entries] == [item["name"] for item in raw]
+    with pytest.raises(cj.SpecFileError, match="corpus entry 2 needs an object with a new"):
+        verify._load_entries(raw[:2] + raw[:1], tmp_path)
+
+
 def test_corpus_dir_detects_wrong_expectation(tmp_path):
     g = cj.symmetric_group(3)
     g.name = "bad_s3"
