@@ -736,8 +736,8 @@ class FiniteGroup:
 
         def join(a: int, t: list, step: list) -> tuple[int, list, int]:
             # the mask, classes and order of NA: the classes reached from A's
-            # by products with x, t = L_x, and step by class y the classes of
-            # x * y's members, filled as they are reached
+            # by products with x, where t = L_x and step[y] holds the classes
+            # of x * z for z in class y, filled as they are reached
             held, size = found[a]
             queue = list(held)
             reached = set(queue)
